@@ -47,23 +47,14 @@ impl SymmetricEigen {
     /// Builds `U f(D) Uᵀ` for an arbitrary spectral function `f`.
     ///
     /// When `f` is non-negative over the spectrum the construction uses the
-    /// factored form `(U √f)(U √f)ᵀ`, halving the cost; otherwise it falls
-    /// back to two general products.
+    /// factored form of [`SymmetricEigen::compose_nonnegative`], halving the
+    /// cost; otherwise it falls back to two general products.
     #[must_use]
     pub fn apply_fn<F: Fn(f64) -> f64>(&self, f: F) -> Matrix {
         let n = self.dim();
         let fv: Vec<f64> = self.values.iter().map(|&x| f(x)).collect();
         if fv.iter().all(|&x| x >= 0.0) {
-            // B = U diag(√f); result = B Bᵀ.
-            let mut b = Matrix::zeros(n, n);
-            for r in 0..n {
-                let urow = self.vectors.row(r);
-                let brow = b.row_mut(r);
-                for c in 0..n {
-                    brow[c] = urow[c] * fv[c].sqrt();
-                }
-            }
-            b.gram()
+            self.compose_nonnegative(&fv)
         } else {
             let mut ud = Matrix::zeros(n, n);
             for r in 0..n {
@@ -76,6 +67,21 @@ impl SymmetricEigen {
             ud.matmul(&self.vectors.transposed())
                 .expect("shapes are square by construction")
         }
+    }
+
+    /// Builds `U diag(f) Uᵀ` from spectrum values `f` (entry `k` pairs
+    /// with `values[k]`) as `B Bᵀ`, `B = U diag(√f)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f.len() != self.dim()`. Every `f` must be non-negative.
+    #[must_use]
+    pub fn compose_nonnegative(&self, f: &[f64]) -> Matrix {
+        let n = self.dim();
+        assert_eq!(f.len(), n, "compose_nonnegative: one value per eigenvalue");
+        debug_assert!(f.iter().all(|&x| x >= 0.0), "negative spectrum value");
+        let roots: Vec<f64> = f.iter().map(|x| x.sqrt()).collect();
+        Matrix::gram_with(n, n, |r, k| self.vectors[(r, k)] * roots[k])
     }
 }
 
@@ -120,19 +126,16 @@ pub fn symmetric_eigen(a: &Matrix) -> Result<SymmetricEigen> {
     let mut z = a.as_slice().to_vec();
     let (mut d, mut e) = tridiagonal::tridiagonalize(&mut z, n);
 
-    // Transpose Q in place so QL rotations act on contiguous rows.
-    for r in 0..n {
-        for c in (r + 1)..n {
-            z.swap(r * n + c, c * n + r);
-        }
-    }
-    ql::ql_implicit(&mut d, &mut e, &mut z, n)?;
+    // QL rotates rows of Qᵀ, kept as column strips.
+    let mut zt = ql::Strips::from_rows(&z, n);
+    drop(z);
+    ql::ql_implicit(&mut d, &mut e, &mut zt)?;
 
     // Sort eigenvalues ascending and emit eigenvectors as columns.
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&i, &j| d[i].total_cmp(&d[j]));
     let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-    let vectors = Matrix::from_fn(n, n, |r, c| z[order[c] * n + r]);
+    let vectors = Matrix::from_fn(n, n, |r, c| zt.get(order[c], r));
     Ok(SymmetricEigen { values, vectors })
 }
 

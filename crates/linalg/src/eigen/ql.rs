@@ -1,14 +1,28 @@
 //! Implicit-shift QL iteration on a symmetric tridiagonal matrix.
 //!
-//! This is the `tql2`/`tqli` routine. For cache friendliness the
-//! accumulated transformation is kept *transposed* (`zt`, eigenvectors as
-//! rows): each Givens rotation then touches two adjacent contiguous rows
-//! instead of two strided columns, which matters at `n ≈ 2000`.
+//! This is the `tql2`/`tqli` routine, split in two. The `d`/`e`
+//! recurrence never reads the accumulated transformation, so it runs
+//! alone and records each Givens rotation `(i, c, s)` into a buffer of at
+//! most [`ROTATION_BATCH`] entries. Each full buffer is then replayed on
+//! the transposed eigenvector matrix ([`Strips`]), one fixed-width column
+//! strip per pool task: a column of `zt` only ever mixes with itself, so a
+//! strip can take a whole batch of rotations while it sits in cache, and
+//! strips are independent. Every element still sees the same rotations in
+//! the same order, so the result is bit-identical for any thread count.
 
 use crate::error::{LinalgError, Result};
+use crate::par;
 
 /// Maximum QL iterations per eigenvalue before reporting failure.
 const MAX_ITERS: usize = 64;
+
+/// Rotations recorded before a replay. Bounds the buffer at
+/// 24 B × this count whatever `n` is.
+const ROTATION_BATCH: usize = 1 << 14;
+
+/// Widest column strip of `zt`. A strip of `n` rows stays in a core's L2
+/// cache up to `n` of a few thousand.
+const STRIP: usize = 64;
 
 /// `sign(a, b)`: magnitude of `a`, sign of `b` (Fortran SIGN intrinsic).
 fn sign(a: f64, b: f64) -> f64 {
@@ -19,9 +33,60 @@ fn sign(a: f64, b: f64) -> f64 {
     }
 }
 
+/// The transposed eigenvector matrix `zt` (row `k` converges to
+/// eigenvector `k`), stored as column strips: strip `s` holds columns
+/// `s·width..(s+1)·width` of every row, row-major and contiguous. Columns
+/// past `n` in the last strip are zero padding.
+pub(crate) struct Strips {
+    n: usize,
+    width: usize,
+    data: Vec<f64>,
+}
+
+impl Strips {
+    /// Lays out the row-major `n × n` matrix `zt`, `n ≥ 1`. Strips are as
+    /// even as [`STRIP`] allows, so small `n` is one strip.
+    pub(crate) fn from_rows(zt: &[f64], n: usize) -> Self {
+        debug_assert!(n >= 1 && zt.len() == n * n);
+        let width = n.div_ceil(n.div_ceil(STRIP));
+        let strips = n.div_ceil(width);
+        let mut data = vec![0.0; strips * n * width];
+        for (k, row) in zt.chunks_exact(n).enumerate() {
+            for (s, part) in row.chunks(width).enumerate() {
+                let at = s * n * width + k * width;
+                data[at..at + part.len()].copy_from_slice(part);
+            }
+        }
+        Strips { n, width, data }
+    }
+
+    /// Element `(k, j)` of `zt`.
+    pub(crate) fn get(&self, k: usize, j: usize) -> f64 {
+        self.data[(j / self.width) * self.n * self.width + k * self.width + j % self.width]
+    }
+
+    /// Applies `rotations` in order to every strip, strips in parallel.
+    fn replay(&mut self, rotations: &[(usize, f64, f64)]) {
+        if rotations.is_empty() {
+            return;
+        }
+        let (n, w) = (self.n, self.width);
+        let strips = self.data.len() / (n * w);
+        par::for_each_row_chunk_mut(&mut self.data, n * w, strips, |_, strip| {
+            for &(i, c, s) in rotations {
+                let (row_i, row_i1) = strip[i * w..(i + 2) * w].split_at_mut(w);
+                for (zi, zi1) in row_i.iter_mut().zip(row_i1.iter_mut()) {
+                    let f = *zi1;
+                    *zi1 = s * *zi + c * f;
+                    *zi = c * *zi - s * f;
+                }
+            }
+        });
+    }
+}
+
 /// Diagonalizes the tridiagonal matrix `(d, e)` in place and accumulates the
-/// rotations into `zt` (row-major `n × n`, interpreted as the *transpose* of
-/// the eigenvector matrix: row `k` of `zt` converges to eigenvector `k`).
+/// rotations into `zt`.
 ///
 /// On success `d` holds the (unsorted) eigenvalues. `e` is destroyed.
 ///
@@ -30,10 +95,10 @@ fn sign(a: f64, b: f64) -> f64 {
 /// Returns [`LinalgError::ConvergenceFailure`] if any eigenvalue fails to
 /// converge within [`MAX_ITERS`] iterations (practically unreachable for
 /// well-scaled input).
-pub(crate) fn ql_implicit(d: &mut [f64], e: &mut [f64], zt: &mut [f64], n: usize) -> Result<()> {
+pub(crate) fn ql_implicit(d: &mut [f64], e: &mut [f64], zt: &mut Strips) -> Result<()> {
+    let n = zt.n;
     debug_assert_eq!(d.len(), n);
     debug_assert_eq!(e.len(), n);
-    debug_assert_eq!(zt.len(), n * n);
     if n <= 1 {
         return Ok(());
     }
@@ -44,6 +109,7 @@ pub(crate) fn ql_implicit(d: &mut [f64], e: &mut [f64], zt: &mut [f64], n: usize
     }
     e[n - 1] = 0.0;
 
+    let mut rotations = Vec::with_capacity(ROTATION_BATCH.min(n * n));
     for l in 0..n {
         let mut iter = 0usize;
         loop {
@@ -77,7 +143,7 @@ pub(crate) fn ql_implicit(d: &mut [f64], e: &mut [f64], zt: &mut [f64], n: usize
             let mut i = m - 1;
             // A sequence of plane rotations to restore tridiagonal form.
             loop {
-                let mut f = s * e[i];
+                let f = s * e[i];
                 let b = c * e[i];
                 r = f.hypot(g);
                 e[i + 1] = r;
@@ -95,12 +161,11 @@ pub(crate) fn ql_implicit(d: &mut [f64], e: &mut [f64], zt: &mut [f64], n: usize
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                // Apply the rotation to eigenvector rows i and i+1 of zt.
-                let (row_i, row_i1) = zt[i * n..(i + 2) * n].split_at_mut(n);
-                for (zi, zi1) in row_i.iter_mut().zip(row_i1.iter_mut()) {
-                    f = *zi1;
-                    *zi1 = s * *zi + c * f;
-                    *zi = c * *zi - s * f;
+                // Rotates eigenvector rows i and i+1 of zt, replayed later.
+                rotations.push((i, c, s));
+                if rotations.len() == ROTATION_BATCH {
+                    zt.replay(&rotations);
+                    rotations.clear();
                 }
                 if i == l {
                     break;
@@ -117,6 +182,7 @@ pub(crate) fn ql_implicit(d: &mut [f64], e: &mut [f64], zt: &mut [f64], n: usize
             }
         }
     }
+    zt.replay(&rotations);
     Ok(())
 }
 
@@ -132,8 +198,8 @@ mod tests {
         // Convention: e[i] couples d[i-1] and d[i], e[0] unused.
         let mut e = vec![0.0; n];
         e[1..n].copy_from_slice(&sub[..n - 1]);
-        let mut zt = Matrix::identity(n).into_vec();
-        ql_implicit(&mut d, &mut e, &mut zt, n).unwrap();
+        let mut zt = Strips::from_rows(Matrix::identity(n).as_slice(), n);
+        ql_implicit(&mut d, &mut e, &mut zt).unwrap();
 
         let t = {
             let mut t = Matrix::zeros(n, n);
@@ -146,12 +212,12 @@ mod tests {
             }
             t
         };
-        for k in 0..n {
-            let v: Vec<f64> = (0..n).map(|j| zt[k * n + j]).collect();
+        for (k, &lambda) in d.iter().enumerate() {
+            let v: Vec<f64> = (0..n).map(|j| zt.get(k, j)).collect();
             let tv = t.matvec(&v);
             for j in 0..n {
                 assert!(
-                    (tv[j] - d[k] * v[j]).abs() < 1e-8,
+                    (tv[j] - lambda * v[j]).abs() < 1e-8,
                     "eigenpair {k} residual too large"
                 );
             }
@@ -177,8 +243,8 @@ mod tests {
         // [[0,1],[1,0]] has eigenvalues ±1.
         let mut d = vec![0.0, 0.0];
         let mut e = vec![0.0, 1.0];
-        let mut zt = Matrix::identity(2).into_vec();
-        ql_implicit(&mut d, &mut e, &mut zt, 2).unwrap();
+        let mut zt = Strips::from_rows(Matrix::identity(2).as_slice(), 2);
+        ql_implicit(&mut d, &mut e, &mut zt).unwrap();
         let mut vals = d.clone();
         vals.sort_by(f64::total_cmp);
         assert!((vals[0] + 1.0).abs() < 1e-12);
@@ -195,8 +261,8 @@ mod tests {
         let mut d = diag.clone();
         let mut e = vec![0.0; n];
         e[1..].copy_from_slice(&sub);
-        let mut zt = Matrix::identity(n).into_vec();
-        ql_implicit(&mut d, &mut e, &mut zt, n).unwrap();
+        let mut zt = Strips::from_rows(Matrix::identity(n).as_slice(), n);
+        ql_implicit(&mut d, &mut e, &mut zt).unwrap();
         d.sort_by(f64::total_cmp);
         for (k, &lam) in d.iter().enumerate() {
             let expect = 2.0 - 2.0 * (std::f64::consts::PI * (k + 1) as f64 / (n + 1) as f64).cos();
@@ -208,8 +274,8 @@ mod tests {
     fn single_element_is_noop() {
         let mut d = vec![42.0];
         let mut e = vec![0.0];
-        let mut zt = vec![1.0];
-        ql_implicit(&mut d, &mut e, &mut zt, 1).unwrap();
+        let mut zt = Strips::from_rows(&[1.0], 1);
+        ql_implicit(&mut d, &mut e, &mut zt).unwrap();
         assert_eq!(d, vec![42.0]);
     }
 

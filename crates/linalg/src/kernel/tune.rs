@@ -91,24 +91,25 @@ pub fn measure(t: usize) -> TuneReport {
     let mut y = vec![0.0_f32; t];
     let reps = ((1usize << 20) / (t * t).max(1)).clamp(8, 256);
 
-    let mut table = Vec::with_capacity(KernelVariant::ALL.len());
-    let (mut best_f, mut best_t) = (KernelVariant::Scalar, KernelVariant::Scalar);
-    let (mut best_f_ns, mut best_t_ns) = (f64::INFINITY, f64::INFINITY);
-    for v in KernelVariant::ALL {
-        let fwd = Sweep::forward(&tile);
-        let f_ns = time_ns(reps, || super::run_sweep(v, &fwd, &x, &mut y));
-        let trn = Sweep::transposed(&tile);
-        let t_ns = time_ns(reps, || super::run_sweep(v, &trn, &x, &mut y));
-        if f_ns < best_f_ns {
-            best_f_ns = f_ns;
-            best_f = v;
-        }
-        if t_ns < best_t_ns {
-            best_t_ns = t_ns;
-            best_t = v;
-        }
-        table.push((v, f_ns, t_ns));
-    }
+    // Candidate 2·v is variant v forward, 2·v + 1 the same transposed.
+    let sweeps = [Sweep::forward(&tile), Sweep::transposed(&tile)];
+    let ns = time_round_robin(reps, 2 * KernelVariant::ALL.len(), |c| {
+        super::run_sweep(KernelVariant::ALL[c / 2], &sweeps[c % 2], &x, &mut y);
+    });
+    let table: Vec<(KernelVariant, f64, f64)> = KernelVariant::ALL
+        .iter()
+        .zip(ns.chunks_exact(2))
+        .map(|(&v, fwd_trn)| (v, fwd_trn[0], fwd_trn[1]))
+        .collect();
+    // First minimum in `ALL` order, per direction.
+    let fastest = |pick: fn(&(KernelVariant, f64, f64)) -> f64| {
+        table
+            .iter()
+            .min_by(|a, b| pick(a).total_cmp(&pick(b)))
+            .map_or(KernelVariant::Scalar, |row| row.0)
+    };
+    let best_f = fastest(|row| row.1);
+    let best_t = fastest(|row| row.2);
 
     let x_t: Vec<f32> = (0..t)
         .map(|i| match i % 4 {
@@ -123,16 +124,15 @@ pub fn measure(t: usize) -> TuneReport {
         transposed: best_t,
         pair: PairKernel::Sequential,
     };
-    let pair_sequential_ns = time_ns(reps, || {
-        seq_plan.forward_transposed(&tile, &x, &mut y, &x_t, &mut y_t);
-    });
     let fused_plan = KernelPlan {
         pair: PairKernel::Fused8,
         ..seq_plan
     };
-    let pair_fused_ns = time_ns(reps, || {
-        fused_plan.forward_transposed(&tile, &x, &mut y, &x_t, &mut y_t);
+    let pair_plans = [seq_plan, fused_plan];
+    let pair_ns = time_round_robin(reps, pair_plans.len(), |c| {
+        pair_plans[c].forward_transposed(&tile, &x, &mut y, &x_t, &mut y_t);
     });
+    let (pair_sequential_ns, pair_fused_ns) = (pair_ns[0], pair_ns[1]);
 
     let plan = if pair_fused_ns < pair_sequential_ns {
         fused_plan
@@ -148,20 +148,29 @@ pub fn measure(t: usize) -> TuneReport {
     }
 }
 
-/// Median-free robust timing: best (minimum) of 3 passes of `reps`
-/// runs each, after 2 warmup runs. Returns ns per run.
-fn time_ns(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        let ns = start.elapsed().as_nanos() as f64 / reps as f64;
-        if ns < best {
-            best = ns;
+/// Timing passes per candidate; each candidate's best pass counts.
+const PASSES: usize = 3;
+
+/// Median-free robust timing of `candidates` kernels, `run(c)` running
+/// candidate `c` once: 2 warm-up runs each, then [`PASSES`] passes of
+/// `reps` runs, round robin over the candidates so that an interference
+/// episode on a noisy host slows every candidate alike rather than the
+/// one that happened to be running. Returns each candidate's best ns per
+/// run.
+fn time_round_robin(reps: usize, candidates: usize, mut run: impl FnMut(usize)) -> Vec<f64> {
+    for c in 0..candidates {
+        run(c);
+        run(c);
+    }
+    let mut best = vec![f64::INFINITY; candidates];
+    for _ in 0..PASSES {
+        for (c, best_c) in best.iter_mut().enumerate() {
+            let start = Instant::now();
+            for _ in 0..reps {
+                run(c);
+            }
+            let ns = start.elapsed().as_nanos() as f64 / reps as f64;
+            *best_c = best_c.min(ns);
         }
     }
     best
@@ -317,7 +326,8 @@ mod tests {
     fn measure_produces_full_table_and_valid_plan() {
         let report = measure(16);
         assert_eq!(report.tile_size, 16);
-        assert_eq!(report.table.len(), KernelVariant::ALL.len());
+        let variants: Vec<KernelVariant> = report.table.iter().map(|row| row.0).collect();
+        assert_eq!(variants, KernelVariant::ALL.to_vec());
         for &(_, f_ns, t_ns) in &report.table {
             assert!(f_ns > 0.0 && f_ns.is_finite());
             assert!(t_ns > 0.0 && t_ns.is_finite());
@@ -325,6 +335,41 @@ mod tests {
         assert!(report.pair_sequential_ns > 0.0);
         assert!(report.pair_fused_ns > 0.0);
         assert!(report.ns_for(KernelVariant::Scalar, true) > 0.0);
+        // The plan takes each direction's fastest variant and the faster
+        // pair kernel.
+        let min_f = report
+            .table
+            .iter()
+            .map(|row| row.1)
+            .fold(f64::INFINITY, f64::min);
+        let min_t = report
+            .table
+            .iter()
+            .map(|row| row.2)
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(report.ns_for(report.plan.forward, true), min_f);
+        assert_eq!(report.ns_for(report.plan.transposed, false), min_t);
+        let fused = report.pair_fused_ns < report.pair_sequential_ns;
+        let want_pair = if fused {
+            PairKernel::Fused8
+        } else {
+            PairKernel::Sequential
+        };
+        assert_eq!(report.plan.pair, want_pair);
+    }
+
+    #[test]
+    fn timing_passes_go_round_robin_over_candidates() {
+        let mut calls = Vec::new();
+        let ns = time_round_robin(2, 3, |c| calls.push(c));
+        assert_eq!(ns.len(), 3);
+        assert!(ns.iter().all(|x| x.is_finite() && *x >= 0.0));
+        // Warm-up pairs, then PASSES rounds of c0 c0 c1 c1 c2 c2.
+        let mut want = vec![0, 0, 1, 1, 2, 2];
+        for _ in 0..PASSES {
+            want.extend([0, 0, 1, 1, 2, 2]);
+        }
+        assert_eq!(calls, want);
     }
 
     #[test]

@@ -10,6 +10,10 @@
 use crate::error::{LinalgError, Result};
 use crate::par;
 
+/// Output tile edge of [`Matrix::gram`]: `GRAM_TILE²` accumulators fit the
+/// vector registers of the baseline x86-64 and aarch64 targets.
+const GRAM_TILE: usize = 4;
+
 /// A dense row-major matrix of `f64`.
 ///
 /// ```
@@ -240,21 +244,59 @@ impl Matrix {
     /// Used to reconstruct `C = U f(D) Uᵀ = (U √f)(U √f)ᵀ` when the spectral
     /// function `f` is non-negative, which halves the flop count compared to
     /// two general products.
+    ///
+    /// Entry `(r, c)` is `vector::dot(B[r], B[c])` bit for bit: one chain
+    /// from `-0.0` over ascending `k`. `B` is first copied into k-major
+    /// panels of four rows, so each 4×4 output tile of the upper triangle
+    /// keeps its chains in registers while it streams two panels; row
+    /// panels are pool tasks.
     #[must_use]
     pub fn gram(&self) -> Matrix {
-        let n = self.rows;
-        let mut out = Matrix::zeros(n, n);
-        let workers = par::worker_count(n);
-        par::for_each_row_chunk_mut(&mut out.data, n, workers, |row0, chunk| {
-            for (local_r, out_row) in chunk.chunks_mut(n).enumerate() {
-                let r = row0 + local_r;
-                let br = self.row(r);
-                // Compute the upper triangle r..n; the mirror is filled below.
-                for (c, out_rc) in out_row.iter_mut().enumerate().skip(r) {
-                    *out_rc = crate::vector::dot(br, self.row(c));
-                }
+        Matrix::gram_with(self.rows, self.cols, |r, k| self.data[r * self.cols + k])
+    }
+
+    /// [`Matrix::gram`] of the `n × inner` matrix `B[r][k] = entry(r, k)`,
+    /// read straight into the packed panels so `B` itself is never stored.
+    pub(crate) fn gram_with(n: usize, inner: usize, entry: impl Fn(usize, usize) -> f64) -> Matrix {
+        let panels = n.div_ceil(GRAM_TILE);
+        let panel_len = inner * GRAM_TILE;
+        // packed[p][k][r] = B[p·GRAM_TILE + r][k]; padding rows stay zero.
+        let mut packed = vec![0.0; panels * panel_len];
+        for r in 0..n {
+            let panel = &mut packed[(r / GRAM_TILE) * panel_len..];
+            for k in 0..inner {
+                panel[k * GRAM_TILE + r % GRAM_TILE] = entry(r, k);
             }
-        });
+        }
+        // Rows padded to whole panels so every task owns one panel's rows.
+        let mut data = vec![0.0; panels * GRAM_TILE * n];
+        if n > 0 {
+            par::for_each_row_chunk_mut(&mut data, GRAM_TILE * n, panels, |p, out| {
+                let a = &packed[p * panel_len..(p + 1) * panel_len];
+                for q in p..panels {
+                    let b = &packed[q * panel_len..(q + 1) * panel_len];
+                    let mut acc = [[-0.0_f64; GRAM_TILE]; GRAM_TILE];
+                    for (ak, bk) in a.chunks_exact(GRAM_TILE).zip(b.chunks_exact(GRAM_TILE)) {
+                        for (acc_r, &x) in acc.iter_mut().zip(ak) {
+                            for (s, &y) in acc_r.iter_mut().zip(bk) {
+                                *s += x * y;
+                            }
+                        }
+                    }
+                    let c0 = q * GRAM_TILE;
+                    let width = GRAM_TILE.min(n - c0);
+                    for (out_row, acc_r) in out.chunks_mut(n).zip(&acc) {
+                        out_row[c0..c0 + width].copy_from_slice(&acc_r[..width]);
+                    }
+                }
+            });
+        }
+        data.truncate(n * n);
+        let mut out = Matrix {
+            rows: n,
+            cols: n,
+            data,
+        };
         // Mirror the upper triangle into the lower triangle.
         for r in 1..n {
             for c in 0..r {

@@ -16,7 +16,9 @@
 #[must_use]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    // One ascending chain from -0.0 (what `Iterator::sum` starts from);
+    // `Matrix::gram` reproduces this chain exactly.
+    a.iter().zip(b).fold(-0.0, |acc, (x, y)| acc + x * y)
 }
 
 /// Lane count for the unrolled `f32` reduction kernels below. Eight `f32`

@@ -113,21 +113,7 @@ impl Preprocessor {
                 }
             })
             .collect();
-        Ok(self.build_from(&f))
-    }
-
-    fn build_from(&self, f: &[f64]) -> Matrix {
-        let n = self.dim();
-        // B = U·diag(√f); C = B·Bᵀ (f is non-negative by construction).
-        let mut b = Matrix::zeros(n, n);
-        for r in 0..n {
-            let urow = self.eigen.vectors.row(r);
-            let brow = b.row_mut(r);
-            for c in 0..n {
-                brow[c] = urow[c] * f[c].sqrt();
-            }
-        }
-        b.gram()
+        Ok(self.eigen.compose_nonnegative(&f))
     }
 }
 

@@ -7,6 +7,7 @@
 # The first four steps are the ROADMAP tier-1 contract; the full gate
 # additionally runs every crate's unit, property, and compat-shim tests
 # (called out below: the fault-injection/recovery and determinism suites),
+# lints and tests the standalone benchmark package,
 # builds the examples, denies rustdoc warnings, and smoke-runs the
 # `repro` binary (the solver-registry listing, bench-summary with a
 # sparse-suite/speedup gate, the kernel autotune smoke with its 1.3x
@@ -84,7 +85,11 @@ if [[ "$quick" -eq 0 ]]; then
     # Fault-aware runtime: injection/recovery behavior and the
     # thread-count bit-determinism of the fault/recovery event streams.
     run cargo test -q -p sophie-hw --test fault_injection --test fault_recovery --test command_queue
-    run cargo test -q -p sophie --test fault_determinism --test thread_determinism --test kernel_determinism
+    run cargo test -q -p sophie --test fault_determinism --test thread_determinism --test kernel_determinism --test eigen_determinism
+    # The benchmark package is its own Cargo workspace (see BENCHMARK.json),
+    # so the workspace-wide lint and test sweeps above never reach it.
+    run cargo clippy --release --all-targets --manifest-path benchmark/Cargo.toml -- -D warnings
+    run cargo test --release --manifest-path benchmark/Cargo.toml
     run cargo build --release --examples
     echo "==> RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace"
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
