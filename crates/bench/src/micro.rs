@@ -322,46 +322,6 @@ pub fn incremental_round(c: &mut Criterion) {
     group.finish();
 }
 
-/// Tile widths the queue-depth suite sweeps: the paper's 64-wide arrays,
-/// an intermediate, and the 500-wide `incremental_round` shape.
-pub const QUEUE_TILES: [usize; 3] = [64, 256, 500];
-
-/// Submission batching through the device command queue: whole-round
-/// batches (`queue_depth: None`, the default) against eager one-at-a-time
-/// flushing (`queue_depth: Some(1)`), on a 2×2-block grid at each tile
-/// width. The knob only moves flush boundaries — outcomes and record
-/// streams are identical by contract — so the delta is pure queue
-/// bookkeeping plus lost batching parallelism, the `command_queue` block
-/// of `BENCH_sophie.json`.
-pub fn command_queue(c: &mut Criterion) {
-    let mut group = c.benchmark_group("command_queue");
-    group.sample_size(10);
-    for &tile in &QUEUE_TILES {
-        let n = 2 * tile;
-        let g = gnm(n, 5 * n, WeightDist::Unit, 11).unwrap();
-        for (label, depth) in [("batched", None), ("depth1", Some(1))] {
-            let cfg = SophieConfig {
-                tile_size: tile,
-                local_iters: 4,
-                global_iters: 2,
-                tile_fraction: 1.0,
-                phi: 0.05,
-                alpha: 0.0,
-                stochastic_spin_update: true,
-                queue_depth: depth,
-                ..SophieConfig::default()
-            };
-            // Couplings straight from the graph: the eigensolve in
-            // `from_graph` is not what this suite measures.
-            let solver = SophieSolver::from_transform(&coupling_matrix(&g), cfg).unwrap();
-            group.bench_with_input(BenchmarkId::new(label, tile), &tile, |b, _| {
-                b.iter(|| solver.run(black_box(&g), 1, None).unwrap());
-            });
-        }
-    }
-    group.finish();
-}
-
 /// Runs every suite of the `mvm` and `engine` bench targets into `c`.
 pub fn all_suites(c: &mut Criterion) {
     tile_mvm(c);
@@ -371,7 +331,6 @@ pub fn all_suites(c: &mut Criterion) {
     engine_job(c);
     engine_scaling(c);
     incremental_round(c);
-    command_queue(c);
     schedule_generation(c);
     analytic_counts(c);
 }
@@ -445,34 +404,6 @@ pub fn summary_json(
         let _ = writeln!(
             out,
             "    \"note\": \"same schedule, warm state, and seed at one thread; outcomes are bit-identical by the compute-mode contract\""
-        );
-        let _ = writeln!(out, "  }},");
-    }
-
-    let queue_rows: Vec<(usize, f64, f64)> = QUEUE_TILES
-        .iter()
-        .filter_map(|&tile| {
-            let batched = median(&format!("command_queue/batched/{tile}"))?;
-            let depth1 = median(&format!("command_queue/depth1/{tile}"))?;
-            Some((tile, batched, depth1))
-        })
-        .collect();
-    if !queue_rows.is_empty() {
-        let _ = writeln!(out, "  \"command_queue\": {{");
-        let _ = writeln!(out, "    \"job\": \"2x2_block_grid_2_rounds_full_tiles\",");
-        let _ = writeln!(out, "    \"tiles\": [");
-        for (i, (tile, batched, depth1)) in queue_rows.iter().enumerate() {
-            let comma = if i + 1 == queue_rows.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "      {{\"tile\": {tile}, \"batched_ns\": {batched:.1}, \"depth1_ns\": {depth1:.1}, \"depth1_over_batched\": {:.3}}}{comma}",
-                depth1 / batched
-            );
-        }
-        let _ = writeln!(out, "    ],");
-        let _ = writeln!(
-            out,
-            "    \"note\": \"queue_depth only moves flush boundaries; outcomes and record streams are identical by contract, so the ratio is pure submission overhead\""
         );
         let _ = writeln!(out, "  }},");
     }
@@ -715,35 +646,6 @@ mod tests {
     fn merge_falls_back_to_fresh_on_unparseable_history() {
         assert_eq!(merge_preserving_blocks(FRESH, "not json"), FRESH);
         assert_eq!(merge_preserving_blocks(FRESH, ""), FRESH);
-    }
-
-    #[test]
-    fn summary_json_emits_the_command_queue_block() {
-        let mut results = Vec::new();
-        for (tile, batched, depth1) in [(64, 1000.0, 1500.0), (500, 8000.0, 9000.0)] {
-            results.push(BenchResult {
-                id: format!("command_queue/batched/{tile}"),
-                median_ns: batched,
-                samples: 7,
-                iters_per_sample: 1,
-            });
-            results.push(BenchResult {
-                id: format!("command_queue/depth1/{tile}"),
-                median_ns: depth1,
-                samples: 7,
-                iters_per_sample: 1,
-            });
-        }
-        let doc = Json::parse(&summary_json(&results, None, None)).expect("summary is valid JSON");
-        let block = doc.get("command_queue").expect("block present");
-        let tiles = block.get("tiles").unwrap().as_arr().unwrap();
-        // Tile 256 has no medians, so only the covered widths appear.
-        assert_eq!(tiles.len(), 2);
-        assert_eq!(tiles[0].get("tile").unwrap().as_u64(), Some(64));
-        assert_eq!(
-            tiles[0].get("depth1_over_batched").unwrap().as_f64(),
-            Some(1.5)
-        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! — one JSON object per line, in `(round, wave, unit)` key order. The
 //! schema is documented in `EXPERIMENTS.md` (§ "Command timelines"); the
 //! stream is deterministic for a fixed (instance, config, seed) and
-//! independent of `SOPHIE_THREADS` and `queue_depth`.
+//! independent of `SOPHIE_THREADS`.
 //!
 //! The per-record `ops` costs sum exactly — every integer field — to the
 //! run's aggregate [`OpCounts`], and the file's `total` line carries that

@@ -16,7 +16,7 @@ use std::path::Path;
 
 use sophie_hw::arch::MachineConfig;
 use sophie_hw::cost::timing::device_mvm_ns;
-use sophie_linalg::kernel::tune::{host_key, measure, TuneReport};
+use sophie_linalg::kernel::tune::{measure, TuneReport};
 use sophie_linalg::KernelVariant;
 use sophie_serve::Json;
 
@@ -80,10 +80,6 @@ pub fn kernel_tune_block(outcome: &TuneOutcome) -> Json {
                     "transposed".to_string(),
                     Json::Str(r.plan.transposed.name().to_string()),
                 ),
-                (
-                    "pair".to_string(),
-                    Json::Str(r.plan.pair.name().to_string()),
-                ),
             ])
         })
         .collect();
@@ -103,18 +99,10 @@ pub fn kernel_tune_block(outcome: &TuneOutcome) -> Json {
     Json::Obj(vec![
         (
             "schema".to_string(),
-            Json::Str("sophie-kernel-tune-v1".to_string()),
+            Json::Str("sophie-kernel-tune-v2".to_string()),
         ),
-        ("host".to_string(), Json::Str(host_key())),
         ("plans".to_string(), Json::Arr(plans)),
         ("table_64".to_string(), Json::Arr(table_64)),
-        (
-            "pair_64".to_string(),
-            Json::Obj(vec![
-                ("sequential_ns".to_string(), round1(r64.pair_sequential_ns)),
-                ("fused_ns".to_string(), round1(r64.pair_fused_ns)),
-            ]),
-        ),
         (
             "scalar_forward_64_ns".to_string(),
             round1(outcome.scalar_forward_64_ns),
@@ -135,8 +123,9 @@ pub fn kernel_tune_block(outcome: &TuneOutcome) -> Json {
             "note".to_string(),
             Json::Str(
                 "host-side simulation kernels; all variants are bit-identical, tuning picks \
-                 wall-clock only. device_mvm_8bit_ns is the modeled OPCM tile MVM latency \
-                 for context."
+                 wall-clock only, per direction between axpy and b32u2 (scalar is the \
+                 baseline). device_mvm_8bit_ns is the modeled OPCM tile MVM latency for \
+                 context."
                     .to_string(),
             ),
         ),
@@ -175,13 +164,7 @@ pub fn write_kernel_tune(path: &Path, outcome: &TuneOutcome) -> io::Result<()> {
 /// progress output).
 pub fn print_report(outcome: &TuneOutcome) {
     for r in &outcome.reports {
-        eprintln!(
-            "  tile {:>3}: plan {} (pair seq {:.1} ns, fused {:.1} ns)",
-            r.tile_size,
-            r.plan.describe(),
-            r.pair_sequential_ns,
-            r.pair_fused_ns
-        );
+        eprintln!("  tile {:>3}: plan {}", r.tile_size, r.plan.describe());
         for &(v, f_ns, t_ns) in &r.table {
             eprintln!(
                 "    {:<7} forward {f_ns:>10.1} ns  transposed {t_ns:>10.1} ns",
@@ -216,10 +199,8 @@ mod tests {
         };
         for key in [
             "schema",
-            "host",
             "plans",
             "table_64",
-            "pair_64",
             "scalar_forward_64_ns",
             "tuned_forward_64_ns",
             "forward_64_speedup",

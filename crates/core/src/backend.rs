@@ -6,7 +6,7 @@
 //! quantization, optical loss, ADC precision). Both implement [`MvmBackend`];
 //! each physical OPCM array in the machine corresponds to one [`MvmUnit`].
 
-use sophie_linalg::{KernelChoice, KernelPlan, Tile};
+use sophie_linalg::{KernelPlan, Tile};
 
 /// One transient hardware fault that took effect on a unit during a round.
 ///
@@ -71,42 +71,6 @@ pub trait MvmUnit: Send {
     fn take_fault_reports(&mut self) -> Vec<FaultReport> {
         Vec::new()
     }
-
-    /// Executes a forward and a transposed MVM on the same stored tile,
-    /// quantizing each result through the 8-bit read path when its flag is
-    /// set.
-    ///
-    /// The default runs the four steps in the exact sequential order —
-    /// forward, quantize, transposed, quantize — so stateful read paths
-    /// (the OPCM model's ADC saturation and wave counters) observe the
-    /// same history as two independent submissions. Backends whose
-    /// quantize is the identity and whose MVMs are pure (the ideal
-    /// backend) may override this with a fused single pass over the
-    /// stored weights; overrides must remain bit-identical to the
-    /// default.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`MvmUnit::forward`].
-    #[allow(clippy::too_many_arguments)]
-    fn forward_transposed(
-        &mut self,
-        x_f: &[f32],
-        y_f: &mut [f32],
-        quantize_f: bool,
-        x_t: &[f32],
-        y_t: &mut [f32],
-        quantize_t: bool,
-    ) {
-        self.forward(x_f, y_f);
-        if quantize_f {
-            self.quantize_8bit(y_f);
-        }
-        self.transposed(x_t, y_t);
-        if quantize_t {
-            self.quantize_8bit(y_t);
-        }
-    }
 }
 
 /// Factory for [`MvmUnit`]s: one machine/back-end configuration producing
@@ -120,30 +84,16 @@ pub trait MvmBackend {
 }
 
 /// Exact floating-point backend: units store the tile verbatim and multiply
-/// in `f32` with no device effects, through the configured kernel plan.
+/// in `f32` with no device effects, through the run's kernel plan
+/// ([`KernelPlan::resolve`]).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct IdealBackend {
-    kernel: KernelChoice,
-}
+pub struct IdealBackend;
 
 impl IdealBackend {
-    /// Creates the ideal backend with the autotuned kernel plan.
+    /// Creates the ideal backend.
     #[must_use]
     pub fn new() -> Self {
-        IdealBackend::default()
-    }
-
-    /// Creates the ideal backend with an explicit kernel choice.
-    #[must_use]
-    pub fn with_kernel(kernel: KernelChoice) -> Self {
-        IdealBackend { kernel }
-    }
-
-    /// Creates the ideal backend from a solver configuration (honors the
-    /// `kernel` knob).
-    #[must_use]
-    pub fn from_config(config: &crate::config::SophieConfig) -> Self {
-        IdealBackend::with_kernel(config.kernel)
+        IdealBackend
     }
 }
 
@@ -174,22 +124,6 @@ impl MvmUnit for IdealUnit {
     fn transposed(&mut self, x: &[f32], y: &mut [f32]) {
         self.plan.transposed(self.tile(), x, y);
     }
-
-    fn forward_transposed(
-        &mut self,
-        x_f: &[f32],
-        y_f: &mut [f32],
-        _quantize_f: bool,
-        x_t: &[f32],
-        y_t: &mut [f32],
-        _quantize_t: bool,
-    ) {
-        // Quantize is the identity here and both MVMs are pure, so the
-        // pair may run through the plan's fused kernel (one pass over the
-        // stored weights) — bit-identical to the sequential default.
-        let tile = self.tile.as_ref().expect("unit used before programming");
-        self.plan.forward_transposed(tile, x_f, y_f, x_t, y_t);
-    }
 }
 
 impl MvmBackend for IdealBackend {
@@ -199,7 +133,7 @@ impl MvmBackend for IdealBackend {
         IdealUnit {
             tile_size,
             tile: None,
-            plan: KernelPlan::for_choice(self.kernel, tile_size),
+            plan: KernelPlan::resolve(tile_size),
         }
     }
 }
@@ -266,34 +200,6 @@ mod tests {
         let mut y = [1.25_f32, -2.5];
         unit.quantize_8bit(&mut y);
         assert_eq!(y, [1.25, -2.5]);
-    }
-
-    #[test]
-    fn forward_transposed_matches_independent_calls_bitwise() {
-        use sophie_linalg::KernelVariant;
-        let tile = Tile::from_vec(5, (0..25).map(|i| (i as f32) / 3.0 - 4.0).collect()).unwrap();
-        let x_f = [1.0_f32, -1.0, 0.0, 2.0, 0.5];
-        let x_t = [0.5_f32, 0.0, -1.0, 1.0, -2.0];
-        for kernel in [
-            KernelChoice::Auto,
-            KernelChoice::Pinned(KernelVariant::Scalar),
-            KernelChoice::Pinned(KernelVariant::B8U4),
-        ] {
-            let backend = IdealBackend::with_kernel(kernel);
-            let mut unit = backend.unit(5);
-            unit.program(&tile);
-            let mut y_f = [f32::NAN; 5];
-            let mut y_t = [f32::NAN; 5];
-            unit.forward_transposed(&x_f, &mut y_f, true, &x_t, &mut y_t, false);
-            let mut want_f = [f32::NAN; 5];
-            let mut want_t = [f32::NAN; 5];
-            unit.forward(&x_f, &mut want_f);
-            unit.transposed(&x_t, &mut want_t);
-            for i in 0..5 {
-                assert_eq!(y_f[i].to_bits(), want_f[i].to_bits(), "{kernel:?} f[{i}]");
-                assert_eq!(y_t[i].to_bits(), want_t[i].to_bits(), "{kernel:?} t[{i}]");
-            }
-        }
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use crate::error::{Result, SophieError};
 
-pub use sophie_linalg::KernelChoice;
-
 /// Compute strategy of the exact floating-point backend.
 ///
 /// All three strategies produce **bit-identical** results and event
@@ -83,24 +81,6 @@ pub struct SophieConfig {
     /// below `θ × tile_size²` scalar multiply-accumulates, dense otherwise.
     /// `None` → calibrated automatically from a one-time kernel timing probe.
     pub sparse_crossover: Option<f64>,
-    /// Device command-queue depth: the engine flushes the queue whenever
-    /// at least this many commands are pending (always at chain
-    /// boundaries, never mid-pair). `None` batches a whole round per
-    /// flush. **Result-invariant by construction** — outcomes, event
-    /// streams, op counts, and command timelines are byte-identical at
-    /// every depth; the knob trades submission batching against device
-    /// buffer residency only.
-    #[cfg_attr(feature = "serde", serde(default))]
-    pub queue_depth: Option<usize>,
-    /// Tile-MVM kernel selection for the floating-point backends:
-    /// `auto` (startup-autotuned per tile size and host) or a pinned
-    /// variant name (`scalar`, `axpy`, `b8u4`, ...). **Result-invariant
-    /// by construction** — every variant accumulates in the same
-    /// canonical order, so outcomes and event streams are byte-identical
-    /// under any choice; the knob trades wall-clock only. The
-    /// `SOPHIE_KERNEL` environment variable overrides this at run time.
-    #[cfg_attr(feature = "serde", serde(default))]
-    pub kernel: KernelChoice,
 }
 
 impl Default for SophieConfig {
@@ -115,8 +95,6 @@ impl Default for SophieConfig {
             stochastic_spin_update: true,
             compute: ComputeMode::Auto,
             sparse_crossover: None,
-            queue_depth: None,
-            kernel: KernelChoice::Auto,
         }
     }
 }
@@ -165,12 +143,6 @@ impl SophieConfig {
                     message: format!("must be finite and positive, got {theta}"),
                 });
             }
-        }
-        if self.queue_depth == Some(0) {
-            return Err(SophieError::BadConfig {
-                field: "queue_depth",
-                message: "must be positive (or None for whole-round batching)".into(),
-            });
         }
         Ok(())
     }
@@ -280,48 +252,11 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_queue_depth() {
-        let c = SophieConfig {
-            queue_depth: Some(0),
-            ..SophieConfig::default()
-        };
-        assert!(matches!(
-            c.validate(),
-            Err(SophieError::BadConfig {
-                field: "queue_depth",
-                ..
-            })
-        ));
-        let c = SophieConfig {
-            queue_depth: Some(32),
-            ..SophieConfig::default()
-        };
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
     fn compute_mode_names_round_trip() {
         for mode in [ComputeMode::Dense, ComputeMode::Sparse, ComputeMode::Auto] {
             assert_eq!(ComputeMode::parse(mode.name()), Some(mode));
         }
         assert_eq!(ComputeMode::parse("fancy"), None);
-    }
-
-    #[test]
-    fn kernel_choice_names_round_trip_and_default_is_auto() {
-        use sophie_linalg::KernelVariant;
-        assert_eq!(SophieConfig::default().kernel, KernelChoice::Auto);
-        assert_eq!(KernelChoice::parse("auto"), Some(KernelChoice::Auto));
-        for v in KernelVariant::ALL {
-            let c = KernelChoice::Pinned(v);
-            assert_eq!(KernelChoice::parse(c.name()), Some(c));
-        }
-        assert_eq!(KernelChoice::parse("fancy"), None);
-        let c = SophieConfig {
-            kernel: KernelChoice::Pinned(KernelVariant::B8U4),
-            ..SophieConfig::default()
-        };
-        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -17,14 +17,13 @@ use crate::queue::{
     CommandKind, CommandQueue, Completion, DeviceQueue, ExecCtx, Lane, MvmDir, Src, TimelineSink,
 };
 
-/// What a round's flushes produced beyond machine-state mutation: the
+/// What a round's flush produced beyond machine-state mutation: the
 /// per-pair probe residuals and drained fault reports the driving thread
 /// turns into events after the flush.
 ///
-/// Accumulated across every flush of a round (there are several when a
-/// `queue_depth` is configured); call [`RoundArtifacts::sort`] before
-/// consuming so emission follows ascending pair order regardless of how
-/// submissions were batched.
+/// Completions arrive in `(round, wave, unit)` order; call
+/// [`RoundArtifacts::sort`] before consuming so emission follows
+/// ascending pair order.
 #[derive(Debug, Default)]
 pub(super) struct RoundArtifacts {
     /// `(pair, residual)` of every completed probe command.
@@ -63,7 +62,7 @@ fn exec_ctx<'a>(
         seed,
         probe_seed,
         phi: solver.config.phi as f32,
-        plan: sophie_linalg::KernelPlan::for_choice(solver.config.kernel, solver.grid.tile()),
+        plan: sophie_linalg::KernelPlan::resolve(solver.grid.tile()),
     }
 }
 
@@ -200,13 +199,8 @@ pub(super) fn flush_unit_serial<B: MvmBackend>(
 /// Submits the commands that recompute a pair's partial sums from the
 /// current global state (the first 8-bit pass of setup, and the refresh
 /// after a successful recovery): no noise, no thresholding, inputs read
-/// straight from the shared global vector.
-///
-/// The MVMs write directly into the partial buffers (no scratch +
-/// `save_partial` copy): the outputs are then distinct, which makes an
-/// off-diagonal pair's forward/transposed refresh eligible for the
-/// executor's fused-pair submission — one pass over the stored weights
-/// on kernel-plan-aware backends.
+/// straight from the shared global vector, outputs written directly into
+/// the partial buffers.
 pub(super) fn submit_partial_refresh<U>(queue: &mut CommandQueue, st: &PairState<U>) {
     match st.pair {
         sophie_linalg::TilePair::Diagonal(d) => {

@@ -231,12 +231,9 @@ impl SophieSolver {
     /// with backend-specific runs.
     pub fn run(&self, graph: &Graph, seed: u64, target_cut: Option<f64>) -> Result<SophieOutcome> {
         match self.config.compute {
-            ComputeMode::Dense => self.run_with_backend(
-                &IdealBackend::from_config(&self.config),
-                graph,
-                seed,
-                target_cut,
-            ),
+            ComputeMode::Dense => {
+                self.run_with_backend(&IdealBackend::new(), graph, seed, target_cut)
+            }
             ComputeMode::Sparse | ComputeMode::Auto => self.run_with_backend(
                 &SparseBackend::from_config(&self.config),
                 graph,
@@ -260,7 +257,7 @@ impl SophieSolver {
     ) -> Result<SophieOutcome> {
         match self.config.compute {
             ComputeMode::Dense => self.run_with_backend_observed(
-                &IdealBackend::from_config(&self.config),
+                &IdealBackend::new(),
                 graph,
                 seed,
                 target_cut,
@@ -505,8 +502,8 @@ impl SophieSolver {
     /// [`OpCounts`] in the report. The sum of all device-record costs
     /// plus all host-record costs reproduces the report's op totals
     /// exactly, and the device stream's `(round, wave, unit)` keys are
-    /// byte-identical for every `SOPHIE_THREADS` and `queue_depth`
-    /// setting. Outcomes and events are unaffected by the sink.
+    /// byte-identical for every `SOPHIE_THREADS` setting. Outcomes and
+    /// events are unaffected by the sink.
     ///
     /// # Errors
     ///
@@ -621,10 +618,6 @@ impl SophieSolver {
         let mut reuse_gen = 0_u32;
 
         let local_iters = self.config.local_iters;
-        // Queue-depth knob: flush whenever this many commands are pending,
-        // always at chain boundaries (never mid-pair), so results are
-        // invariant in the depth. `None` batches whole rounds.
-        let queue_depth = self.config.queue_depth.unwrap_or(usize::MAX).max(1);
         let mut active: Vec<usize> = Vec::with_capacity(self.pairs.len());
         let mut rounds_done = 0usize;
         for (g, sched_round) in schedule.rounds().iter().enumerate() {
@@ -651,22 +644,20 @@ impl SophieSolver {
                 pairs_selected: active.len(),
             });
             ms.queue.begin_round(round_index as u64);
-            let mut art = dispatch::RoundArtifacts::default();
             for &pi in &active {
-                if ms.queue.pending() >= queue_depth {
-                    dispatch::flush_all(self, &mut ms, seed, probe_seed, timeline, &mut art);
-                }
                 let state::MachineState { states, queue, .. } = &mut ms;
                 round::submit_pair(queue, &states[pi], local_iters);
             }
             // Health probes (every live pair, selected or not) ride the
             // same flush as the in-flight solve chains: the sorted
             // timeline shows probe completions interleaved with solve
-            // MVMs of the same round.
+            // MVMs of the same round. The host plans and flushes the
+            // whole round at once (§III-D).
             let probing = monitor.as_ref().is_some_and(|m| m.due(round_index));
             if probing {
                 monitor.as_ref().unwrap().submit_probes(&mut ms);
             }
+            let mut art = dispatch::RoundArtifacts::default();
             dispatch::flush_all(self, &mut ms, seed, probe_seed, timeline, &mut art);
             art.sort();
 

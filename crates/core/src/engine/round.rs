@@ -8,8 +8,7 @@
 //! [`super::dispatch`]), fanning independent chains across the worker
 //! pool; because each chain touches only its own unit and buffers and
 //! draws noise from a counter-derived per-`(round, pair)` stream, traces
-//! are bit-identical for every `SOPHIE_THREADS` value and every flush
-//! granularity.
+//! are bit-identical for every `SOPHIE_THREADS` value.
 
 use sophie_linalg::TilePair;
 

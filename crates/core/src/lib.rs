@@ -43,7 +43,6 @@
 
 pub mod analytic;
 pub mod backend;
-pub mod batch;
 mod config;
 mod engine;
 mod error;
@@ -55,8 +54,7 @@ pub mod schedule;
 mod solver;
 pub mod sparse;
 
-pub use batch::{run_batch, run_batch_ideal, BatchOutcome};
-pub use config::{ComputeMode, KernelChoice, SophieConfig};
+pub use config::{ComputeMode, SophieConfig};
 pub use engine::SophieSolver;
 pub use error::{Result, SophieError};
 pub use gaussian::GaussianSource;

@@ -57,10 +57,7 @@ pub struct ExecCtx<'a> {
     /// Noise level φ.
     pub phi: f32,
     /// Kernel plan of this run: the executor's reference computations
-    /// (probe expectations) go through it. Eligible adjacent
-    /// forward/transposed commands are always offered to the unit via
-    /// [`MvmUnit::forward_transposed`]; plan-aware units decide whether
-    /// that runs fused.
+    /// (probe expectations) go through it.
     pub plan: KernelPlan,
 }
 
@@ -149,60 +146,8 @@ struct NoiseState {
     gauss: GaussianSource,
 }
 
-/// True when `cmd` (a forward MVM) and `next` (its successor in the
-/// chain) may be offered to the unit as one fused forward + transposed
-/// request: both plain global-input MVMs of the same round with distinct
-/// outputs, no partial saves, and no threshold epilogues. The offer is
-/// semantics-preserving for every backend — [`MvmUnit`]'s default runs
-/// the exact sequential order — and lets kernel-plan-aware units serve
-/// both directions in one pass over the stored weights.
-fn fusable_pair(cmd: &Command, next: &Command) -> bool {
-    if next.starts_round || next.round != cmd.round {
-        return false;
-    }
-    matches!(
-        (cmd.kind, next.kind),
-        (
-            CommandKind::Mvm {
-                dir: MvmDir::Forward,
-                input: Src::GlobalBlock(_),
-                output: out_f,
-                save_partial: None,
-                threshold: None,
-                ..
-            },
-            CommandKind::Mvm {
-                dir: MvmDir::Transposed,
-                input: Src::GlobalBlock(_),
-                output: out_t,
-                save_partial: None,
-                threshold: None,
-                ..
-            },
-        ) if out_f != out_t
-    )
-}
-
-/// Cost record of one MVM command (identical for fused and sequential
-/// execution, so timelines and aggregates never depend on fusion).
-fn mvm_cost(t: usize, quantize: bool) -> OpCounts {
-    let mut cost = OpCounts::new();
-    if quantize {
-        cost.tile_mvms_8bit += 1;
-        cost.adc_8bit_samples += t as u64;
-    } else {
-        cost.tile_mvms_1bit += 1;
-        cost.adc_1bit_samples += t as u64;
-    }
-    cost.eo_input_bits += t as u64;
-    cost
-}
-
 /// Executes one unit's command chain in submission order, appending one
-/// completion per command. Adjacent forward/transposed pairs that
-/// [`fusable_pair`] accepts are submitted through
-/// [`MvmUnit::forward_transposed`] but still complete as two commands
-/// with unchanged per-command costs.
+/// completion per command.
 fn exec_chain<U: MvmUnit>(
     unit_index: usize,
     unit: &mut U,
@@ -215,58 +160,9 @@ fn exec_chain<U: MvmUnit>(
     let t = ctx.t;
     let cell_count = (t * t) as u64;
     let mut noise: Option<NoiseState> = None;
-    let mut i = 0;
-    while i < cmds.len() {
-        let cmd = &cmds[i];
+    for cmd in cmds {
         if cmd.starts_round {
             unit.begin_round(cmd.round);
-        }
-        if let Some(next) = cmds.get(i + 1) {
-            if fusable_pair(cmd, next) {
-                let CommandKind::Mvm {
-                    input: Src::GlobalBlock(d_f),
-                    output: out_f,
-                    quantize: q_f,
-                    ..
-                } = cmd.kind
-                else {
-                    unreachable!("fusable_pair accepted a non-MVM first command");
-                };
-                let CommandKind::Mvm {
-                    input: Src::GlobalBlock(d_t),
-                    output: out_t,
-                    quantize: q_t,
-                    ..
-                } = next.kind
-                else {
-                    unreachable!("fusable_pair accepted a non-MVM second command");
-                };
-                let mut y_f = ws.take(out_f);
-                let mut y_t = ws.take(out_t);
-                unit.forward_transposed(
-                    &ctx.global[d_f * t..(d_f + 1) * t],
-                    &mut y_f,
-                    q_f,
-                    &ctx.global[d_t * t..(d_t + 1) * t],
-                    &mut y_t,
-                    q_t,
-                );
-                ws.put(out_f, y_f);
-                ws.put(out_t, y_t);
-                for (c, q, kind) in [(cmd, q_f, "mvm_forward"), (next, q_t, "mvm_transposed")] {
-                    out.push(Completion {
-                        key: c.key(),
-                        kind,
-                        cost: mvm_cost(t, q),
-                        macs: cell_count,
-                        cells: cell_count,
-                        residual: None,
-                        faults: Vec::new(),
-                    });
-                }
-                i += 2;
-                continue;
-            }
         }
         let mut cost = OpCounts::new();
         let mut residual = None;
@@ -349,7 +245,6 @@ fn exec_chain<U: MvmUnit>(
             residual,
             faults,
         });
-        i += 1;
     }
 }
 

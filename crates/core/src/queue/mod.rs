@@ -20,7 +20,7 @@
 //! * All randomness (threshold noise, probe vectors) derives from
 //!   counter-based per-`(round, unit)` streams seeded here, so event
 //!   streams and machine state are byte-identical at every
-//!   `SOPHIE_THREADS` value and every flush granularity (`queue_depth`).
+//!   `SOPHIE_THREADS` value.
 
 mod buffer;
 mod command;

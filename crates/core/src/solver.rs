@@ -47,12 +47,7 @@ impl Solver for SophieSolver {
         // backends are bit-identical in every output (see `crate::sparse`),
         // so this choice affects wall-clock only.
         match self.config().compute {
-            ComputeMode::Dense => self.solve_job(
-                &IdealBackend::from_config(self.config()),
-                job,
-                None,
-                observer,
-            ),
+            ComputeMode::Dense => self.solve_job(&IdealBackend::new(), job, None, observer),
             ComputeMode::Sparse | ComputeMode::Auto => self.solve_job(
                 &SparseBackend::from_config(self.config()),
                 job,

@@ -37,7 +37,7 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use sophie_linalg::{KernelChoice, KernelPlan, SparseCsr, Tile};
+use sophie_linalg::{KernelPlan, SparseCsr, Tile};
 
 use crate::backend::{MvmBackend, MvmUnit};
 use crate::config::{ComputeMode, SophieConfig};
@@ -50,7 +50,6 @@ use crate::backend::IdealBackend;
 #[derive(Debug, Clone, Copy)]
 pub struct SparseBackend {
     crossover: f64,
-    kernel: KernelChoice,
 }
 
 impl SparseBackend {
@@ -61,7 +60,6 @@ impl SparseBackend {
     pub fn auto() -> Self {
         SparseBackend {
             crossover: calibrated_crossover(),
-            kernel: KernelChoice::Auto,
         }
     }
 
@@ -79,10 +77,7 @@ impl SparseBackend {
             theta > 0.0 && !theta.is_nan(),
             "crossover must be positive, got {theta}"
         );
-        SparseBackend {
-            crossover: theta,
-            kernel: KernelChoice::Auto,
-        }
+        SparseBackend { crossover: theta }
     }
 
     /// Backend that always takes the sparse path (θ = ∞), regardless of
@@ -91,7 +86,6 @@ impl SparseBackend {
     pub fn always_sparse() -> Self {
         SparseBackend {
             crossover: f64::INFINITY,
-            kernel: KernelChoice::Auto,
         }
     }
 
@@ -103,14 +97,10 @@ impl SparseBackend {
     /// as [`ComputeMode::Auto`].)
     #[must_use]
     pub fn from_config(config: &SophieConfig) -> Self {
-        let base = match (config.compute, config.sparse_crossover) {
+        match (config.compute, config.sparse_crossover) {
             (ComputeMode::Sparse, _) => Self::always_sparse(),
             (_, Some(theta)) => Self::with_crossover(theta),
             (_, None) => Self::auto(),
-        };
-        SparseBackend {
-            kernel: config.kernel,
-            ..base
         }
     }
 
@@ -125,11 +115,7 @@ impl MvmBackend for SparseBackend {
     type Unit = SparseUnit;
 
     fn unit(&self, tile_size: usize) -> SparseUnit {
-        SparseUnit::new(
-            tile_size,
-            self.crossover,
-            KernelPlan::for_choice(self.kernel, tile_size),
-        )
+        SparseUnit::new(tile_size, self.crossover, KernelPlan::resolve(tile_size))
     }
 }
 

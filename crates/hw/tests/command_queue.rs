@@ -9,7 +9,7 @@
 //! field) to the aggregate counts of the run's [`SolveReport`], at
 //! `SOPHIE_THREADS` 1 and 4, and that the annotated energies sum
 //! accordingly. They also pin the determinism contract (the record-key
-//! stream is byte-identical across thread counts and queue depths) and the
+//! stream is byte-identical across thread counts) and the
 //! probe/solve overlap the async runtime exists for.
 
 use std::sync::Arc;
@@ -169,39 +169,6 @@ fn per_command_costs_sum_exactly_across_backends_and_threads() {
         streams[0], streams[1],
         "device-record streams must be byte-identical across SOPHIE_THREADS"
     );
-}
-
-/// The queue-depth knob is result-invariant: outcomes, aggregate counts,
-/// and the keyed record stream are identical at depth 1, depth 3, and
-/// whole-round batching. Emission order may differ (depth moves the flush
-/// boundaries), which is exactly why the contract is stated over
-/// `(round, wave, unit)` keys: sorting by key recovers one canonical
-/// stream regardless of how submissions were batched.
-#[test]
-fn queue_depth_never_changes_results_or_records() {
-    let graph = Arc::new(test_graph());
-    let mut baseline: Option<(OpCounts, Vec<RecordKey>)> = None;
-    for depth in [None, Some(1), Some(3)] {
-        let config = SophieConfig {
-            queue_depth: depth,
-            ..test_config()
-        };
-        let solver = SophieSolver::from_graph(&graph, config).unwrap();
-        let (ops, sink) = run_collected(&solver, &IdealBackend::new(), &graph, None);
-        assert_exact_sum(&format!("depth {depth:?}"), &ops, &sink);
-        let mut keyed = sink.keys;
-        keyed.sort_by_key(|&(round, wave, unit, _)| (round, wave, unit));
-        match &baseline {
-            None => baseline = Some((ops, keyed)),
-            Some((ops0, keys0)) => {
-                assert_eq!(ops, *ops0, "aggregate counts differ at depth {depth:?}");
-                assert_eq!(
-                    keyed, *keys0,
-                    "keyed record stream differs at depth {depth:?}"
-                );
-            }
-        }
-    }
 }
 
 /// Probe traffic overlaps the solve: in a probed round, probe completions

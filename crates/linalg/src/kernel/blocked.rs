@@ -1,4 +1,4 @@
-//! Cache-blocked register-blocking kernels and the fused pair kernel.
+//! The cache-blocked register-blocking kernel.
 //!
 //! The speed here comes entirely from instruction-level parallelism
 //! *across outputs*: a block of `L` outputs is held in registers and the
@@ -59,64 +59,4 @@ pub fn sweep<const L: usize, const U: usize>(
         *yo = acc;
     }
     y[out_used..].fill(0.0);
-}
-
-/// Fused symmetric-pair kernel: one pass over the row-major tile serves
-/// `y_f = T·x_f` and `y_t = Tᵀ·x_t` together, reading each stored weight
-/// once instead of twice. Columns are processed in 8-wide blocks; within
-/// a block, rows sweep `0..rows_used`:
-///
-/// * the transposed half keeps 8 column accumulators (`acc_t[l] +=
-///   x_t[r]·T[r][cb+l]`) — each is column `cb+l`'s sequential ascending-r
-///   chain;
-/// * the forward half resumes each row's accumulator from `y_f[r]`
-///   (`y_f[r] += Σ_l T[r][cb+l]·x_f[cb+l]`, `l` ascending) — because the
-///   column blocks advance left to right, the total per-row order is
-///   ascending-c, exactly the reference order.
-///
-/// Tail columns (`cb..cols_used` when not a multiple of 8) run
-/// column-outer / row-inner for the same reason. Bit-identical to two
-/// independent reference calls.
-#[allow(clippy::too_many_arguments)]
-pub fn fused8(
-    mat_rm: &[f32],
-    t: usize,
-    rows_used: usize,
-    cols_used: usize,
-    x_f: &[f32],
-    y_f: &mut [f32],
-    x_t: &[f32],
-    y_t: &mut [f32],
-) {
-    const L: usize = 8;
-    y_f[..rows_used].fill(0.0);
-    let mut cb = 0;
-    while cb + L <= cols_used {
-        let mut acc_t = [0.0_f32; L];
-        let xf8: [f32; L] = x_f[cb..cb + L].try_into().unwrap();
-        for (r, yfr) in y_f.iter_mut().enumerate().take(rows_used) {
-            let row8 = &mat_rm[r * t + cb..r * t + cb + L];
-            let xtr = x_t[r];
-            let mut s = *yfr;
-            for l in 0..L {
-                acc_t[l] += xtr * row8[l];
-                s += row8[l] * xf8[l];
-            }
-            *yfr = s;
-        }
-        y_t[cb..cb + L].copy_from_slice(&acc_t);
-        cb += L;
-    }
-    for c in cb..cols_used {
-        let xfc = x_f[c];
-        let mut acc_t = 0.0_f32;
-        for (r, yfr) in y_f.iter_mut().enumerate().take(rows_used) {
-            let w = mat_rm[r * t + c];
-            acc_t += x_t[r] * w;
-            *yfr += w * xfc;
-        }
-        y_t[c] = acc_t;
-    }
-    y_f[rows_used..].fill(0.0);
-    y_t[cols_used..].fill(0.0);
 }

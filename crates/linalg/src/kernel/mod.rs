@@ -7,14 +7,11 @@
 //! * [`scalar`] — the canonical scalar reference kernel plus the deduped
 //!   sequential helpers (`seq_axpy`, `seq_dot`, `seq_dot_indexed`) that
 //!   `vector`, `tile`, and `sparse` all delegate to;
-//! * [`blocked`] — cache-blocked, explicitly unrolled register-blocking
-//!   variants (`L` output lanes × `U`-way k-unroll) plus the fused
-//!   symmetric-pair kernel that serves both optical directions in one pass
-//!   over the tile;
+//! * [`blocked`] — the cache-blocked, explicitly unrolled
+//!   register-blocking sweep (`L` output lanes × `U`-way k-unroll);
 //! * [`tune`] — a startup autotuner that micro-benchmarks the candidate
-//!   variants per tile size, caches the winner in a versioned host-keyed
-//!   file, and can be overridden with `SOPHIE_KERNEL` for determinism
-//!   tests;
+//!   variants per tile size once per process; `SOPHIE_KERNEL` overrides
+//!   it for determinism tests;
 //! * [`KernelPlan`] — the dispatch layer: everything above `sophie-linalg`
 //!   (the engine's queue executor, the ideal/sparse backends) calls tile
 //!   kernels only through a plan.
@@ -26,14 +23,14 @@
 //! the scalar reference. Vectorization happens only **across** outputs
 //! (each of the `L` register lanes owns one output's chain), never within
 //! one output's chain, and Rust never contracts `mul`+`add` into a fused
-//! multiply-add — so every variant, every block shape, and the fused pair
-//! kernel are bit-identical to [`KernelVariant::Scalar`]. Terms that are
-//! exact zeros (zero weight or zero input) are bitwise invisible to such
-//! a sum (the accumulator can never become `-0.0`), which is why the
-//! zero-input-skipping [`KernelVariant::Axpy`] and the zero-weight-skipping
-//! sparse kernels agree with the no-skip variants bit for bit. Kernel
-//! choice is therefore a pure wall-clock knob: solver outcomes and event
-//! streams are byte-identical under every plan.
+//! multiply-add — so every variant and every block shape is bit-identical
+//! to [`KernelVariant::Scalar`]. Terms that are exact zeros (zero weight
+//! or zero input) are bitwise invisible to such a sum (the accumulator can
+//! never become `-0.0`), which is why the zero-input-skipping
+//! [`KernelVariant::Axpy`] and the zero-weight-skipping sparse kernels
+//! agree with the no-skip variants bit for bit. Kernel choice is therefore
+//! a pure wall-clock choice: solver outcomes and event streams are
+//! byte-identical under every plan.
 
 pub mod blocked;
 pub mod scalar;
@@ -51,36 +48,29 @@ pub enum KernelVariant {
     /// k-major column sweep of unit-stride `seq_axpy` calls, skipping
     /// zero inputs (the pre-refactor `Tile::mvm` shape).
     Axpy,
-    /// Register-blocked: 8 output lanes, no k-unroll.
-    B8U1,
-    /// Register-blocked: 8 output lanes, 4-way k-unroll.
-    B8U4,
-    /// Register-blocked: 16 output lanes, 4-way k-unroll.
-    B16U4,
     /// Register-blocked: 32 output lanes, 2-way k-unroll.
     B32U2,
 }
 
 impl KernelVariant {
-    /// Every variant, in canonical (autotune candidate) order.
-    pub const ALL: [KernelVariant; 6] = [
+    /// Every variant, in canonical order.
+    pub const ALL: [KernelVariant; 3] = [
         KernelVariant::Scalar,
         KernelVariant::Axpy,
-        KernelVariant::B8U1,
-        KernelVariant::B8U4,
-        KernelVariant::B16U4,
         KernelVariant::B32U2,
     ];
 
-    /// Canonical lowercase name (`"scalar"`, `"axpy"`, `"b8u4"`, ...).
+    /// The variants the autotuner chooses between, per direction: `axpy`
+    /// wins at large tiles, `b32u2` at small ones, and the two split in
+    /// between. `scalar` is the reference and the baseline, never a pick.
+    pub const TUNED: [KernelVariant; 2] = [KernelVariant::Axpy, KernelVariant::B32U2];
+
+    /// Canonical lowercase name (`"scalar"`, `"axpy"`, `"b32u2"`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             KernelVariant::Scalar => "scalar",
             KernelVariant::Axpy => "axpy",
-            KernelVariant::B8U1 => "b8u1",
-            KernelVariant::B8U4 => "b8u4",
-            KernelVariant::B16U4 => "b16u4",
             KernelVariant::B32U2 => "b32u2",
         }
     }
@@ -92,80 +82,9 @@ impl KernelVariant {
     }
 }
 
-/// How a fused forward + transposed pair request is executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum PairKernel {
-    /// Two independent single-direction kernel calls.
-    Sequential,
-    /// One pass over the row-major tile serving both directions with
-    /// 8-wide column blocks ([`blocked::fused8`]); each stored weight is
-    /// read once instead of twice.
-    Fused8,
-}
-
-impl PairKernel {
-    /// Canonical lowercase name (`"sequential"` / `"fused8"`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            PairKernel::Sequential => "sequential",
-            PairKernel::Fused8 => "fused8",
-        }
-    }
-
-    /// Parses a canonical name back into a pair kernel.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "sequential" => Some(PairKernel::Sequential),
-            "fused8" => Some(PairKernel::Fused8),
-            _ => None,
-        }
-    }
-}
-
-/// Configuration-level kernel selection: let the autotuner pick, or pin
-/// one variant for both directions.
-///
-/// The `SOPHIE_KERNEL` environment variable (read at plan-resolution
-/// time, i.e. per run) overrides either value — `"auto"` forces the
-/// tuned plan, any variant name pins it — so determinism tests can flip
-/// kernels without touching configs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum KernelChoice {
-    /// Benchmark-at-startup autotuned plan for the host ([`tune`]).
-    #[default]
-    Auto,
-    /// One fixed variant for both directions, no fusion.
-    Pinned(KernelVariant),
-}
-
-impl KernelChoice {
-    /// Canonical lowercase name (`"auto"` or the pinned variant's name).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelChoice::Auto => "auto",
-            KernelChoice::Pinned(v) => v.name(),
-        }
-    }
-
-    /// Parses `"auto"` or a variant name.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Self> {
-        if name == "auto" {
-            return Some(KernelChoice::Auto);
-        }
-        KernelVariant::parse(name).map(KernelChoice::Pinned)
-    }
-}
-
 /// A resolved kernel selection for one tile size on this host: which
-/// variant runs each direction and whether eligible forward + transposed
-/// pairs run fused. This is the only type through which engine and
-/// backend code reach the tile kernels (CI grep-gates direct
+/// variant runs each direction. This is the only type through which
+/// engine and backend code reach the tile kernels (CI grep-gates direct
 /// `Tile::mvm` calls).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KernelPlan {
@@ -173,8 +92,6 @@ pub struct KernelPlan {
     pub forward: KernelVariant,
     /// Variant executing `y = Tᵀ·x`.
     pub transposed: KernelVariant,
-    /// Pair execution strategy for fused requests.
-    pub pair: PairKernel,
 }
 
 /// A direction resolved to the generic sweep layout: both directions are
@@ -221,9 +138,6 @@ fn run_sweep(variant: KernelVariant, s: &Sweep<'_>, x: &[f32], y: &mut [f32]) {
     match variant {
         KernelVariant::Scalar => scalar::scalar_sweep(s.om, s.t, s.k_used, s.out_used, x, y),
         KernelVariant::Axpy => scalar::axpy_sweep(s.km, s.t, s.k_used, s.out_used, x, y),
-        KernelVariant::B8U1 => blocked::sweep::<8, 1>(s.km, s.t, s.k_used, s.out_used, x, y),
-        KernelVariant::B8U4 => blocked::sweep::<8, 4>(s.km, s.t, s.k_used, s.out_used, x, y),
-        KernelVariant::B16U4 => blocked::sweep::<16, 4>(s.km, s.t, s.k_used, s.out_used, x, y),
         KernelVariant::B32U2 => blocked::sweep::<32, 2>(s.km, s.t, s.k_used, s.out_used, x, y),
     }
 }
@@ -235,13 +149,12 @@ impl KernelPlan {
         KernelPlan::pinned(KernelVariant::Scalar)
     }
 
-    /// One fixed variant for both directions, sequential pairs.
+    /// One fixed variant for both directions.
     #[must_use]
     pub fn pinned(variant: KernelVariant) -> Self {
         KernelPlan {
             forward: variant,
             transposed: variant,
-            pair: PairKernel::Sequential,
         }
     }
 
@@ -252,25 +165,17 @@ impl KernelPlan {
         tune::tuned_plan(t)
     }
 
-    /// Resolves a configuration choice, honoring the `SOPHIE_KERNEL`
-    /// environment override first (`"auto"` → tuned plan, a variant name
-    /// → pinned; unparseable values are ignored). Called at run /
-    /// unit-creation time, so flipping the variable between runs takes
-    /// effect without rebuilding anything.
+    /// The plan a run uses for tiles of edge length `t`: a variant named
+    /// by the `SOPHIE_KERNEL` environment variable pinned for both
+    /// directions, else the tuned plan (`"auto"`, unset, and unknown
+    /// names alike). Read at run / unit-creation time, so determinism
+    /// tests can flip kernels between runs without rebuilding anything.
     #[must_use]
-    pub fn for_choice(choice: KernelChoice, t: usize) -> Self {
-        if let Ok(name) = std::env::var("SOPHIE_KERNEL") {
-            if let Some(over) = KernelChoice::parse(name.trim()) {
-                return match over {
-                    KernelChoice::Auto => Self::for_size(t),
-                    KernelChoice::Pinned(v) => Self::pinned(v),
-                };
-            }
-        }
-        match choice {
-            KernelChoice::Auto => Self::for_size(t),
-            KernelChoice::Pinned(v) => Self::pinned(v),
-        }
+    pub fn resolve(t: usize) -> Self {
+        std::env::var("SOPHIE_KERNEL")
+            .ok()
+            .and_then(|name| KernelVariant::parse(name.trim()))
+            .map_or_else(|| Self::for_size(t), Self::pinned)
     }
 
     /// `y = T·x` through the plan's forward variant.
@@ -291,57 +196,10 @@ impl KernelPlan {
         run_sweep(self.transposed, &Sweep::transposed(tile), x, y);
     }
 
-    /// Executes a forward and a transposed MVM on the same tile —
-    /// fused into one pass over the stored weights when the plan says
-    /// [`PairKernel::Fused8`], as two independent kernel calls otherwise.
-    /// Bit-identical to calling [`Self::forward`] then
-    /// [`Self::transposed`] either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn forward_transposed(
-        &self,
-        tile: &Tile,
-        x_f: &[f32],
-        y_f: &mut [f32],
-        x_t: &[f32],
-        y_t: &mut [f32],
-    ) {
-        match self.pair {
-            PairKernel::Sequential => {
-                self.forward(tile, x_f, y_f);
-                self.transposed(tile, x_t, y_t);
-            }
-            PairKernel::Fused8 => {
-                let t = tile.size();
-                assert_eq!(x_f.len(), t, "kernel: input length mismatch");
-                assert_eq!(y_f.len(), t, "kernel: output length mismatch");
-                assert_eq!(x_t.len(), t, "kernel: input length mismatch");
-                assert_eq!(y_t.len(), t, "kernel: output length mismatch");
-                blocked::fused8(
-                    tile.as_slice(),
-                    t,
-                    tile.rows_used(),
-                    tile.cols_used(),
-                    x_f,
-                    y_f,
-                    x_t,
-                    y_t,
-                );
-            }
-        }
-    }
-
-    /// Human-readable plan description, e.g. `"fwd=b8u4 trn=axpy pair=fused8"`.
+    /// Human-readable plan description, e.g. `"fwd=b32u2 trn=axpy"`.
     #[must_use]
     pub fn describe(&self) -> String {
-        format!(
-            "fwd={} trn={} pair={}",
-            self.forward.name(),
-            self.transposed.name(),
-            self.pair.name()
-        )
+        format!("fwd={} trn={}", self.forward.name(), self.transposed.name())
     }
 }
 
@@ -434,56 +292,16 @@ mod tests {
     }
 
     #[test]
-    fn fused_pair_matches_sequential_bitwise() {
-        for &(t, used) in &[(7usize, 7usize), (16, 11), (64, 64), (64, 40), (100, 99)] {
-            let tile = trimmed_tile(t, used, 0xF00D ^ t as u64);
-            let mut xf = vec![0.0_f32; t];
-            let mut xt = vec![0.0_f32; t];
-            lcg_fill(3, &mut xf[..used], 4);
-            lcg_fill(5, &mut xt[..used], 2);
-            let want_f = reference(&tile, &xf, true);
-            let want_t = reference(&tile, &xt, false);
-            let plan = KernelPlan {
-                forward: KernelVariant::B8U4,
-                transposed: KernelVariant::B8U4,
-                pair: PairKernel::Fused8,
-            };
-            let mut yf = vec![f32::NAN; t];
-            let mut yt = vec![f32::NAN; t];
-            plan.forward_transposed(&tile, &xf, &mut yf, &xt, &mut yt);
-            assert_eq!(bits(&yf), bits(&want_f), "fused forward t={t} used={used}");
-            assert_eq!(
-                bits(&yt),
-                bits(&want_t),
-                "fused transposed t={t} used={used}"
-            );
-        }
-    }
-
-    #[test]
     fn names_round_trip() {
         for v in KernelVariant::ALL {
             assert_eq!(KernelVariant::parse(v.name()), Some(v));
         }
-        for c in [
-            KernelChoice::Auto,
-            KernelChoice::Pinned(KernelVariant::B8U4),
-        ] {
-            assert_eq!(KernelChoice::parse(c.name()), Some(c));
-        }
-        for p in [PairKernel::Sequential, PairKernel::Fused8] {
-            assert_eq!(PairKernel::parse(p.name()), Some(p));
-        }
         assert_eq!(KernelVariant::parse("fancy"), None);
-        assert_eq!(KernelChoice::parse("fancy"), None);
     }
 
     #[test]
     fn describe_is_readable() {
-        assert_eq!(
-            KernelPlan::scalar().describe(),
-            "fwd=scalar trn=scalar pair=sequential"
-        );
+        assert_eq!(KernelPlan::scalar().describe(), "fwd=scalar trn=scalar");
     }
 
     proptest! {
@@ -516,12 +334,6 @@ mod tests {
                 }
                 prop_assert_eq!(bits(&y), bits(&want), "variant {}", v.name());
             }
-            let mut yf = vec![f32::NAN; t];
-            let mut yt = vec![f32::NAN; t];
-            let fused = KernelPlan { forward: KernelVariant::B16U4, transposed: KernelVariant::Axpy, pair: PairKernel::Fused8 };
-            fused.forward_transposed(&tile, &x, &mut yf, &x, &mut yt);
-            prop_assert_eq!(bits(&yf), bits(&reference(&tile, &x, true)));
-            prop_assert_eq!(bits(&yt), bits(&reference(&tile, &x, false)));
         }
     }
 }

@@ -17,10 +17,10 @@
 //!   are bit-identical to the dense tile kernels, the substrate of the
 //!   engine's delta-driven sparse compute strategy;
 //! * [`kernel`] — the tile-MVM kernel component stack: a scalar reference
-//!   kernel, cache-blocked register-blocking variants, a fused
-//!   symmetric-pair kernel, a host autotuner, and the [`KernelPlan`]
-//!   dispatch layer everything above this crate calls through — every
-//!   variant bit-identical to the reference;
+//!   kernel, an `axpy` sweep and a cache-blocked register-blocking
+//!   variant, a per-process autotuner, and the [`KernelPlan`] dispatch
+//!   layer everything above this crate calls through — every variant
+//!   bit-identical to the reference;
 //! * [`vector`] / [`par`] — slice kernels and the persistent-worker-pool
 //!   parallel helpers shared by the simulators.
 //!
@@ -55,7 +55,7 @@ pub mod tile;
 pub mod vector;
 
 pub use error::{LinalgError, Result};
-pub use kernel::{KernelChoice, KernelPlan, KernelVariant, PairKernel};
+pub use kernel::{KernelPlan, KernelVariant};
 pub use matrix::Matrix;
 pub use sparse::SparseCsr;
 pub use tile::{Tile, TileGrid, TileIndex, TilePair, TiledMatrix};

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use sophie_baselines::{BlsConfig, PtConfig, SaConfig, SbConfig, SbVariant};
-use sophie_core::{ComputeMode, KernelChoice, SophieConfig};
+use sophie_core::{ComputeMode, SophieConfig};
 use sophie_hw::OpcmBackendConfig;
 use sophie_pris::PrisJobConfig;
 use sophie_solve::{Solver, SolverRegistry};
@@ -217,27 +217,6 @@ fn sophie_config(f: &Fields<'_>) -> Result<SophieConfig> {
                 .ok_or_else(|| f.type_err("sparse_crossover", "a number"))?,
         ),
     };
-    let queue_depth = match f.get("queue_depth") {
-        None => d.queue_depth,
-        Some(v) => Some(
-            v.as_u64()
-                .map(|n| n as usize)
-                .ok_or_else(|| f.type_err("queue_depth", "a non-negative integer"))?,
-        ),
-    };
-    let kernel = match f.get("kernel") {
-        None => d.kernel,
-        Some(v) => match v.as_str().and_then(KernelChoice::parse) {
-            Some(choice) => choice,
-            None => {
-                return Err(ServeError::Protocol {
-                    message: "config field `kernel` must be \"auto\" or a kernel variant name \
-                              (\"scalar\", \"axpy\", \"b8u1\", \"b8u4\", \"b16u4\", \"b32u2\")"
-                        .into(),
-                })
-            }
-        },
-    };
     Ok(SophieConfig {
         tile_size: f.usize("tile_size", d.tile_size)?,
         local_iters: f.usize("local_iters", d.local_iters)?,
@@ -248,8 +227,6 @@ fn sophie_config(f: &Fields<'_>) -> Result<SophieConfig> {
         stochastic_spin_update: f.bool("stochastic_spin_update", d.stochastic_spin_update)?,
         compute,
         sparse_crossover,
-        queue_depth,
-        kernel,
     })
 }
 
@@ -325,30 +302,6 @@ mod tests {
         }
         let cfg = Json::parse(r#"{"sparse_crossover": 0.25, "tile_size": 8}"#).unwrap();
         assert!(build_solver(&reg, "sophie", Some(&cfg)).is_ok());
-        // queue_depth is result-invariant but still a wire-settable knob.
-        let cfg = Json::parse(r#"{"queue_depth": 4, "tile_size": 8}"#).unwrap();
-        assert!(build_solver(&reg, "sophie", Some(&cfg)).is_ok());
-        let bad_depth = Json::parse(r#"{"queue_depth": 0}"#).unwrap();
-        assert!(matches!(
-            build_solver(&reg, "sophie", Some(&bad_depth)),
-            Err(ServeError::Solve(_))
-        ));
-        let mistyped_depth = Json::parse(r#"{"queue_depth": "deep"}"#).unwrap();
-        match build_solver(&reg, "sophie", Some(&mistyped_depth)).map(|_| ()) {
-            Err(ServeError::Protocol { message }) => assert!(message.contains("queue_depth")),
-            other => panic!("expected Protocol error, got {other:?}"),
-        }
-        // Kernel selection rides the same wire: "auto" and every variant
-        // name parse; an unknown name is a protocol error.
-        for kernel in ["auto", "scalar", "axpy", "b8u4"] {
-            let cfg = Json::parse(&format!(r#"{{"kernel": "{kernel}", "tile_size": 8}}"#)).unwrap();
-            assert!(build_solver(&reg, "sophie", Some(&cfg)).is_ok(), "{kernel}");
-        }
-        let bad_kernel = Json::parse(r#"{"kernel": "f64x2"}"#).unwrap();
-        match build_solver(&reg, "sophie", Some(&bad_kernel)).map(|_| ()) {
-            Err(ServeError::Protocol { message }) => assert!(message.contains("kernel")),
-            other => panic!("expected Protocol error, got {other:?}"),
-        }
         // Bad mode string is a protocol error; bad θ is a factory rejection.
         let bad_mode = Json::parse(r#"{"compute": "warp"}"#).unwrap();
         match build_solver(&reg, "sophie", Some(&bad_mode)).map(|_| ()) {
@@ -360,6 +313,26 @@ mod tests {
             build_solver(&reg, "sophie", Some(&bad_theta)),
             Err(ServeError::Solve(_))
         ));
+    }
+
+    #[test]
+    fn removed_sophie_knobs_are_unknown_fields() {
+        // `kernel` and `queue_depth` were wire fields once; both never
+        // changed a result, and a config that still sends them must get
+        // the typed unknown-field error rather than run silently.
+        let reg = default_registry();
+        for (field, value) in [("kernel", r#""scalar""#), ("queue_depth", "4")] {
+            let cfg = Json::parse(&format!(r#"{{"{field}": {value}, "tile_size": 8}}"#)).unwrap();
+            for solver in ["sophie", "sophie-opcm"] {
+                match build_solver(&reg, solver, Some(&cfg)).map(|_| ()) {
+                    Err(ServeError::Protocol { message }) => assert_eq!(
+                        message,
+                        format!("unknown config field `{field}` for solver `{solver}`")
+                    ),
+                    other => panic!("{solver} {field}: expected Protocol error, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! One client connection's shared write half, used by both the solve
-//! daemon ([`server`](crate::server)) and the cluster router
+//! One client connection's shared write half, and the bookkeeping of an
+//! accept loop's connections, used by both the solve daemon
+//! ([`server`](crate::server)) and the cluster router
 //! ([`router`](crate::router)).
 //!
 //! Multiple threads (connection reader, job workers, dispatchers) write
@@ -10,7 +11,8 @@
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, Weak};
+use std::thread::JoinHandle;
 
 /// Shared write half of one accepted client connection.
 pub(crate) struct Conn {
@@ -77,5 +79,78 @@ impl std::fmt::Debug for Conn {
         f.debug_struct("Conn")
             .field("alive", &self.is_alive())
             .finish()
+    }
+}
+
+/// The connections an accept loop has handed to threads: their write
+/// halves, for the shutdown sweep, and the threads serving them.
+///
+/// Entries of finished connections are reaped on every accept, so a
+/// long-running daemon or router tracks its *live* connections rather
+/// than one entry per connection it ever served.
+#[derive(Default)]
+pub(crate) struct ConnTracker {
+    conns: Mutex<Vec<Weak<Conn>>>,
+    threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl ConnTracker {
+    /// Tracks the thread serving a newly accepted connection.
+    pub(crate) fn add_thread(&self, handle: JoinHandle<()>) {
+        self.threads.lock().expect("conn threads lock").push(handle);
+    }
+
+    /// Tracks a connection's write half for the shutdown sweep.
+    pub(crate) fn add_conn(&self, conn: &Arc<Conn>) {
+        self.conns
+            .lock()
+            .expect("conns lock")
+            .push(Arc::downgrade(conn));
+    }
+
+    /// Joins connection threads that have exited and drops `Weak`s to
+    /// conns that are gone. Joining a finished thread does not block.
+    pub(crate) fn reap_finished(&self) {
+        let finished: Vec<JoinHandle<()>> = {
+            let mut threads = self.threads.lock().expect("conn threads lock");
+            let (done, live): (Vec<_>, Vec<_>) =
+                threads.drain(..).partition(JoinHandle::is_finished);
+            *threads = live;
+            done
+        };
+        for t in finished {
+            let _ = t.join();
+        }
+        self.conns
+            .lock()
+            .expect("conns lock")
+            .retain(|w| w.strong_count() > 0);
+    }
+
+    /// Shutdown sweep: half-closes every live connection so its thread's
+    /// blocking read returns, then joins every connection thread.
+    pub(crate) fn close_all(&self) {
+        let conns: Vec<_> = self.conns.lock().expect("conns lock").drain(..).collect();
+        for conn in conns.iter().filter_map(Weak::upgrade) {
+            conn.close();
+        }
+        let threads: Vec<_> = self
+            .threads
+            .lock()
+            .expect("conn threads lock")
+            .drain(..)
+            .collect();
+        for t in threads {
+            let _ = t.join();
+        }
+    }
+
+    /// `(tracked threads, tracked write halves)`.
+    #[cfg(test)]
+    pub(crate) fn tracked(&self) -> (usize, usize) {
+        (
+            self.threads.lock().expect("conn threads lock").len(),
+            self.conns.lock().expect("conns lock").len(),
+        )
     }
 }

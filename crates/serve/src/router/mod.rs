@@ -45,7 +45,7 @@ use std::time::Duration;
 
 use crate::client::Client;
 use crate::config::env_usize;
-use crate::conn::Conn;
+use crate::conn::{Conn, ConnTracker};
 use crate::error::{Result, ServeError};
 use crate::protocol::{
     cancel_ok_frame, error_frame, hello_frame, parse_request, read_line_bounded, rejected_frame,
@@ -154,8 +154,7 @@ pub(crate) struct RouterShared {
     pub(crate) metrics: RouterMetrics,
     pub(crate) shutdown: AtomicBool,
     conn_count: AtomicUsize,
-    conns: Mutex<Vec<std::sync::Weak<Conn>>>,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
+    conns: ConnTracker,
 }
 
 /// Entry point: binds and runs a router in background threads.
@@ -198,8 +197,7 @@ impl Router {
             config,
             shutdown: AtomicBool::new(false),
             conn_count: AtomicUsize::new(0),
-            conns: Mutex::new(Vec::new()),
-            conn_threads: Mutex::new(Vec::new()),
+            conns: ConnTracker::default(),
         });
         let prober = {
             let shared = Arc::clone(&shared);
@@ -300,29 +298,14 @@ fn supervise(shared: &Arc<RouterShared>, listener: &TcpListener, prober: JoinHan
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
-    let conns: Vec<_> = shared.conns.lock().expect("conns lock").drain(..).collect();
-    for conn in conns.iter().filter_map(std::sync::Weak::upgrade) {
-        conn.close();
-    }
-    let threads: Vec<_> = shared
-        .conn_threads
-        .lock()
-        .expect("conn threads lock")
-        .drain(..)
-        .collect();
-    for t in threads {
-        let _ = t.join();
-    }
+    shared.conns.close_all();
     let _ = prober.join();
 }
 
 fn accept_conn(shared: &Arc<RouterShared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_nonblocking(false);
-    // Bookkeeping for past connections is reaped here, on the accept
-    // path, so a long-running router's vectors track the number of *live*
-    // connections instead of growing one entry per connection ever made.
-    reap_finished_conns(shared);
+    shared.conns.reap_finished();
     // Claim-then-check: the returned prior value decides, so two accepts
     // racing at the cap cannot both slip under it.
     let prior = shared.conn_count.fetch_add(1, Ordering::AcqRel);
@@ -341,30 +324,7 @@ fn accept_conn(shared: &Arc<RouterShared>, stream: TcpStream) {
             shared2.conn_count.fetch_sub(1, Ordering::AcqRel);
         })
         .expect("spawn router connection thread");
-    shared
-        .conn_threads
-        .lock()
-        .expect("conn threads lock")
-        .push(handle);
-}
-
-/// Joins connection threads that have exited and drops `Weak`s to conns
-/// that are gone. Joining a finished thread does not block.
-fn reap_finished_conns(shared: &RouterShared) {
-    let finished: Vec<JoinHandle<()>> = {
-        let mut threads = shared.conn_threads.lock().expect("conn threads lock");
-        let (done, live): (Vec<_>, Vec<_>) = threads.drain(..).partition(JoinHandle::is_finished);
-        *threads = live;
-        done
-    };
-    for t in finished {
-        let _ = t.join();
-    }
-    shared
-        .conns
-        .lock()
-        .expect("conns lock")
-        .retain(|w| w.strong_count() > 0);
+    shared.conns.add_thread(handle);
 }
 
 fn handle_conn(shared: &Arc<RouterShared>, stream: TcpStream) {
@@ -373,11 +333,7 @@ fn handle_conn(shared: &Arc<RouterShared>, stream: TcpStream) {
         Err(_) => return,
     };
     let conn = Arc::new(Conn::new(writer));
-    shared
-        .conns
-        .lock()
-        .expect("conns lock")
-        .push(Arc::downgrade(&conn));
+    shared.conns.add_conn(&conn);
     // The router's own greeting; solver inventory lives behind the
     // `list-solvers` command, which is forwarded to a replica.
     conn.send(&hello_frame(&[]));

@@ -49,7 +49,7 @@ use sophie::problems::{IsingInstance, ProblemSpec};
 
 use crate::config::ServeConfig;
 use crate::configs::build_solver;
-use crate::conn::Conn;
+use crate::conn::{Conn, ConnTracker};
 use crate::error::{Result, ServeError};
 use crate::metrics::Metrics;
 use crate::problems::compile_problem;
@@ -88,10 +88,8 @@ struct Shared {
     /// Named-instance cache: `Arc` identity makes the engine adapters'
     /// per-graph caches hit across jobs.
     graphs: Mutex<BTreeMap<String, Arc<Graph>>>,
-    /// Write halves of live connections, for the shutdown sweep.
-    conns: Mutex<Vec<std::sync::Weak<Conn>>>,
-    /// Connection threads, joined by the supervisor during teardown.
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
+    /// Live connections, swept and joined by the supervisor at teardown.
+    conns: ConnTracker,
 }
 
 /// Entry point: binds and runs a daemon in background threads.
@@ -133,8 +131,7 @@ impl Server {
             job_serial: AtomicU64::new(0),
             active: Mutex::new(HashMap::new()),
             graphs: Mutex::new(BTreeMap::new()),
-            conns: Mutex::new(Vec::new()),
-            conn_threads: Mutex::new(Vec::new()),
+            conns: ConnTracker::default(),
         });
         let workers: Vec<JoinHandle<()>> = (0..config.workers)
             .map(|i| {
@@ -231,19 +228,7 @@ fn supervise(shared: &Arc<Shared>, listener: &TcpListener, workers: Vec<JoinHand
     for w in workers {
         let _ = w.join();
     }
-    let conns: Vec<_> = shared.conns.lock().expect("conns lock").drain(..).collect();
-    for conn in conns.iter().filter_map(std::sync::Weak::upgrade) {
-        conn.close();
-    }
-    let threads: Vec<_> = shared
-        .conn_threads
-        .lock()
-        .expect("conn threads lock")
-        .drain(..)
-        .collect();
-    for t in threads {
-        let _ = t.join();
-    }
+    shared.conns.close_all();
 }
 
 fn accept_conn(shared: &Arc<Shared>, stream: TcpStream) {
@@ -252,6 +237,7 @@ fn accept_conn(shared: &Arc<Shared>, stream: TcpStream) {
     // blocking read on a shut-down socket returns promptly, so plain
     // blocking mode is fine here (the listener alone is non-blocking).
     let _ = stream.set_nonblocking(false);
+    shared.conns.reap_finished();
     if shared.conn_count.load(Ordering::Acquire) >= shared.config.max_connections {
         shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
         let mut stream = stream;
@@ -268,11 +254,7 @@ fn accept_conn(shared: &Arc<Shared>, stream: TcpStream) {
             shared2.conn_count.fetch_sub(1, Ordering::AcqRel);
         })
         .expect("spawn connection thread");
-    shared
-        .conn_threads
-        .lock()
-        .expect("conn threads lock")
-        .push(handle);
+    shared.conns.add_thread(handle);
 }
 
 fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
@@ -281,11 +263,7 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
         Err(_) => return,
     };
     let conn = Arc::new(Conn::new(writer));
-    shared
-        .conns
-        .lock()
-        .expect("conns lock")
-        .push(Arc::downgrade(&conn));
+    shared.conns.add_conn(&conn);
     conn.send(&hello_frame(&shared.registry.names()));
     let mut reader = BufReader::new(stream);
     // Jobs this connection submitted; dropping the connection cancels them.
@@ -575,4 +553,48 @@ fn run_job(shared: &Shared, job: QueuedJob) {
     }
     shared.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
     shared.active.lock().expect("active lock").remove(&serial);
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::BufRead;
+
+    use super::*;
+
+    /// Connects, reads the hello frame, and closes.
+    fn hello_round_trip(addr: SocketAddr) {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut line = String::new();
+        BufReader::new(stream)
+            .read_line(&mut line)
+            .expect("read hello");
+        assert!(line.contains(r#""type":"hello""#), "{line}");
+    }
+
+    #[test]
+    fn finished_connections_are_reaped_on_accept() {
+        let handle = Server::start(
+            ServeConfig::default(),
+            sophie::default_registry(),
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let addr = handle.local_addr();
+        for _ in 0..40 {
+            hello_round_trip(addr);
+        }
+        // Let the last connection thread see its EOF, so the next accept
+        // finds every earlier connection finished.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handle.shared.conn_count.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        hello_round_trip(addr);
+        let (threads, conns) = handle.shared.conns.tracked();
+        assert!(
+            threads <= 2 && conns <= 2,
+            "41 connections served, {threads} threads and {conns} write halves still tracked"
+        );
+        handle.shutdown();
+    }
 }

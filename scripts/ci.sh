@@ -7,8 +7,9 @@
 # The first four steps are the ROADMAP tier-1 contract; the full gate
 # additionally runs every crate's unit, property, and compat-shim tests
 # (called out below: the fault-injection/recovery and determinism suites),
-# lints and tests the standalone benchmark package,
-# builds the examples, denies rustdoc warnings, and smoke-runs the
+# lints and tests the standalone benchmark package and runs its sim-g1
+# workload (seed-0 golden digests), builds the examples, denies rustdoc
+# warnings, and smoke-runs the
 # `repro` binary (the solver-registry listing, bench-summary with a
 # sparse-suite/speedup gate, the kernel autotune smoke with its 1.3x
 # forward-speedup gate, the problem-compiler sweep with a feasible-decode
@@ -53,8 +54,9 @@ if grep -rn "\.forward(\|\.transposed(" crates/core/src/engine/; then
 fi
 
 # Kernel-stack gate: engine and sparse code reach the MVM kernels only
-# through a resolved KernelPlan; raw Tile::mvm/mvm_transposed calls would
-# bypass variant selection, the SOPHIE_KERNEL override, and the autotuner.
+# through a KernelPlan (KernelPlan::resolve: the SOPHIE_KERNEL override,
+# else the per-process tuned plan); raw Tile::mvm/mvm_transposed calls
+# would bypass both.
 echo "==> grep gate: no direct Tile::mvm calls under crates/core/src/"
 if grep -rn "\.mvm(\|\.mvm_transposed(" crates/core/src/; then
     echo "core code must dispatch MVMs through KernelPlan, never Tile::mvm/mvm_transposed directly" >&2
@@ -85,11 +87,14 @@ if [[ "$quick" -eq 0 ]]; then
     # Fault-aware runtime: injection/recovery behavior and the
     # thread-count bit-determinism of the fault/recovery event streams.
     run cargo test -q -p sophie-hw --test fault_injection --test fault_recovery --test command_queue
-    run cargo test -q -p sophie --test fault_determinism --test thread_determinism --test kernel_determinism --test eigen_determinism
+    run cargo test -q -p sophie --test fault_determinism --test thread_determinism --test kernel_determinism --test eigen_determinism --test engine_golden
     # The benchmark package is its own Cargo workspace (see BENCHMARK.json),
     # so the workspace-wide lint and test sweeps above never reach it.
     run cargo clippy --release --all-targets --manifest-path benchmark/Cargo.toml -- -D warnings
     run cargo test --release --manifest-path benchmark/Cargo.toml
+    # End-to-end golden: sim-g1 checks the digests of its seed-0 jobs
+    # against benchmark/golden-sim-g1.txt and exits non-zero on a mismatch.
+    run cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --workload sim-g1
     run cargo build --release --examples
     echo "==> RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace"
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
@@ -118,18 +123,21 @@ sp = doc["sparse_speedup"]["speedup"]
 assert sp >= 2.0, f"sparse polish speedup regressed to {sp}x (quick-mode floor: 2.0)"
 print(f"bench gate: sparse suites present, warm-polish speedup {sp:.1f}x")
 PY
-    # Kernel autotune smoke: measures every variant at the acceptance tile
-    # sizes, records the kernel_tune block, and --check enforces the
-    # tentpole claim inside the binary (tuned forward 64^2 >= 1.3x scalar).
+    # Kernel autotune smoke: measures the three variants (scalar, axpy,
+    # b32u2) at the acceptance tile sizes, records the kernel_tune block,
+    # and --check enforces the speedup claim inside the binary (tuned
+    # forward 64^2 >= 1.3x scalar).
     run cargo run --release -q -p sophie-bench --bin repro -- tune --check --out "$smoke_dir"
     python3 - "$smoke_dir/BENCH_sophie.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 kt = doc["kernel_tune"]
-assert kt["schema"] == "sophie-kernel-tune-v1", "kernel_tune schema"
+assert kt["schema"] == "sophie-kernel-tune-v2", "kernel_tune schema"
 tiles = [p["tile"] for p in kt["plans"]]
 assert tiles == [64, 256, 500], f"kernel_tune plans cover {tiles}"
-assert len(kt["table_64"]) == 6, "one row per kernel variant"
+variants = [r["variant"] for r in kt["table_64"]]
+assert variants == ["scalar", "axpy", "b32u2"], f"one row per kernel variant, got {variants}"
+assert "pair_64" not in kt, "the fused pair kernel is gone"
 sp = kt["forward_64_speedup"]
 assert sp >= 1.3, f"tuned forward 64^2 speedup regressed to {sp}x (floor: 1.3)"
 # bench-summary regeneration must have preserved the block alongside its own
