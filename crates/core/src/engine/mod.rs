@@ -57,9 +57,12 @@ mod track;
 #[cfg(test)]
 mod tests;
 
+use std::sync::Arc;
+
 use sophie_graph::cut::cut_value_binary;
 use sophie_graph::Graph;
 use sophie_linalg::{Matrix, SparseCsr, Tile, TileGrid, TilePair};
+use sophie_pris::TransformCache;
 use sophie_solve::{
     NullObserver, OpCounts, RunControl, SolveError, SolveEvent, SolveJob, SolveObserver,
     SolveReport, Tee, TraceRecorder,
@@ -127,6 +130,22 @@ impl SophieSolver {
             config.alpha,
             sophie_pris::DeltaVariant::Gershgorin,
         )?;
+        Self::from_transform(&c, config)
+    }
+
+    /// Builds the solver [`from_graph`](Self::from_graph) would, taking the
+    /// transformation matrix from `cache` and preprocessing only on a miss.
+    ///
+    /// # Errors
+    ///
+    /// As [`from_graph`](Self::from_graph).
+    pub fn from_cache(
+        cache: &TransformCache,
+        graph: &Arc<Graph>,
+        config: SophieConfig,
+    ) -> Result<Self> {
+        config.validate()?;
+        let c = cache.transform(graph, config.alpha)?;
         Self::from_transform(&c, config)
     }
 

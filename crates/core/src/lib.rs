@@ -63,6 +63,7 @@ pub use outcome::SophieOutcome;
 pub use schedule::{Round, Schedule};
 pub use solver::SophieIsing;
 pub use sophie_linalg::{KernelPlan, KernelVariant};
+pub use sophie_pris::TransformCache;
 pub use sparse::{SparseBackend, SparseUnit};
 
 // The instrumentation and solver-abstraction layers live in `sophie-solve`

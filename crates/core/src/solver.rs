@@ -7,17 +7,17 @@
 //!   dimension. This is the shape experiment harnesses use: they cache
 //!   the expensive eigendecomposition per instance and hand the prebuilt
 //!   engine to the scheduler.
-//! * [`SophieIsing`] wraps a [`SophieConfig`] only and builds (and
-//!   caches) the engine lazily from each job's graph. This is the shape
-//!   the `SolverRegistry` constructs, where no graph is known at build
-//!   time.
+//! * [`SophieIsing`] wraps a [`SophieConfig`] and a shared
+//!   [`TransformCache`], and tiles an engine for each job's graph. This is
+//!   the shape the `SolverRegistry` constructs, where no graph is known
+//!   at build time.
 //!
 //! Both run on the exact floating-point [`IdealBackend`]; the OPCM device
 //! model variant lives in `sophie-hw` (same engine, different backend).
 
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::Arc;
 
-use sophie_graph::Graph;
+use sophie_pris::TransformCache;
 use sophie_solve::{Capabilities, SolveError, SolveJob, SolveObserver, SolveReport, Solver};
 
 use crate::backend::IdealBackend;
@@ -58,65 +58,37 @@ impl Solver for SophieSolver {
     }
 }
 
-/// Registry-constructible SOPHIE solver: holds only a [`SophieConfig`]
-/// and builds the tiled engine lazily from each job's graph.
+/// Registry-constructible SOPHIE solver: a [`SophieConfig`] plus the
+/// [`TransformCache`] it shares with the other adapters of its registry.
 ///
-/// Engine construction runs the eigenvalue-dropout preprocessing (an
-/// eigendecomposition), so the last-built engine is cached and reused for
-/// as long as consecutive jobs share the same `Arc<Graph>`. The cache is
-/// identity-based (`Arc` pointer equality via a stored `Weak`), never
-/// content-based, and rebuilding is deterministic — concurrent jobs on
-/// different graphs merely rebuild, they cannot observe a wrong engine.
+/// Each job tiles a fresh engine from its graph's transformation matrix;
+/// the eigenvalue-dropout preprocessing behind that matrix runs only when
+/// the cache does not hold the graph at the configured `α`.
 #[derive(Debug)]
 pub struct SophieIsing {
     config: SophieConfig,
-    engine: Mutex<Option<(Weak<Graph>, Arc<SophieSolver>)>>,
+    transforms: Arc<TransformCache>,
 }
 
 impl SophieIsing {
-    /// Validates `config` and wraps it; no engine is built yet.
+    /// Validates `config` and wraps it; transforms come from (and go to)
+    /// `transforms`.
     ///
     /// # Errors
     ///
     /// [`SolveError::BadConfig`] for an invalid configuration.
-    pub fn new(config: SophieConfig) -> Result<Self, SolveError> {
+    pub fn new(config: SophieConfig, transforms: Arc<TransformCache>) -> Result<Self, SolveError> {
         config.validate().map_err(|e| SolveError::BadConfig {
             solver: "sophie".to_string(),
             message: e.to_string(),
         })?;
-        Ok(SophieIsing {
-            config,
-            engine: Mutex::new(None),
-        })
+        Ok(SophieIsing { config, transforms })
     }
 
     /// The wrapped configuration.
     #[must_use]
     pub fn config(&self) -> &SophieConfig {
         &self.config
-    }
-
-    /// The cached engine for `graph`, building it on miss.
-    fn engine_for(&self, graph: &Arc<Graph>) -> Result<Arc<SophieSolver>, SolveError> {
-        let mut slot = self.engine.lock().expect("engine cache lock");
-        if let Some((cached_graph, engine)) = slot.as_ref() {
-            if cached_graph
-                .upgrade()
-                .is_some_and(|g| Arc::ptr_eq(&g, graph))
-            {
-                return Ok(Arc::clone(engine));
-            }
-        }
-        let engine = Arc::new(
-            SophieSolver::from_graph(graph, self.config.clone()).map_err(|e| {
-                SolveError::Failed {
-                    solver: "sophie".to_string(),
-                    message: e.to_string(),
-                }
-            })?,
-        );
-        *slot = Some((Arc::downgrade(graph), Arc::clone(&engine)));
-        Ok(engine)
     }
 }
 
@@ -138,7 +110,12 @@ impl Solver for SophieIsing {
         job: &SolveJob,
         observer: &mut dyn SolveObserver,
     ) -> Result<SolveReport, SolveError> {
-        self.engine_for(&job.graph)?.solve(job, observer)
+        SophieSolver::from_cache(&self.transforms, &job.graph, self.config.clone())
+            .map_err(|e| SolveError::Failed {
+                solver: "sophie".to_string(),
+                message: e.to_string(),
+            })?
+            .solve(job, observer)
     }
 }
 
@@ -146,6 +123,7 @@ impl Solver for SophieIsing {
 mod tests {
     use super::*;
     use sophie_graph::generate::{complete, WeightDist};
+    use sophie_graph::Graph;
     use sophie_solve::{EventLog, JobBudget, NullObserver, TraceRecorder};
 
     fn test_config() -> SophieConfig {
@@ -205,10 +183,11 @@ mod tests {
     }
 
     #[test]
-    fn lazy_adapter_matches_prebuilt_engine_and_caches() {
+    fn transform_cache_serves_the_lazy_adapter_like_a_prebuilt_engine() {
         let g = test_graph();
         let engine = SophieSolver::from_graph(&g, test_config()).unwrap();
-        let lazy = SophieIsing::new(test_config()).unwrap();
+        let transforms = Arc::new(TransformCache::default());
+        let lazy = SophieIsing::new(test_config(), Arc::clone(&transforms)).unwrap();
 
         let job = SolveJob::new(Arc::clone(&g), 7);
         let mut direct = TraceRecorder::new();
@@ -216,12 +195,15 @@ mod tests {
         let b = lazy.solve(&job, &mut NullObserver).unwrap();
         assert_eq!(a, b);
 
-        // Second job on the same Arc reuses the cached engine.
-        let first = Arc::as_ptr(&lazy.engine_for(&g).unwrap());
-        let second = Arc::as_ptr(&lazy.engine_for(&g).unwrap());
-        assert_eq!(first, second);
+        // A second job on an equal graph reuses the preprocessing.
+        let again = lazy
+            .solve(&SolveJob::new(test_graph(), 7), &mut NullObserver)
+            .unwrap();
+        assert_eq!(a, again);
+        let stats = transforms.stats();
+        assert_eq!((stats.entries, stats.hits, stats.misses), (1, 1, 1));
 
-        // A different graph rebuilds deterministically.
+        // A different graph preprocesses, deterministically.
         let other = Arc::new(complete(16, WeightDist::Unit, 1).unwrap());
         let r1 = lazy
             .solve(&SolveJob::new(Arc::clone(&other), 3), &mut NullObserver)
@@ -230,6 +212,7 @@ mod tests {
             .solve(&SolveJob::new(other, 3), &mut NullObserver)
             .unwrap();
         assert_eq!(r1, r2);
+        assert_eq!(transforms.stats().misses, 2);
     }
 
     #[test]
@@ -239,7 +222,7 @@ mod tests {
             ..SophieConfig::default()
         };
         assert!(matches!(
-            SophieIsing::new(bad),
+            SophieIsing::new(bad, Arc::default()),
             Err(SolveError::BadConfig { .. })
         ));
     }

@@ -118,6 +118,15 @@ impl Graph {
     pub fn is_complete(&self) -> bool {
         self.num_edges() == self.nodes * self.nodes.saturating_sub(1) / 2
     }
+
+    /// Bytes held by the edge list and the adjacency arrays.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.edges.len() * size_of::<Edge>()
+            + self.offsets.len() * size_of::<usize>()
+            + self.adj.len() * size_of::<(usize, f64)>()
+    }
 }
 
 /// Incremental builder enforcing the simple-graph invariants.

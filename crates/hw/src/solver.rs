@@ -9,9 +9,9 @@
 //! the backend config and the job — runs are deterministic and safe to
 //! execute concurrently from the batch scheduler.
 
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::Arc;
 
-use sophie_core::{HealthConfig, SophieConfig, SophieSolver};
+use sophie_core::{HealthConfig, SophieConfig, SophieSolver, TransformCache};
 use sophie_graph::Graph;
 use sophie_solve::{Capabilities, SolveError, SolveJob, SolveObserver, SolveReport, Solver};
 
@@ -24,44 +24,56 @@ fn bad_config(message: impl ToString) -> SolveError {
     }
 }
 
+/// Where a [`SophieOpcm`] gets its engines.
+#[derive(Debug)]
+enum Engines {
+    /// One pre-built engine for every job.
+    Pinned(Arc<SophieSolver>),
+    /// A fresh engine per job, tiled from the shared cache's transform.
+    Cached(Arc<TransformCache>),
+}
+
 /// Registry-constructible SOPHIE-on-OPCM solver: a [`SophieConfig`] plus
 /// an [`OpcmBackendConfig`], with an optional [`HealthConfig`] switching
 /// on the probe/recover fault-aware runtime.
 ///
-/// The engine (preprocessing + tiling of the coupling matrix) is built
-/// lazily per graph and cached by `Arc` identity like the other adapters;
+/// [`SophieOpcm::new`] tiles an engine per job from the transformation
+/// matrix in a [`TransformCache`] shared with the other engine adapters,
+/// so the preprocessing runs once per graph and `α`;
 /// [`SophieOpcm::from_engine`] pins a pre-built engine instead so many
-/// adapters (e.g. one per fault seed) can share the expensive transform.
+/// adapters (e.g. one per fault seed) can share one engine.
 #[derive(Debug)]
 pub struct SophieOpcm {
     sophie: SophieConfig,
     backend: OpcmBackendConfig,
     health: Option<HealthConfig>,
-    pinned: Option<Arc<SophieSolver>>,
-    engine: Mutex<Option<(Weak<Graph>, Arc<SophieSolver>)>>,
+    engines: Engines,
 }
 
 impl SophieOpcm {
-    /// Wraps the configs; no engine is built yet.
+    /// Wraps the configs; transforms come from (and go to) `transforms`.
     ///
     /// # Errors
     ///
     /// [`SolveError::BadConfig`] if either config fails validation.
-    pub fn new(sophie: SophieConfig, backend: OpcmBackendConfig) -> Result<Self, SolveError> {
+    pub fn new(
+        sophie: SophieConfig,
+        backend: OpcmBackendConfig,
+        transforms: Arc<TransformCache>,
+    ) -> Result<Self, SolveError> {
         sophie.validate().map_err(bad_config)?;
         backend.validate().map_err(bad_config)?;
         Ok(SophieOpcm {
             sophie,
             backend,
             health: None,
-            pinned: None,
-            engine: Mutex::new(None),
+            engines: Engines::Cached(transforms),
         })
     }
 
-    /// Pins a pre-built engine instead of building one lazily: jobs must
-    /// use a graph of the engine's dimension. This is how sweeps that vary
-    /// only the backend (fault seeds, ADC resolution) share one transform.
+    /// Pins a pre-built engine: jobs must use a graph of the engine's
+    /// dimension. This is how sweeps that vary only the backend (fault
+    /// seeds, ADC resolution) share one transform.
     ///
     /// # Errors
     ///
@@ -75,8 +87,7 @@ impl SophieOpcm {
             sophie: engine.config().clone(),
             backend,
             health: None,
-            pinned: Some(engine),
-            engine: Mutex::new(None),
+            engines: Engines::Pinned(engine),
         })
     }
 
@@ -105,28 +116,17 @@ impl SophieOpcm {
     }
 
     fn engine_for(&self, graph: &Arc<Graph>) -> Result<Arc<SophieSolver>, SolveError> {
-        if let Some(pinned) = &self.pinned {
-            return Ok(Arc::clone(pinned));
-        }
-        let mut slot = self.engine.lock().expect("engine cache lock");
-        if let Some((cached_graph, engine)) = slot.as_ref() {
-            if cached_graph
-                .upgrade()
-                .is_some_and(|g| Arc::ptr_eq(&g, graph))
-            {
-                return Ok(Arc::clone(engine));
+        match &self.engines {
+            Engines::Pinned(engine) => Ok(Arc::clone(engine)),
+            Engines::Cached(transforms) => {
+                SophieSolver::from_cache(transforms, graph, self.sophie.clone())
+                    .map(Arc::new)
+                    .map_err(|e| SolveError::Failed {
+                        solver: "sophie-opcm".to_string(),
+                        message: e.to_string(),
+                    })
             }
         }
-        let engine = Arc::new(
-            SophieSolver::from_graph(graph, self.sophie.clone()).map_err(|e| {
-                SolveError::Failed {
-                    solver: "sophie-opcm".to_string(),
-                    message: e.to_string(),
-                }
-            })?,
-        );
-        *slot = Some((Arc::downgrade(graph), Arc::clone(&engine)));
-        Ok(engine)
     }
 }
 
@@ -186,7 +186,7 @@ mod tests {
             .run_with_backend_observed(&OpcmBackend::new(hw), &g, 7, Some(100.0), &mut legacy)
             .unwrap();
 
-        let solver = SophieOpcm::new(cfg, hw).unwrap();
+        let solver = SophieOpcm::new(cfg, hw, Arc::default()).unwrap();
         let mut modern = EventLog::new();
         let job = SolveJob::new(Arc::clone(&g), 7).with_target(Some(100.0));
         let report = solver.solve(&job, &mut modern).unwrap();
@@ -212,7 +212,7 @@ mod tests {
             .run_fault_aware(&OpcmBackend::new(hw), &g, 5, None, &health, &mut legacy)
             .unwrap();
 
-        let solver = SophieOpcm::new(cfg, hw)
+        let solver = SophieOpcm::new(cfg, hw, Arc::default())
             .unwrap()
             .with_health(health)
             .unwrap();
@@ -226,7 +226,7 @@ mod tests {
     }
 
     #[test]
-    fn from_engine_shares_the_transform_and_matches_lazy_build() {
+    fn transform_cache_serves_cached_engines_like_a_pinned_one() {
         let g = Arc::new(complete(16, WeightDist::Unit, 1).unwrap());
         let cfg = SophieConfig {
             tile_size: 8,
@@ -235,20 +235,24 @@ mod tests {
         };
         let engine = Arc::new(SophieSolver::from_graph(&g, cfg.clone()).unwrap());
         let hw = OpcmBackendConfig::default();
+        let transforms = Arc::new(TransformCache::default());
 
         let pinned = SophieOpcm::from_engine(Arc::clone(&engine), hw).unwrap();
-        let lazy = SophieOpcm::new(cfg, hw).unwrap();
+        let cached = SophieOpcm::new(cfg, hw, Arc::clone(&transforms)).unwrap();
 
         let job = SolveJob::new(Arc::clone(&g), 2);
         let mut a = EventLog::new();
         let mut b = EventLog::new();
+        let mut c = EventLog::new();
         pinned.solve(&job, &mut a).unwrap();
-        lazy.solve(&job, &mut b).unwrap();
+        cached.solve(&job, &mut b).unwrap();
+        cached.solve(&job, &mut c).unwrap();
         assert_eq!(a.events(), b.events());
-        assert_eq!(
-            Arc::as_ptr(&pinned.engine_for(&g).unwrap()),
-            Arc::as_ptr(&engine)
-        );
+        assert_eq!(b.events(), c.events());
+        assert!(Arc::ptr_eq(&pinned.engine_for(&g).unwrap(), &engine));
+        // The second cached job reused the first one's preprocessing.
+        let stats = transforms.stats();
+        assert_eq!((stats.entries, stats.hits, stats.misses), (1, 1, 1));
     }
 
     #[test]
@@ -257,6 +261,6 @@ mod tests {
             adc_bits: 1,
             ..OpcmBackendConfig::default()
         };
-        assert!(SophieOpcm::new(small_config(), bad).is_err());
+        assert!(SophieOpcm::new(small_config(), bad, Arc::default()).is_err());
     }
 }

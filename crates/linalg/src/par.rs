@@ -24,10 +24,11 @@
 //!   per-pair parallelism.
 //! * **Thread count is policy, not topology.** `SOPHIE_THREADS` is read at
 //!   every call, so a single process can observe different settings (the
-//!   determinism tests rely on this). The pool lazily grows to the largest
-//!   concurrency ever requested and parks surplus workers; correctness
-//!   never depends on the count because callers are required to make task
-//!   results independent of execution order.
+//!   determinism tests rely on this); only the hardware fallback is read
+//!   once per process. The pool lazily grows to the largest concurrency
+//!   ever requested and parks surplus workers; correctness never depends
+//!   on the count because callers are required to make task results
+//!   independent of execution order.
 //! * **Panics propagate.** A panicking task poisons the job; the posting
 //!   thread re-panics after the job drains, and the pool stays usable.
 //! * **Observation happens off the pool.** Solver instrumentation
@@ -54,19 +55,24 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 ///
 /// Capped by available hardware parallelism and by `items` itself, and at
 /// least 1. Honors the `SOPHIE_THREADS` environment variable when set, which
-/// keeps experiment runs reproducible on shared machines. Results of the
-/// helpers in this module never depend on the value — only wall-clock time
-/// does.
+/// keeps experiment runs reproducible on shared machines; it is read on
+/// every call, while the hardware fallback is read once per process
+/// (`available_parallelism` reads the cgroup CPU quota, 20–30 µs per call
+/// on a 2-vCPU Linux VM). Results of the helpers in this module never
+/// depend on the value — only wall-clock time does.
 #[must_use]
 pub fn worker_count(items: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
     let hw = std::env::var("SOPHIE_THREADS")
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
         .filter(|&n| n > 0)
         .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
+            *CORES.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(NonZeroUsize::get)
+                    .unwrap_or(1)
+            })
         });
     hw.min(items).max(1)
 }
@@ -229,8 +235,7 @@ where
     if tasks == 0 {
         return;
     }
-    // A single task skips `worker_count`: without `SOPHIE_THREADS` that
-    // reads the cgroup CPU quota, about 14 µs on a Linux VM.
+    // A single task skips `worker_count` and its environment read.
     let threads = if tasks == 1 { 1 } else { worker_count(tasks) };
     if threads <= 1 || IN_POOL_TASK.with(std::cell::Cell::get) {
         for i in 0..tasks {
@@ -421,6 +426,20 @@ mod tests {
         assert_eq!(worker_count(1), 1);
         assert!(worker_count(1000) >= 1);
         assert!(worker_count(3) <= 3);
+    }
+
+    #[test]
+    fn sophie_threads_is_read_on_every_call() {
+        let saved = std::env::var("SOPHIE_THREADS").ok();
+        std::env::set_var("SOPHIE_THREADS", "3");
+        let three = worker_count(100);
+        std::env::set_var("SOPHIE_THREADS", "5");
+        let five = worker_count(100);
+        match saved {
+            Some(v) => std::env::set_var("SOPHIE_THREADS", v),
+            None => std::env::remove_var("SOPHIE_THREADS"),
+        }
+        assert_eq!((three, five), (3, 5));
     }
 
     #[test]

@@ -17,7 +17,15 @@
 //!   Gershgorin circle theorem and keeps the knob's documented behaviour;
 //! * [`DeltaVariant::SortedPerNode`] — pairs the ascending eigenvalues with
 //!   the ascending per-node sums, preserving the per-node scale.
+//!
+//! [`TransformCache`] keeps computed transforms by graph content and `α`,
+//! so solvers built per request share one preprocessing per instance.
 
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex};
+
+use sophie_graph::coupling::{coupling_matrix, delta_diagonal};
+use sophie_graph::Graph;
 use sophie_linalg::eigen::{symmetric_eigen, SymmetricEigen};
 use sophie_linalg::Matrix;
 
@@ -144,11 +152,162 @@ pub fn transformation_matrix(
     Preprocessor::new(k, delta, variant)?.transform(alpha)
 }
 
+/// Byte budget of a [`TransformCache`]: two G22-sized entries (n = 2000,
+/// 32 MB of `C` each) fit.
+const TRANSFORM_CACHE_BYTES: usize = 64 << 20;
+
+/// Bounded cache of dropout transforms `C`, keyed on graph content and `α`:
+/// the software form of programming the couplings once and amortizing
+/// them over a batch of jobs (paper §III-E).
+///
+/// A slot is selected by an FNV-1a digest of the graph's edges and `α`.
+/// A hit also requires the stored graph to equal the job's (`Arc` identity
+/// or `==`) at the same `α` bits, so a digest collision on untrusted input
+/// costs a miss, never a wrong `C`. Entries are evicted first in, first
+/// out once their bytes (`C` plus the graph's arrays) would pass 64 MiB; a
+/// transform larger than that serves its own job and is not kept.
+///
+/// The lock is held for lookup and insert only, never while decomposing:
+/// concurrent misses on one key each compute the same bits, and the first
+/// insert stays.
+#[derive(Debug)]
+pub struct TransformCache {
+    budget: usize,
+    inner: Mutex<CacheInner>,
+}
+
+#[derive(Debug, Default)]
+struct CacheInner {
+    slots: HashMap<u64, CacheEntry>,
+    /// Digests in insertion order.
+    order: VecDeque<u64>,
+    bytes: usize,
+    hits: u64,
+    misses: u64,
+}
+
+#[derive(Debug)]
+struct CacheEntry {
+    graph: Arc<Graph>,
+    alpha_bits: u64,
+    c: Arc<Matrix>,
+    bytes: usize,
+}
+
+/// A [`TransformCache`]'s counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Transforms held.
+    pub entries: usize,
+    /// Lookups served from the cache.
+    pub hits: u64,
+    /// Lookups that computed their transform.
+    pub misses: u64,
+}
+
+impl Default for TransformCache {
+    fn default() -> Self {
+        TransformCache {
+            budget: TRANSFORM_CACHE_BYTES,
+            inner: Mutex::default(),
+        }
+    }
+}
+
+impl TransformCache {
+    /// The transform of `graph` at `alpha` under the Gershgorin shift, as
+    /// [`transformation_matrix`] computes it from the graph's coupling
+    /// matrix: served from the cache, or computed and kept.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`transformation_matrix`].
+    pub fn transform(&self, graph: &Arc<Graph>, alpha: f64) -> Result<Arc<Matrix>> {
+        let digest = digest(graph, alpha);
+        {
+            let mut inner = self.inner.lock().expect("transform cache lock");
+            let hit = inner
+                .slots
+                .get(&digest)
+                .filter(|e| {
+                    e.alpha_bits == alpha.to_bits()
+                        && (Arc::ptr_eq(&e.graph, graph) || *e.graph == **graph)
+                })
+                .map(|e| Arc::clone(&e.c));
+            if let Some(c) = hit {
+                inner.hits += 1;
+                return Ok(c);
+            }
+            inner.misses += 1;
+        }
+        let c = Arc::new(transformation_matrix(
+            &coupling_matrix(graph),
+            delta_diagonal(graph),
+            alpha,
+            DeltaVariant::Gershgorin,
+        )?);
+        let bytes = c.rows() * c.cols() * std::mem::size_of::<f64>() + graph.heap_bytes();
+        if bytes <= self.budget {
+            let mut inner = self.inner.lock().expect("transform cache lock");
+            if !inner.slots.contains_key(&digest) {
+                while inner.bytes + bytes > self.budget {
+                    let oldest = inner.order.pop_front().expect("bytes are held by entries");
+                    let evicted = inner.slots.remove(&oldest).expect("ordered slot exists");
+                    inner.bytes -= evicted.bytes;
+                }
+                inner.order.push_back(digest);
+                inner.bytes += bytes;
+                let entry = CacheEntry {
+                    graph: Arc::clone(graph),
+                    alpha_bits: alpha.to_bits(),
+                    c: Arc::clone(&c),
+                    bytes,
+                };
+                inner.slots.insert(digest, entry);
+            }
+        }
+        Ok(c)
+    }
+
+    /// Entries held and lookups served so far.
+    #[must_use]
+    pub fn stats(&self) -> CacheStats {
+        let inner = self.inner.lock().expect("transform cache lock");
+        CacheStats {
+            entries: inner.slots.len(),
+            hits: inner.hits,
+            misses: inner.misses,
+        }
+    }
+}
+
+/// FNV-1a over 64-bit words of the node count, each edge's endpoints and
+/// weight bits, then `α`'s bits. The state rotates after each product, so
+/// high input bits (a weight's sign) reach every digest bit; byte-wise
+/// FNV-1a costs six times as long on K512. The digest only picks a slot: a
+/// hit is confirmed by comparing the graphs.
+fn digest(graph: &Graph, alpha: f64) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |word: u64| {
+        h = (h ^ word)
+            .wrapping_mul(0x0000_0100_0000_01b3)
+            .rotate_left(29);
+    };
+    eat(graph.num_nodes() as u64);
+    for e in graph.edges() {
+        eat(e.u as u64);
+        eat(e.v as u64);
+        eat(e.w.to_bits());
+    }
+    eat(alpha.to_bits());
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sophie_graph::coupling::{coupling_matrix, delta_diagonal};
     use sophie_graph::generate::{complete, WeightDist};
+    use sophie_graph::GraphBuilder;
 
     fn setup(n: usize, seed: u64) -> (Matrix, Vec<f64>) {
         let g = complete(n, WeightDist::PlusMinusOne, seed).unwrap();
@@ -243,6 +402,115 @@ mod tests {
         let c = transformation_matrix(&k, d, 0.5, DeltaVariant::SortedPerNode).unwrap();
         let eig = sophie_linalg::eigen::symmetric_eigen(&c).unwrap();
         assert!(eig.values[0] > -1e-9);
+    }
+
+    fn k_graph(n: usize, seed: u64) -> Arc<Graph> {
+        Arc::new(complete(n, WeightDist::PlusMinusOne, seed).unwrap())
+    }
+
+    fn bits(c: &Matrix) -> Vec<u64> {
+        c.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Cache bytes of one transform of `g`.
+    fn entry_bytes(g: &Graph) -> usize {
+        g.num_nodes() * g.num_nodes() * 8 + g.heap_bytes()
+    }
+
+    fn stats(entries: usize, hits: u64, misses: u64) -> CacheStats {
+        CacheStats {
+            entries,
+            hits,
+            misses,
+        }
+    }
+
+    #[test]
+    fn transform_cache_hits_an_equal_graph_in_another_arc() {
+        let cache = TransformCache::default();
+        let (a, b) = (k_graph(12, 3), k_graph(12, 3));
+        assert!(!Arc::ptr_eq(&a, &b));
+        let first = cache.transform(&a, 0.2).unwrap();
+        let second = cache.transform(&b, 0.2).unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(cache.stats(), stats(1, 1, 1));
+        let direct = transformation_matrix(
+            &coupling_matrix(&a),
+            delta_diagonal(&a),
+            0.2,
+            DeltaVariant::Gershgorin,
+        )
+        .unwrap();
+        assert_eq!(bits(&first), bits(&direct));
+    }
+
+    #[test]
+    fn transform_cache_misses_on_another_alpha_or_edge_weight() {
+        let cache = TransformCache::default();
+        let g = k_graph(10, 5);
+        cache.transform(&g, 0.0).unwrap();
+        cache.transform(&g, 0.5).unwrap();
+        let mut b = GraphBuilder::new(g.num_nodes());
+        for (i, e) in g.edges().enumerate() {
+            b.add_edge(e.u, e.v, if i == 7 { -e.w } else { e.w })
+                .unwrap();
+        }
+        let reweighted = Arc::new(b.build().unwrap());
+        let c = cache.transform(&reweighted, 0.0).unwrap();
+        assert_eq!(cache.stats(), stats(3, 0, 3));
+        assert_ne!(bits(&c), bits(&cache.transform(&g, 0.0).unwrap()));
+        assert_eq!(cache.stats(), stats(3, 1, 3));
+    }
+
+    #[test]
+    fn transform_cache_evicts_first_in_first_out_at_the_byte_budget() {
+        let graphs: Vec<Arc<Graph>> = (1..=3).map(|seed| k_graph(10, seed)).collect();
+        let cache = TransformCache {
+            budget: 2 * entry_bytes(&graphs[0]),
+            inner: Mutex::default(),
+        };
+        for g in &graphs {
+            cache.transform(g, 0.0).unwrap();
+        }
+        // The third insert evicted the first graph's transform.
+        assert_eq!(cache.stats(), stats(2, 0, 3));
+        cache.transform(&graphs[2], 0.0).unwrap();
+        cache.transform(&graphs[1], 0.0).unwrap();
+        assert_eq!(cache.stats(), stats(2, 2, 3));
+        cache.transform(&graphs[0], 0.0).unwrap();
+        assert_eq!(cache.stats(), stats(2, 2, 4));
+        // Re-inserting the first evicted the second, the oldest entry.
+        cache.transform(&graphs[1], 0.0).unwrap();
+        assert_eq!(cache.stats(), stats(2, 2, 5));
+    }
+
+    #[test]
+    fn transform_cache_serves_but_does_not_keep_an_entry_over_the_budget() {
+        let g = k_graph(10, 1);
+        let cache = TransformCache {
+            budget: entry_bytes(&g) - 1,
+            inner: Mutex::default(),
+        };
+        let first = cache.transform(&g, 0.0).unwrap();
+        let second = cache.transform(&g, 0.0).unwrap();
+        assert_eq!(bits(&first), bits(&second));
+        assert_eq!(cache.stats(), stats(0, 0, 2));
+    }
+
+    #[test]
+    fn transform_cache_gives_concurrent_lookups_bit_equal_transforms() {
+        let cache = TransformCache::default();
+        let graphs = [k_graph(40, 9), k_graph(40, 9)];
+        let results: Vec<Arc<Matrix>> = std::thread::scope(|s| {
+            let handles: Vec<_> = graphs
+                .iter()
+                .map(|g| s.spawn(|| cache.transform(g, 0.4).unwrap()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(bits(&results[0]), bits(&results[1]));
+        let s = cache.stats();
+        assert_eq!((s.entries, s.hits + s.misses), (1, 2));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!
 //! Pipeline:
 //!
-//! 1. [`dropout`] — eigenvalue dropout `C = U·Sq_α(D)·Uᵀ` (Eq. 2–4);
+//! 1. [`dropout`] — eigenvalue dropout `C = U·Sq_α(D)·Uᵀ` (Eq. 2–4), and
+//!    the [`TransformCache`] that solvers share across jobs;
 //! 2. [`sampler`] — the recurrence `X = C·S + η`, `S' = [X ≥ θ]` (Eq. 5–7);
 //! 3. [`runner`] — end-to-end max-cut runs with [`convergence`] tracking.
 //!
@@ -41,7 +42,7 @@ mod solver;
 pub mod tuning;
 
 pub use convergence::CutTracker;
-pub use dropout::{DeltaVariant, Preprocessor};
+pub use dropout::{CacheStats, DeltaVariant, Preprocessor, TransformCache};
 pub use error::{PrisError, Result};
 pub use runner::{RunConfig, RunOutcome};
 pub use sampler::PrisModel;

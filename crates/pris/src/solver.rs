@@ -1,12 +1,13 @@
 //! [`Solver`] trait impl for the PRIS reference sampler.
 
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::Arc;
 
-use sophie_graph::Graph;
+use sophie_linalg::Matrix;
 use sophie_solve::{
     Capabilities, SolveError, SolveJob, SolveObserver, SolveReport, Solver, Tee, TraceRecorder,
 };
 
+use crate::dropout::TransformCache;
 use crate::runner::{run_controlled, RunConfig};
 use crate::sampler::PrisModel;
 
@@ -36,53 +37,26 @@ impl Default for PrisJobConfig {
 }
 
 /// Registry-constructible PRIS solver: wraps a [`PrisJobConfig`] and
-/// builds the sampler model (an eigendecomposition of the transformed
-/// coupling matrix) lazily per graph, caching the last one by `Arc`
-/// identity exactly like the engine adapters.
+/// builds each job's sampler model from the dropout transform in a shared
+/// [`TransformCache`], so jobs on a graph the cache holds skip the
+/// eigendecomposition.
 #[derive(Debug)]
 pub struct PrisSolver {
     config: PrisJobConfig,
-    model: Mutex<Option<(Weak<Graph>, Arc<PrisModel>)>>,
+    transforms: Arc<TransformCache>,
 }
 
 impl PrisSolver {
-    /// Wraps the config; no model is built yet.
+    /// Wraps the config; transforms come from (and go to) `transforms`.
     #[must_use]
-    pub fn new(config: PrisJobConfig) -> Self {
-        PrisSolver {
-            config,
-            model: Mutex::new(None),
-        }
+    pub fn new(config: PrisJobConfig, transforms: Arc<TransformCache>) -> Self {
+        PrisSolver { config, transforms }
     }
 
     /// The wrapped configuration.
     #[must_use]
     pub fn config(&self) -> &PrisJobConfig {
         &self.config
-    }
-
-    fn model_for(&self, graph: &Arc<Graph>) -> Result<Arc<PrisModel>, SolveError> {
-        let mut slot = self.model.lock().expect("model cache lock");
-        if let Some((cached_graph, model)) = slot.as_ref() {
-            if cached_graph
-                .upgrade()
-                .is_some_and(|g| Arc::ptr_eq(&g, graph))
-            {
-                return Ok(Arc::clone(model));
-            }
-        }
-        let k = sophie_graph::coupling::coupling_matrix(graph);
-        let delta = sophie_graph::coupling::delta_diagonal(graph);
-        let c = crate::dropout::transformation_matrix(
-            &k,
-            delta,
-            self.config.alpha,
-            crate::dropout::DeltaVariant::Gershgorin,
-        )
-        .map_err(failed)?;
-        let model = Arc::new(PrisModel::new(c).map_err(failed)?);
-        *slot = Some((Arc::downgrade(graph), Arc::clone(&model)));
-        Ok(model)
     }
 }
 
@@ -107,7 +81,11 @@ impl Solver for PrisSolver {
         job: &SolveJob,
         observer: &mut dyn SolveObserver,
     ) -> Result<SolveReport, SolveError> {
-        let model = self.model_for(&job.graph)?;
+        let c = self
+            .transforms
+            .transform(&job.graph, self.config.alpha)
+            .map_err(failed)?;
+        let model = PrisModel::new(Matrix::clone(&c)).map_err(failed)?;
         let run = RunConfig {
             iterations: job.budget.cap(self.config.iterations),
             phi: self.config.phi,
@@ -132,7 +110,7 @@ impl Solver for PrisSolver {
 mod tests {
     use super::*;
     use sophie_graph::generate::{gnm, WeightDist};
-    use sophie_solve::EventLog;
+    use sophie_solve::{EventLog, NullObserver};
 
     #[test]
     fn trait_solve_matches_legacy_run_observed_exactly() {
@@ -162,7 +140,7 @@ mod tests {
         let mut legacy = EventLog::new();
         let outcome = crate::runner::run_observed(&model, &g, &run, &mut legacy).unwrap();
 
-        let solver = PrisSolver::new(config);
+        let solver = PrisSolver::new(config, Arc::default());
         let mut modern = EventLog::new();
         let job = SolveJob::new(Arc::clone(&g), 9).with_target(Some(50.0));
         let report = solver.solve(&job, &mut modern).unwrap();
@@ -175,14 +153,19 @@ mod tests {
     }
 
     #[test]
-    fn model_is_cached_per_graph() {
+    fn transform_cache_serves_the_second_job_on_a_graph() {
         let g = Arc::new(gnm(20, 60, WeightDist::Unit, 1).unwrap());
-        let solver = PrisSolver::new(PrisJobConfig {
+        let transforms = Arc::new(TransformCache::default());
+        let config = PrisJobConfig {
             iterations: 5,
             ..PrisJobConfig::default()
-        });
-        let a = Arc::as_ptr(&solver.model_for(&g).unwrap());
-        let b = Arc::as_ptr(&solver.model_for(&g).unwrap());
-        assert_eq!(a, b);
+        };
+        let solver = PrisSolver::new(config, Arc::clone(&transforms));
+        let job = SolveJob::new(g, 1);
+        let first = solver.solve(&job, &mut NullObserver).unwrap();
+        let second = solver.solve(&job, &mut NullObserver).unwrap();
+        assert_eq!(first, second);
+        let stats = transforms.stats();
+        assert_eq!((stats.entries, stats.hits, stats.misses), (1, 1, 1));
     }
 }

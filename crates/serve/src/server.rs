@@ -85,8 +85,9 @@ struct Shared {
     /// Cancel tokens of jobs currently executing, keyed by a worker-side
     /// serial; shutdown cancels them all.
     active: Mutex<HashMap<u64, CancelToken>>,
-    /// Named-instance cache: `Arc` identity makes the engine adapters'
-    /// per-graph caches hit across jobs.
+    /// Named-instance cache: each name is generated once per daemon, and
+    /// its shared `Arc` lets the registry's transform cache confirm hits
+    /// by identity instead of comparing edges.
     graphs: Mutex<BTreeMap<String, Arc<Graph>>>,
     /// Live connections, swept and joined by the supervisor at teardown.
     conns: ConnTracker,
@@ -398,13 +399,7 @@ fn resolve_graph(shared: &Shared, spec: &GraphSpec) -> Result<Arc<Graph>> {
                     let n: usize = k[1..].parse().map_err(|_| ServeError::Protocol {
                         message: format!("unknown named instance {name:?}"),
                     })?;
-                    if n > shared.config.max_instance_nodes {
-                        return Err(ServeError::Graph(sophie_graph::GraphError::Oversized {
-                            what: "nodes",
-                            got: n,
-                            limit: shared.config.max_instance_nodes,
-                        }));
-                    }
+                    check_complete_size(&shared.config, n)?;
                     presets::k_graph(n, 1)?
                 }
                 _ => {
@@ -422,6 +417,25 @@ fn resolve_graph(shared: &Shared, spec: &GraphSpec) -> Result<Arc<Graph>> {
             Ok(graph)
         }
     }
+}
+
+/// Rejects a named `K<n>` past the node or edge limits inline graphs
+/// obey, before anything is generated.
+fn check_complete_size(config: &ServeConfig, n: usize) -> Result<()> {
+    let edges = n.saturating_mul(n.saturating_sub(1)) / 2;
+    for (what, got, limit) in [
+        ("nodes", n, config.max_instance_nodes),
+        ("edges", edges, config.max_instance_edges),
+    ] {
+        if got > limit {
+            return Err(ServeError::Graph(sophie_graph::GraphError::Oversized {
+                what,
+                got,
+                limit,
+            }));
+        }
+    }
+    Ok(())
 }
 
 fn solvers_frame(shared: &Shared) -> String {

@@ -338,3 +338,32 @@ fn problem_submits_return_decoded_metrics() {
 
     server.shutdown();
 }
+
+#[test]
+fn named_complete_graphs_obey_the_edge_cap() {
+    let server = start_server(8, 1);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    // K4096 is within the node cap (4096) but has ~8.4 M edges, above the
+    // default edge cap (1 M): rejected before anything is generated.
+    let mut huge = SubmitArgs::new("sa", GraphSpec::Named("K4096".into()));
+    huge.config_json = Some(r#"{"sweeps": 1}"#.into());
+    let err = client.submit("huge", &huge).expect("submit huge");
+    assert_eq!(err.get("type").and_then(Json::as_str), Some("error"));
+    let message = err.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("edges"), "{message}");
+
+    let mut k512 = SubmitArgs::new("sa", GraphSpec::Named("K512".into()));
+    k512.config_json = Some(r#"{"sweeps": 1}"#.into());
+    let admission = client.submit("k512", &k512).expect("submit K512");
+    assert_eq!(
+        admission.get("type").and_then(Json::as_str),
+        Some("accepted")
+    );
+    assert_eq!(
+        client.wait_result("k512").expect("K512 result").status,
+        "done"
+    );
+
+    server.shutdown();
+}

@@ -7,8 +7,11 @@
 # The first four steps are the ROADMAP tier-1 contract; the full gate
 # additionally runs every crate's unit, property, and compat-shim tests
 # (called out below: the fault-injection/recovery and determinism suites),
-# lints and tests the standalone benchmark package and runs its sim-g1
-# workload (seed-0 golden digests), builds the examples, denies rustdoc
+# the transform-cache tests (one shared dropout transform per graph and
+# alpha), lints and tests the standalone benchmark package and runs its
+# sim-g1 workload (seed-0 golden digests) and its serve-sophie-k512
+# workload (every served K512 report, cache hits included, byte-compared
+# with a cold in-process solve), builds the examples, denies rustdoc
 # warnings, and smoke-runs the
 # `repro` binary (the solver-registry listing, bench-summary with a
 # sparse-suite/speedup gate, the kernel autotune smoke with its 1.3x
@@ -88,6 +91,7 @@ if [[ "$quick" -eq 0 ]]; then
     # thread-count bit-determinism of the fault/recovery event streams.
     run cargo test -q -p sophie-hw --test fault_injection --test fault_recovery --test command_queue
     run cargo test -q -p sophie --test fault_determinism --test thread_determinism --test kernel_determinism --test eigen_determinism --test engine_golden
+    run cargo test -q -p sophie-pris -p sophie-core -p sophie-hw -p sophie --lib transform_cache
     # The benchmark package is its own Cargo workspace (see BENCHMARK.json),
     # so the workspace-wide lint and test sweeps above never reach it.
     run cargo clippy --release --all-targets --manifest-path benchmark/Cargo.toml -- -D warnings
@@ -95,6 +99,10 @@ if [[ "$quick" -eq 0 ]]; then
     # End-to-end golden: sim-g1 checks the digests of its seed-0 jobs
     # against benchmark/golden-sim-g1.txt and exits non-zero on a mismatch.
     run cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --workload sim-g1
+    # Served bytes: every K512 report the daemon sent, including those whose
+    # preprocessing came from its transform cache, must equal a cold
+    # in-process solve; the run exits non-zero otherwise.
+    run cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --workload serve-sophie-k512
     run cargo build --release --examples
     echo "==> RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace"
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

@@ -32,32 +32,47 @@
 //! # }
 //! ```
 
+use std::sync::Arc;
+
 use sophie_baselines::{
     BlsConfig, BlsSolver, PtConfig, PtSolver, SaConfig, SaSolver, SbConfig, SbSolver,
 };
 use sophie_core::{SophieConfig, SophieIsing};
 use sophie_hw::{OpcmBackendConfig, SophieOpcm};
-use sophie_pris::{PrisJobConfig, PrisSolver};
+use sophie_pris::{PrisJobConfig, PrisSolver, TransformCache};
 use sophie_solve::SolverRegistry;
 
 /// Builds a registry with every solver in the workspace registered.
+///
+/// `sophie`, `sophie-opcm` and `pris` share one [`TransformCache`] that
+/// lives as long as the registry: every solver built from it reuses the
+/// eigenvalue-dropout preprocessing of a graph (and `α`) any of them has
+/// seen, as a daemon serving one registry does across requests.
 #[must_use]
 pub fn default_registry() -> SolverRegistry {
+    registry_sharing(Arc::default())
+}
+
+fn registry_sharing(transforms: Arc<TransformCache>) -> SolverRegistry {
     let mut reg = SolverRegistry::new();
+    let shared = Arc::clone(&transforms);
     reg.register(
         "sophie",
         "SOPHIE tiled recurrent Ising engine on the exact floating-point backend",
-        |c: &SophieConfig| SophieIsing::new(c.clone()),
+        move |c: &SophieConfig| SophieIsing::new(c.clone(), Arc::clone(&shared)),
     );
+    let shared = Arc::clone(&transforms);
     reg.register(
         "sophie-opcm",
         "SOPHIE tiled engine on the OPCM device models (quantization, read noise, ADC, faults)",
-        |c: &(SophieConfig, OpcmBackendConfig)| SophieOpcm::new(c.0.clone(), c.1),
+        move |c: &(SophieConfig, OpcmBackendConfig)| {
+            SophieOpcm::new(c.0.clone(), c.1, Arc::clone(&shared))
+        },
     );
     reg.register(
         "pris",
         "unmodified photonic recurrent Ising sampler (software baseline)",
-        |c: &PrisJobConfig| Ok(PrisSolver::new(*c)),
+        move |c: &PrisJobConfig| Ok(PrisSolver::new(*c, Arc::clone(&transforms))),
     );
     reg.register(
         "sa",
@@ -124,6 +139,43 @@ mod tests {
         assert!(reg.build("bls", &BlsConfig::default()).is_ok());
         // And the wrong type is a typed error, not a panic.
         assert!(reg.build("sa", &SbConfig::default()).is_err());
+    }
+
+    #[test]
+    fn transform_cache_is_shared_by_the_engine_adapters() {
+        use sophie_graph::generate::{complete, WeightDist};
+        use sophie_solve::{NullObserver, SolveJob};
+
+        let transforms = Arc::new(TransformCache::default());
+        let reg = registry_sharing(Arc::clone(&transforms));
+        let sophie = SophieConfig {
+            tile_size: 8,
+            global_iters: 5,
+            alpha: 0.25,
+            ..SophieConfig::default()
+        };
+        let solvers = [
+            reg.build("sophie", &sophie).unwrap(),
+            reg.build("sophie-opcm", &(sophie, OpcmBackendConfig::default()))
+                .unwrap(),
+            reg.build(
+                "pris",
+                &PrisJobConfig {
+                    alpha: 0.25,
+                    iterations: 5,
+                    ..PrisJobConfig::default()
+                },
+            )
+            .unwrap(),
+        ];
+        for solver in &solvers {
+            let graph = Arc::new(complete(20, WeightDist::PlusMinusOne, 4).unwrap());
+            solver
+                .solve(&SolveJob::new(graph, 1), &mut NullObserver)
+                .unwrap();
+        }
+        let stats = transforms.stats();
+        assert_eq!((stats.entries, stats.hits, stats.misses), (1, 2, 1));
     }
 
     #[test]

@@ -120,7 +120,7 @@ fn trait_object_fault_aware_stream_matches_legacy_across_thread_counts() {
         ..OpcmBackendConfig::default()
     };
     let opcm: Arc<dyn Solver> = Arc::new(
-        SophieOpcm::new(solver.config().clone(), backend_config)
+        SophieOpcm::new(solver.config().clone(), backend_config, Arc::default())
             .unwrap()
             .with_health(health)
             .unwrap(),
