@@ -1,11 +1,11 @@
 //! Shared event-emission plumbing for the baseline solvers.
 //!
-//! Every baseline exposes a `*_observed` variant that streams
-//! [`sophie_solve::SolveEvent`]s at its natural iteration granularity
-//! (sweeps, integration steps, exchange rounds, or perturbation rounds).
-//! The events never touch a solver's RNG path, so the plain entry points
-//! delegate to the observed ones with a
-//! [`NullObserver`](sophie_solve::NullObserver) and stay bit-identical.
+//! Every baseline loop streams [`sophie_solve::SolveEvent`]s at its
+//! natural iteration granularity (sweeps, integration steps, exchange
+//! rounds, or perturbation rounds). The events never touch a solver's RNG
+//! path, so the plain functions (which attach a
+//! [`NullObserver`](sophie_solve::NullObserver)) and the `Solver` adapters
+//! produce bit-identical outcomes.
 
 use sophie_solve::{OpCounts, SolveEvent, SolveObserver};
 
@@ -109,8 +109,13 @@ impl BaselineEvents {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use sophie_graph::cut::spins_to_binary;
     use sophie_graph::generate::{gnm, WeightDist};
-    use sophie_solve::{SolveReport, TraceRecorder};
+    use sophie_solve::{NullObserver, SolveJob, SolveReport, Solver};
+
+    use crate::{BlsSolver, PtSolver, SaSolver, SbSolver};
 
     /// Every observed baseline must (a) leave the plain outcome
     /// bit-identical and (b) produce a well-formed report: one cut per
@@ -130,52 +135,45 @@ mod tests {
 
     #[test]
     fn observed_variants_match_plain_and_emit_reports() {
-        let g = gnm(40, 160, WeightDist::Unit, 5).unwrap();
-        let easy_target = Some(1.0);
+        let g = Arc::new(gnm(40, 160, WeightDist::Unit, 5).unwrap());
+        // The configs' seed is 0, so a job with seed 0 replays the plain run.
+        let job = SolveJob::new(Arc::clone(&g), 0).with_target(Some(1.0));
+        let solve = |solver: &dyn Solver| solver.solve(&job, &mut NullObserver).unwrap();
 
         let sa_cfg = crate::sa::SaConfig {
             sweeps: 30,
             ..Default::default()
         };
         let plain = crate::sa::anneal(&g, &sa_cfg);
-        let mut rec = TraceRecorder::new();
-        let obs = crate::sa::anneal_observed(&g, &sa_cfg, easy_target, &mut rec);
-        assert_eq!(plain.best_cut, obs.best_cut);
-        assert_eq!(plain.best_spins, obs.best_spins);
-        assert_eq!(plain.attempts, obs.attempts);
-        check_report(&rec.report(), "sa", 30, plain.best_cut);
+        let report = solve(&SaSolver::new(sa_cfg).unwrap());
+        assert_eq!(report.best_bits, spins_to_binary(&plain.best_spins));
+        check_report(&report, "sa", 30, plain.best_cut);
 
         let sb_cfg = crate::sb::SbConfig {
             steps: 40,
             ..Default::default()
         };
         let plain = crate::sb::bifurcate(&g, &sb_cfg);
-        let mut rec = TraceRecorder::new();
-        let obs = crate::sb::bifurcate_observed(&g, &sb_cfg, easy_target, &mut rec);
-        assert_eq!(plain.best_cut, obs.best_cut);
-        assert_eq!(plain.best_spins, obs.best_spins);
-        check_report(&rec.report(), "sb", 40, plain.best_cut);
+        let report = solve(&SbSolver::new(sb_cfg).unwrap());
+        assert_eq!(report.best_bits, spins_to_binary(&plain.best_spins));
+        check_report(&report, "sb", 40, plain.best_cut);
 
         let pt_cfg = crate::tempering::PtConfig {
             exchanges: 10,
             ..Default::default()
         };
         let plain = crate::tempering::temper(&g, &pt_cfg);
-        let mut rec = TraceRecorder::new();
-        let obs = crate::tempering::temper_observed(&g, &pt_cfg, easy_target, &mut rec);
-        assert_eq!(plain.best_cut, obs.best_cut);
-        assert_eq!(plain.swaps_accepted, obs.swaps_accepted);
-        check_report(&rec.report(), "pt", 10, plain.best_cut);
+        let report = solve(&PtSolver::new(pt_cfg).unwrap());
+        assert_eq!(report.best_bits, spins_to_binary(&plain.best_spins));
+        check_report(&report, "pt", 10, plain.best_cut);
 
         let bls_cfg = crate::local_search::BlsConfig {
             rounds: 8,
             ..Default::default()
         };
         let plain = crate::local_search::search(&g, &bls_cfg);
-        let mut rec = TraceRecorder::new();
-        let obs = crate::local_search::search_observed(&g, &bls_cfg, easy_target, &mut rec);
-        assert_eq!(plain.best_cut, obs.best_cut);
-        assert_eq!(plain.moves, obs.moves);
-        check_report(&rec.report(), "bls", 8, plain.best_cut);
+        let report = solve(&BlsSolver::new(bls_cfg).unwrap());
+        assert_eq!(report.best_bits, spins_to_binary(&plain.best_spins));
+        check_report(&report, "bls", 8, plain.best_cut);
     }
 }

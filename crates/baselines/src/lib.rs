@@ -13,14 +13,13 @@
 //! * [`mod@reference`] — the published numbers of INPRIS/PRIS/CIM/BRIM/BLS/
 //!   D-Wave/SB/mBRIM as typed constants with provenance.
 //!
-//! Every solver also has an `*_observed` entry point
-//! ([`sa::anneal_observed`], [`sb::bifurcate_observed`],
-//! [`tempering::temper_observed`], [`local_search::search_observed`]) that
-//! streams `sophie_solve::SolveEvent`s to a `SolveObserver`, so these
-//! baselines and the SOPHIE engine can be compared through one
-//! instrumentation vocabulary — and a [`sophie_solve::Solver`] adapter
-//! ([`SaSolver`], [`SbSolver`], [`PtSolver`], [`BlsSolver`]) so they run
-//! through the shared registry and batch scheduler.
+//! Every solver has one plain function ([`sa::anneal`],
+//! [`sb::bifurcate`], [`tempering::temper`], [`local_search::search`])
+//! returning its typed outcome, and a [`sophie_solve::Solver`] adapter
+//! ([`SaSolver`], [`SbSolver`], [`PtSolver`], [`BlsSolver`]) that streams
+//! `sophie_solve::SolveEvent`s to a `SolveObserver` — so these baselines
+//! and the SOPHIE engine are compared through one instrumentation
+//! vocabulary and run through the shared registry and batch scheduler.
 //!
 //! # Example
 //!

@@ -76,37 +76,26 @@ fn descend(graph: &Graph, spins: &mut [i8], mut cut: f64) -> (f64, u64) {
 /// Panics if `config.rounds == 0`.
 #[must_use]
 pub fn search(graph: &Graph, config: &BlsConfig) -> BlsOutcome {
-    search_observed(graph, config, None, &mut NullObserver)
+    search_controlled(
+        graph,
+        config,
+        None,
+        &RunControl::unrestricted(),
+        &mut NullObserver,
+    )
 }
 
-/// Runs breakout local search like [`search`] while emitting
-/// [`sophie_solve::SolveEvent`]s to `observer`.
+/// The loop behind [`search`] and the `Solver` adapter: emits
+/// [`sophie_solve::SolveEvent`]s to `observer`, polls `control` between
+/// perturbation rounds and winds down early (still emitting `RunFinished`,
+/// with `rounds_run` reflecting the rounds actually executed) when it
+/// requests a stop. The first descent (round 1) always runs.
 ///
 /// One perturbation round (descent to a local optimum, preceded by a
 /// breakout from round 2 on) maps to one event round: its `GlobalSync`
 /// scores the local optimum reached, with `activity` the Hamming distance
 /// to the previous round's optimum. Round 0 scores the initial random
-/// state. The event stream does not perturb the RNG path — [`search`]
-/// delegates here and produces bit-identical outcomes.
-///
-/// # Panics
-///
-/// Panics if `config.rounds == 0`.
-#[must_use]
-pub fn search_observed(
-    graph: &Graph,
-    config: &BlsConfig,
-    target: Option<f64>,
-    observer: &mut dyn SolveObserver,
-) -> BlsOutcome {
-    search_controlled(graph, config, target, &RunControl::unrestricted(), observer)
-}
-
-/// The controllable core of [`search_observed`]: polls `control` between
-/// perturbation rounds and winds down early (still emitting `RunFinished`,
-/// with `rounds_run` reflecting the rounds actually executed) when it
-/// requests a stop. The first descent (round 1) always runs. With an
-/// unrestricted control this is exactly [`search_observed`].
+/// state. The event stream does not perturb the RNG path.
 pub(crate) fn search_controlled(
     graph: &Graph,
     config: &BlsConfig,

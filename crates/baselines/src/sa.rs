@@ -60,39 +60,27 @@ pub struct SaOutcome {
 /// mis-ordered.
 #[must_use]
 pub fn anneal(graph: &Graph, config: &SaConfig) -> SaOutcome {
-    anneal_observed(graph, config, None, &mut NullObserver)
+    anneal_controlled(
+        graph,
+        config,
+        None,
+        &RunControl::unrestricted(),
+        &mut NullObserver,
+    )
 }
 
-/// Runs simulated annealing like [`anneal`] while emitting
-/// [`sophie_solve::SolveEvent`]s to `observer`.
+/// The loop behind [`anneal`] and the `Solver` adapter: emits
+/// [`sophie_solve::SolveEvent`]s to `observer`, polls `control` between
+/// sweeps and winds down early (still emitting `RunFinished`, with
+/// `rounds_run` reflecting the sweeps actually executed) when it requests
+/// a stop.
 ///
 /// One sweep maps to one round: each sweep ends with a `GlobalSync` whose
 /// `cut` is the current (not best) cut and whose `activity` is the Hamming
 /// distance to the sweep-start state. Because SA captures its best
 /// per-flip, `TargetReached` fires at the end of the sweep in which the
 /// best first crossed `target`. The event stream does not perturb the
-/// Metropolis RNG path — [`anneal`] delegates here and produces
-/// bit-identical outcomes.
-///
-/// # Panics
-///
-/// Panics if `config.sweeps == 0` or temperatures are non-positive or
-/// mis-ordered.
-#[must_use]
-pub fn anneal_observed(
-    graph: &Graph,
-    config: &SaConfig,
-    target: Option<f64>,
-    observer: &mut dyn SolveObserver,
-) -> SaOutcome {
-    anneal_controlled(graph, config, target, &RunControl::unrestricted(), observer)
-}
-
-/// The controllable core of [`anneal_observed`]: polls `control` between
-/// sweeps and winds down early (still emitting `RunFinished`, with
-/// `rounds_run` reflecting the sweeps actually executed) when it requests
-/// a stop. With an unrestricted control this is exactly
-/// [`anneal_observed`].
+/// Metropolis RNG path.
 pub(crate) fn anneal_controlled(
     graph: &Graph,
     config: &SaConfig,

@@ -77,38 +77,27 @@ pub struct SbOutcome {
 /// Panics if `config.steps == 0` or `config.dt <= 0`.
 #[must_use]
 pub fn bifurcate(graph: &Graph, config: &SbConfig) -> SbOutcome {
-    bifurcate_observed(graph, config, None, &mut NullObserver)
+    bifurcate_controlled(
+        graph,
+        config,
+        None,
+        &RunControl::unrestricted(),
+        &mut NullObserver,
+    )
 }
 
-/// Runs simulated bifurcation like [`bifurcate`] while emitting
-/// [`sophie_solve::SolveEvent`]s to `observer`.
+/// The loop behind [`bifurcate`] and the `Solver` adapter: emits
+/// [`sophie_solve::SolveEvent`]s to `observer`, polls `control`
+/// between integration steps and winds down early (still emitting
+/// `RunFinished`, with `rounds_run` reflecting the steps actually
+/// executed) when it requests a stop.
 ///
 /// One integration step maps to one round: each step ends with a
 /// `GlobalSync` scoring `sign(x)`, with `activity` the Hamming distance to
 /// the previous step's signs. Round 0 scores the initial oscillator signs
 /// (which the plain solver never evaluates — its best tracking starts at
 /// the first step, and that is unchanged here). The event stream does not
-/// perturb the RNG path — [`bifurcate`] delegates here and produces
-/// bit-identical outcomes.
-///
-/// # Panics
-///
-/// Panics if `config.steps == 0` or `config.dt <= 0`.
-#[must_use]
-pub fn bifurcate_observed(
-    graph: &Graph,
-    config: &SbConfig,
-    target: Option<f64>,
-    observer: &mut dyn SolveObserver,
-) -> SbOutcome {
-    bifurcate_controlled(graph, config, target, &RunControl::unrestricted(), observer)
-}
-
-/// The controllable core of [`bifurcate_observed`]: polls `control`
-/// between integration steps and winds down early (still emitting
-/// `RunFinished`, with `rounds_run` reflecting the steps actually
-/// executed) when it requests a stop. With an unrestricted control this is
-/// exactly [`bifurcate_observed`].
+/// perturb the RNG path.
 pub(crate) fn bifurcate_controlled(
     graph: &Graph,
     config: &SbConfig,

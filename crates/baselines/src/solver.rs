@@ -1,17 +1,17 @@
 //! [`Solver`] trait impls for the four software baselines.
 //!
 //! Each adapter wraps one baseline config and runs the corresponding
-//! `*_controlled` loop through a [`TraceRecorder`], so `Solver::solve`
-//! emits exactly the event stream the legacy `*_observed` entry point
-//! emits and returns the same [`SolveReport`] a caller-side recorder
-//! would have rebuilt. Construction validates the config (the conditions
-//! the legacy entry points `assert!`) and returns a typed
+//! `*_controlled` loop — the one behind the plain [`crate::sa::anneal`],
+//! [`crate::sb::bifurcate`], [`crate::tempering::temper`] and
+//! [`crate::local_search::search`] — through a [`TraceRecorder`], so
+//! `Solver::solve` returns the [`SolveReport`] distilled from the event
+//! stream its observer receives. Construction validates the config (the
+//! conditions the plain functions `assert!`) and returns a typed
 //! [`SolveError::BadConfig`] instead of panicking. Per [`Solver`]
 //! contract, the job's seed overrides the config seed and the job budget
 //! caps the baseline's iteration knob (sweeps / steps / exchanges /
 //! rounds); for SA a capped sweep count also recomputes the geometric
-//! cooling exponent, exactly as running the legacy entry point with that
-//! smaller `sweeps` would.
+//! cooling exponent, exactly as configuring that smaller `sweeps` would.
 
 use sophie_graph::cut::spins_to_binary;
 use sophie_solve::{
@@ -313,91 +313,6 @@ mod tests {
         Arc::new(gnm(40, 160, WeightDist::PlusMinusOne, 7).unwrap())
     }
 
-    fn job(g: &Arc<Graph>, seed: u64) -> SolveJob {
-        SolveJob::new(Arc::clone(g), seed).with_target(Some(40.0))
-    }
-
-    #[test]
-    fn sa_trait_solve_matches_legacy_observed_exactly() {
-        let g = graph();
-        let config = SaConfig {
-            sweeps: 30,
-            seed: 3,
-            ..SaConfig::default()
-        };
-        let mut legacy = EventLog::new();
-        let out = crate::sa::anneal_observed(&g, &config, Some(40.0), &mut legacy);
-
-        let solver = SaSolver::new(SaConfig { seed: 0, ..config }).unwrap();
-        let mut modern = EventLog::new();
-        let report = solver.solve(&job(&g, 3), &mut modern).unwrap();
-
-        assert_eq!(legacy.events(), modern.events());
-        assert_eq!(report.best_cut, out.best_cut);
-        assert_eq!(report.solver, "sa");
-        assert_eq!(report.iterations_run, 30);
-    }
-
-    #[test]
-    fn sb_trait_solve_matches_legacy_observed_exactly() {
-        let g = graph();
-        let config = SbConfig {
-            steps: 25,
-            seed: 5,
-            ..SbConfig::default()
-        };
-        let mut legacy = EventLog::new();
-        let out = crate::sb::bifurcate_observed(&g, &config, Some(40.0), &mut legacy);
-
-        let solver = SbSolver::new(SbConfig { seed: 0, ..config }).unwrap();
-        let mut modern = EventLog::new();
-        let report = solver.solve(&job(&g, 5), &mut modern).unwrap();
-
-        assert_eq!(legacy.events(), modern.events());
-        assert_eq!(report.best_cut, out.best_cut);
-        assert_eq!(report.solver, "sb");
-    }
-
-    #[test]
-    fn pt_trait_solve_matches_legacy_observed_exactly() {
-        let g = graph();
-        let config = PtConfig {
-            exchanges: 10,
-            seed: 11,
-            ..PtConfig::default()
-        };
-        let mut legacy = EventLog::new();
-        let out = crate::tempering::temper_observed(&g, &config, Some(40.0), &mut legacy);
-
-        let solver = PtSolver::new(PtConfig { seed: 0, ..config }).unwrap();
-        let mut modern = EventLog::new();
-        let report = solver.solve(&job(&g, 11), &mut modern).unwrap();
-
-        assert_eq!(legacy.events(), modern.events());
-        assert_eq!(report.best_cut, out.best_cut);
-        assert_eq!(report.solver, "pt");
-    }
-
-    #[test]
-    fn bls_trait_solve_matches_legacy_observed_exactly() {
-        let g = graph();
-        let config = BlsConfig {
-            rounds: 8,
-            seed: 13,
-            ..BlsConfig::default()
-        };
-        let mut legacy = EventLog::new();
-        let out = crate::local_search::search_observed(&g, &config, Some(40.0), &mut legacy);
-
-        let solver = BlsSolver::new(BlsConfig { seed: 0, ..config }).unwrap();
-        let mut modern = EventLog::new();
-        let report = solver.solve(&job(&g, 13), &mut modern).unwrap();
-
-        assert_eq!(legacy.events(), modern.events());
-        assert_eq!(report.best_cut, out.best_cut);
-        assert_eq!(report.solver, "bls");
-    }
-
     #[test]
     fn budget_caps_the_iteration_knob_and_recools() {
         let g = graph();
@@ -423,16 +338,13 @@ mod tests {
         // Capping is equivalent to configuring the smaller sweep count
         // directly (the cooling schedule recomputes from it).
         let mut direct = EventLog::new();
-        let _ = crate::sa::anneal_observed(
-            &g,
-            &SaConfig {
-                sweeps: 12,
-                seed: 1,
-                ..SaConfig::default()
-            },
-            None,
-            &mut direct,
-        );
+        SaSolver::new(SaConfig {
+            sweeps: 12,
+            ..SaConfig::default()
+        })
+        .unwrap()
+        .solve(&SolveJob::new(Arc::clone(&g), 1), &mut direct)
+        .unwrap();
         assert_eq!(log.events(), direct.events());
     }
 

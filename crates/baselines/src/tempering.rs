@@ -72,38 +72,26 @@ struct Replica {
 /// `t_min > t_max`.
 #[must_use]
 pub fn temper(graph: &Graph, config: &PtConfig) -> PtOutcome {
-    temper_observed(graph, config, None, &mut NullObserver)
+    temper_controlled(
+        graph,
+        config,
+        None,
+        &RunControl::unrestricted(),
+        &mut NullObserver,
+    )
 }
 
-/// Runs parallel tempering like [`temper`] while emitting
-/// [`sophie_solve::SolveEvent`]s to `observer`.
+/// The loop behind [`temper`] and the `Solver` adapter: emits
+/// [`sophie_solve::SolveEvent`]s to `observer`, polls `control` between
+/// exchange rounds and winds down early (still emitting `RunFinished`,
+/// with `rounds_run` reflecting the exchanges actually executed) when it
+/// requests a stop.
 ///
 /// One exchange round maps to one event round: each round's `GlobalSync`
 /// scores the current best replica (the max of the per-replica cuts) and
 /// reports `activity` 0 — with many replicas there is no single spin state
 /// whose flips would be meaningful. Round 0 scores the best initial
-/// replica. The event stream does not perturb the RNG path — [`temper`]
-/// delegates here and produces bit-identical outcomes.
-///
-/// # Panics
-///
-/// Panics if `replicas < 2`, temperatures are non-positive, or
-/// `t_min > t_max`.
-#[must_use]
-pub fn temper_observed(
-    graph: &Graph,
-    config: &PtConfig,
-    target: Option<f64>,
-    observer: &mut dyn SolveObserver,
-) -> PtOutcome {
-    temper_controlled(graph, config, target, &RunControl::unrestricted(), observer)
-}
-
-/// The controllable core of [`temper_observed`]: polls `control` between
-/// exchange rounds and winds down early (still emitting `RunFinished`,
-/// with `rounds_run` reflecting the exchanges actually executed) when it
-/// requests a stop. With an unrestricted control this is exactly
-/// [`temper_observed`].
+/// replica. The event stream does not perturb the RNG path.
 pub(crate) fn temper_controlled(
     graph: &Graph,
     config: &PtConfig,

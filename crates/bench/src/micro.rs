@@ -8,10 +8,15 @@
 
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::Arc;
 
 use criterion::{black_box, BenchResult, BenchmarkId, Criterion};
 use sophie_core::backend::{IdealBackend, MvmBackend, MvmUnit};
-use sophie_core::{Schedule, SophieConfig, SophieSolver, SparseBackend};
+use sophie_core::observe::NullObserver;
+use sophie_core::queue::NullTimeline;
+use sophie_core::{
+    EngineRun, Schedule, SolveJob, Solver, SophieConfig, SophieSolver, SparseBackend,
+};
 use sophie_graph::coupling::coupling_matrix;
 use sophie_graph::generate::{gnm, WeightDist};
 use sophie_hw::{OpcmBackend, OpcmBackendConfig};
@@ -116,10 +121,11 @@ pub fn engine_job(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_job");
     group.sample_size(10);
     for &n in &[256usize, 512] {
-        let g = gnm(n, 5 * n, WeightDist::Unit, 5).unwrap();
+        let g = Arc::new(gnm(n, 5 * n, WeightDist::Unit, 5).unwrap());
         let solver = SophieSolver::from_graph(&g, engine_config(10)).unwrap();
+        let job = SolveJob::new(g, 1);
         group.bench_with_input(BenchmarkId::new("10_global_iters", n), &n, |b, _| {
-            b.iter(|| solver.run(black_box(&g), 1, None).unwrap());
+            b.iter(|| solver.solve(black_box(&job), &mut NullObserver).unwrap());
         });
     }
     group.finish();
@@ -181,12 +187,12 @@ pub fn engine_scaling(c: &mut Criterion) {
         }
     });
     let solver = SophieSolver::from_transform(&m, cfg).unwrap();
-    let g = gnm(n, 10 * n, WeightDist::Unit, 7).unwrap();
+    let job = SolveJob::new(Arc::new(gnm(n, 10 * n, WeightDist::Unit, 7).unwrap()), 1);
     let prev = std::env::var("SOPHIE_THREADS").ok();
     for threads in SCALING_THREADS {
         std::env::set_var("SOPHIE_THREADS", threads.to_string());
         group.bench_function(BenchmarkId::new("threads", threads), |b| {
-            b.iter(|| solver.run(black_box(&g), 1, None).unwrap());
+            b.iter(|| solver.solve(black_box(&job), &mut NullObserver).unwrap());
         });
     }
     match prev {
@@ -276,7 +282,11 @@ pub fn incremental_round(c: &mut Criterion) {
         ..cfg.clone()
     };
     let warm_solver = SophieSolver::from_transform(&coupling_matrix(&g), warm_cfg).unwrap();
-    let warm = warm_solver.run(&g, 1, None).unwrap().best_bits;
+    let g = Arc::new(g);
+    let warm = warm_solver
+        .solve(&SolveJob::new(Arc::clone(&g), 1), &mut NullObserver)
+        .unwrap()
+        .best_bits;
     let schedule = Schedule::generate(
         solver.grid(),
         cfg.global_iters,
@@ -284,19 +294,24 @@ pub fn incremental_round(c: &mut Criterion) {
         cfg.stochastic_spin_update,
         5,
     );
+    let polish = EngineRun {
+        schedule: Some(&schedule),
+        initial_bits: Some(&warm),
+        ..EngineRun::default()
+    };
+    let job = SolveJob::new(g, 3);
 
     let prev = std::env::var("SOPHIE_THREADS").ok();
     std::env::set_var("SOPHIE_THREADS", "1");
     group.bench_function(BenchmarkId::new("dense", n), |b| {
         b.iter(|| {
             solver
-                .run_scheduled_from(
+                .solve_job(
                     &IdealBackend::new(),
-                    black_box(&g),
-                    &schedule,
-                    3,
-                    None,
-                    Some(&warm),
+                    black_box(&job),
+                    &polish,
+                    &mut NullObserver,
+                    &mut NullTimeline,
                 )
                 .unwrap()
         });
@@ -304,13 +319,12 @@ pub fn incremental_round(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("sparse", n), |b| {
         b.iter(|| {
             solver
-                .run_scheduled_from(
+                .solve_job(
                     &SparseBackend::auto(),
-                    black_box(&g),
-                    &schedule,
-                    3,
-                    None,
-                    Some(&warm),
+                    black_box(&job),
+                    &polish,
+                    &mut NullObserver,
+                    &mut NullTimeline,
                 )
                 .unwrap()
         });

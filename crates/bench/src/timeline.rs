@@ -19,7 +19,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use sophie_core::queue::{Completion, TimelineSink};
-use sophie_core::{HealthConfig, SophieConfig};
+use sophie_core::{EngineRun, HealthConfig, SophieConfig};
 use sophie_hw::queue::CommandCostModel;
 use sophie_hw::{FaultSchedule, OpcmBackend, OpcmBackendConfig};
 use sophie_solve::{NullObserver, OpCounts, SolveJob};
@@ -151,11 +151,15 @@ pub fn write_timeline(
     let health = HealthConfig::default();
 
     let mut rec = Recorder::default();
+    let run = EngineRun {
+        health: Some(&health),
+        ..EngineRun::default()
+    };
     let report = solver
-        .solve_job_with_timeline(
+        .solve_job(
             &backend,
             &SolveJob::new(Arc::clone(&graph), seed),
-            Some(&health),
+            &run,
             &mut NullObserver,
             &mut rec,
         )

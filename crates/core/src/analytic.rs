@@ -115,11 +115,15 @@ pub fn analytic_op_counts(n: usize, config: &SophieConfig, schedule_seed: u64) -
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::backend::IdealBackend;
-    use crate::engine::SophieSolver;
+    use crate::engine::{EngineRun, SophieSolver};
+    use crate::queue::NullTimeline;
     use crate::schedule::Schedule;
     use sophie_graph::generate::{gnm, WeightDist};
+    use sophie_solve::{NullObserver, SolveJob};
 
     fn config(tile: usize, frac: f64, giters: usize) -> SophieConfig {
         SophieConfig {
@@ -136,7 +140,7 @@ mod tests {
 
     /// The analytic replay must equal a real engine run count-for-count.
     fn check_matches_engine(n: usize, cfg: &SophieConfig, seed: u64) {
-        let g = gnm(n, 3 * n, WeightDist::Unit, 17).unwrap();
+        let g = Arc::new(gnm(n, 3 * n, WeightDist::Unit, 17).unwrap());
         let solver = SophieSolver::from_graph(&g, cfg.clone()).unwrap();
         let schedule = Schedule::generate(
             solver.grid(),
@@ -146,7 +150,16 @@ mod tests {
             seed,
         );
         let run = solver
-            .run_scheduled(&IdealBackend::new(), &g, &schedule, 99, None)
+            .solve_job(
+                &IdealBackend::new(),
+                &SolveJob::new(g, 99),
+                &EngineRun {
+                    schedule: Some(&schedule),
+                    ..EngineRun::default()
+                },
+                &mut NullObserver,
+                &mut NullTimeline,
+            )
             .unwrap();
         let analytic = analytic_op_counts(n, cfg, seed).unwrap();
         // The reuse-model counters (`sparse_*`) depend on the spin

@@ -25,11 +25,12 @@
 //! 3. [`sync`] — global synchronization and partial-sum merge;
 //! 4. [`track`] — best/target/trace bookkeeping and event emission.
 //!
-//! The stages communicate through one [`state::MachineState`] value, and
-//! every `run*` entry point has an `_observed` variant that streams typed
-//! [`sophie_solve::SolveEvent`]s to a [`SolveObserver`] (the plain
-//! variants attach a no-op observer; outcomes are bit-identical either
-//! way).
+//! The stages communicate through one [`state::MachineState`] value. A
+//! job enters through [`Solver::solve`](sophie_solve::Solver::solve) or,
+//! for a chosen backend, health monitor, schedule or warm start, through
+//! the one backend-generic core [`SophieSolver::solve_job`]; both stream
+//! typed [`sophie_solve::SolveEvent`]s to a [`SolveObserver`] and return
+//! the [`SolveReport`] distilled from that stream.
 //!
 //! # Threading model
 //!
@@ -64,32 +65,33 @@ use sophie_graph::Graph;
 use sophie_linalg::{Matrix, SparseCsr, Tile, TileGrid, TilePair};
 use sophie_pris::TransformCache;
 use sophie_solve::{
-    NullObserver, OpCounts, RunControl, SolveError, SolveEvent, SolveJob, SolveObserver,
-    SolveReport, Tee, TraceRecorder,
+    OpCounts, RunControl, SolveError, SolveEvent, SolveJob, SolveObserver, SolveReport, Tee,
+    TraceRecorder,
 };
 
-use crate::backend::{IdealBackend, MvmBackend};
-use crate::config::{ComputeMode, SophieConfig};
+use crate::backend::MvmBackend;
+use crate::config::SophieConfig;
 use crate::error::{Result, SophieError};
 use crate::health::HealthConfig;
-use crate::outcome::SophieOutcome;
-use crate::queue::{DeviceQueue, NullTimeline, TimelineSink};
+use crate::queue::{DeviceQueue, TimelineSink};
 use crate::schedule::Schedule;
-use crate::sparse::SparseBackend;
 
 /// The SOPHIE solver: a tiled transformation matrix plus everything needed
 /// to run jobs against it.
 ///
 /// ```
-/// use sophie_core::{SophieConfig, SophieSolver};
+/// use std::sync::Arc;
+///
+/// use sophie_core::observe::NullObserver;
+/// use sophie_core::{SolveJob, Solver, SophieConfig, SophieSolver};
 /// use sophie_graph::generate::{complete, WeightDist};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let g = complete(32, WeightDist::Unit, 0)?;
+/// let g = Arc::new(complete(32, WeightDist::Unit, 0)?);
 /// let config = SophieConfig { tile_size: 8, global_iters: 60, ..SophieConfig::default() };
 /// let solver = SophieSolver::from_graph(&g, config)?;
-/// let out = solver.run(&g, 1, None)?;
-/// assert!(out.best_cut > 0.0);
+/// let report = solver.solve(&SolveJob::new(g, 1), &mut NullObserver)?;
+/// assert!(report.best_cut > 0.0);
 /// # Ok(())
 /// # }
 /// ```
@@ -111,6 +113,30 @@ pub struct SophieSolver {
     /// tiles). Drives the strategy-independent reuse-model op counters;
     /// see [`tally_reuse`].
     reuse: SparseCsr,
+}
+
+/// What one [`SophieSolver::solve_job`] call takes beyond its
+/// [`SolveJob`]. Every field defaults to `None`, which is the plain run
+/// [`Solver::solve`](sophie_solve::Solver::solve) performs.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EngineRun<'a> {
+    /// Attaches the runtime health monitor: after each
+    /// `check_interval`-th synchronization the engine probes every pair's
+    /// physical unit with a calibration MVM and applies the configured
+    /// [`crate::RecoveryPolicy`] to the units that fail, emitting
+    /// `FaultDetected` / `TileRecovered` / `RecoveryExhausted` events
+    /// (and, from fault-capable backends, `FaultInjected`). All probe and
+    /// reprogram work is tallied in the report's op counts, so the
+    /// `sophie-hw` cost models charge the recovery overhead.
+    pub health: Option<&'a HealthConfig>,
+    /// A pre-generated schedule (the hardware flow: the host plans every
+    /// scheduling decision offline, §III-D), used as given. `None`
+    /// generates one from the job's seed.
+    pub schedule: Option<&'a Schedule>,
+    /// Warm start: the initial binary state in graph order instead of a
+    /// random one — e.g. to continue annealing from the best state of a
+    /// previous batch, or to polish a baseline solver's output.
+    pub initial_bits: Option<&'a [bool]>,
 }
 
 impl SophieSolver {
@@ -239,389 +265,153 @@ impl SophieSolver {
         lo * b - lo * (lo + 1) / 2 + lo + (hi - lo)
     }
 
-    /// Runs one job on the exact floating-point substrate, dispatching on
-    /// the configured [`ComputeMode`]: the dense [`IdealBackend`] or the
-    /// delta-driven [`SparseBackend`]. The two are bit-identical in every
-    /// output (see [`crate::sparse`]); the mode trades wall-clock only.
+    /// Runs a [`SolveJob`] on `backend`: the backend-generic core behind
+    /// every [`Solver`](sophie_solve::Solver) impl of the engine (the impl
+    /// on this type picks the ideal dense or sparse backend from the
+    /// configured [`ComputeMode`](crate::ComputeMode); the OPCM adapter in
+    /// `sophie-hw` supplies its device model).
     ///
-    /// # Errors
+    /// The job's seed draws the initial state and the schedule,
+    /// `budget.max_iterations` caps the planned rounds, its target is
+    /// tracked, and its [`RunControl`] is polled between rounds. `run`
+    /// adds what a job does not carry: a health monitor, a pre-generated
+    /// schedule (used as given, capped by the budget) and a warm start.
     ///
-    /// Currently infallible after construction; kept fallible for parity
-    /// with backend-specific runs.
-    pub fn run(&self, graph: &Graph, seed: u64, target_cut: Option<f64>) -> Result<SophieOutcome> {
-        match self.config.compute {
-            ComputeMode::Dense => {
-                self.run_with_backend(&IdealBackend::new(), graph, seed, target_cut)
-            }
-            ComputeMode::Sparse | ComputeMode::Auto => self.run_with_backend(
-                &SparseBackend::from_config(&self.config),
-                graph,
-                seed,
-                target_cut,
-            ),
-        }
-    }
-
-    /// Like [`Self::run`], but streaming [`SolveEvent`]s to `observer`.
+    /// The returned [`SolveReport`] is distilled from the exact event
+    /// stream `observer` receives, with the winning bits attached. The
+    /// stage loop is: `program` once, then per scheduled round `round` →
+    /// `sync` → `track` (one private module per stage, see the module
+    /// docs). Events follow the ordering contract documented in
+    /// [`sophie_solve`]: `RunStarted`, a round-0 `GlobalSync` for the
+    /// initial state (its `ops_delta` is the setup cost), then per round
+    /// `RoundStarted`, one `PairIterated` per selected pair in ascending
+    /// pair order, `GlobalSync`, and at most one `TargetReached`; finally
+    /// `RunFinished`.
     ///
-    /// # Errors
-    ///
-    /// Currently infallible after construction.
-    pub fn run_observed(
-        &self,
-        graph: &Graph,
-        seed: u64,
-        target_cut: Option<f64>,
-        observer: &mut dyn SolveObserver,
-    ) -> Result<SophieOutcome> {
-        match self.config.compute {
-            ComputeMode::Dense => self.run_with_backend_observed(
-                &IdealBackend::new(),
-                graph,
-                seed,
-                target_cut,
-                observer,
-            ),
-            ComputeMode::Sparse | ComputeMode::Auto => self.run_with_backend_observed(
-                &SparseBackend::from_config(&self.config),
-                graph,
-                seed,
-                target_cut,
-                observer,
-            ),
-        }
-    }
-
-    /// Runs one job on an arbitrary MVM backend, generating the static
-    /// schedule from `seed`.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible after construction.
-    pub fn run_with_backend<B: MvmBackend>(
-        &self,
-        backend: &B,
-        graph: &Graph,
-        seed: u64,
-        target_cut: Option<f64>,
-    ) -> Result<SophieOutcome> {
-        self.run_with_backend_observed(backend, graph, seed, target_cut, &mut NullObserver)
-    }
-
-    /// Like [`Self::run_with_backend`], but streaming [`SolveEvent`]s to
-    /// `observer`.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible after construction.
-    pub fn run_with_backend_observed<B: MvmBackend>(
-        &self,
-        backend: &B,
-        graph: &Graph,
-        seed: u64,
-        target_cut: Option<f64>,
-        observer: &mut dyn SolveObserver,
-    ) -> Result<SophieOutcome> {
-        let schedule = Schedule::generate(
-            &self.grid,
-            self.config.global_iters,
-            self.config.tile_fraction,
-            self.config.stochastic_spin_update,
-            seed ^ 0x5c3a_11ed_0b57_aced,
-        );
-        self.run_scheduled_from_observed(
-            backend, graph, &schedule, seed, target_cut, None, observer,
-        )
-    }
-
-    /// Runs one job against a pre-generated schedule (the hardware flow:
-    /// the host generates all scheduling decisions offline, §III-D).
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible after construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graph.num_nodes() != self.dim()` or the schedule was
-    /// generated for a different grid.
-    pub fn run_scheduled<B: MvmBackend>(
-        &self,
-        backend: &B,
-        graph: &Graph,
-        schedule: &Schedule,
-        seed: u64,
-        target_cut: Option<f64>,
-    ) -> Result<SophieOutcome> {
-        self.run_scheduled_from(backend, graph, schedule, seed, target_cut, None)
-    }
-
-    /// Like [`Self::run_scheduled`], but warm-started from `initial_bits`
-    /// instead of a random state — e.g. to continue annealing from the
-    /// best configuration of a previous batch, or to polish a baseline
-    /// solver's output on the Ising machine.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible after construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics on graph/schedule mismatch or if `initial_bits` has the
-    /// wrong length.
-    pub fn run_scheduled_from<B: MvmBackend>(
-        &self,
-        backend: &B,
-        graph: &Graph,
-        schedule: &Schedule,
-        seed: u64,
-        target_cut: Option<f64>,
-        initial_bits: Option<&[bool]>,
-    ) -> Result<SophieOutcome> {
-        self.run_scheduled_from_observed(
-            backend,
-            graph,
-            schedule,
-            seed,
-            target_cut,
-            initial_bits,
-            &mut NullObserver,
-        )
-    }
-
-    /// The fully general entry point: pre-generated schedule, optional
-    /// warm start, and a [`SolveObserver`] receiving the run's event
-    /// stream. All other `run*` methods funnel here (fault-aware runs via
-    /// [`Self::run_fault_aware`], which additionally attaches a health
-    /// monitor).
-    ///
-    /// The stage loop is: `program` once, then per scheduled round
-    /// `round` → `sync` → `track` (one private module per stage, see the
-    /// module docs). Events follow the ordering
-    /// contract documented in [`sophie_solve`]: `RunStarted`, a round-0
-    /// `GlobalSync` for the initial state (its `ops_delta` is the setup
-    /// cost), then per round `RoundStarted`, one `PairIterated` per
-    /// selected pair in ascending pair order, `GlobalSync`, and at most
-    /// one `TargetReached`; finally `RunFinished`.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible after construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics on graph/schedule mismatch or if `initial_bits` has the
-    /// wrong length.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_scheduled_from_observed<B: MvmBackend>(
-        &self,
-        backend: &B,
-        graph: &Graph,
-        schedule: &Schedule,
-        seed: u64,
-        target_cut: Option<f64>,
-        initial_bits: Option<&[bool]>,
-        observer: &mut dyn SolveObserver,
-    ) -> Result<SophieOutcome> {
-        self.run_impl(
-            backend,
-            graph,
-            schedule,
-            schedule.rounds().len(),
-            seed,
-            target_cut,
-            initial_bits,
-            None,
-            &RunControl::unrestricted(),
-            observer,
-            &mut NullTimeline,
-        )
-    }
-
-    /// Runs one job with the runtime health monitor attached: after each
-    /// `check_interval`-th synchronization the engine probes every pair's
-    /// physical unit with a calibration MVM and applies the configured
-    /// [`crate::RecoveryPolicy`] to the units that fail, emitting
-    /// `FaultDetected` / `TileRecovered` / `RecoveryExhausted` events
-    /// (and, from fault-capable backends, `FaultInjected`) alongside the
-    /// usual stream. All probe and reprogram work is tallied in the
-    /// outcome's op counts, so the `sophie-hw` cost models charge the
-    /// recovery overhead.
-    ///
-    /// The schedule is generated from `seed` exactly as in
-    /// [`Self::run_with_backend`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SophieError::BadConfig`] if `health` is invalid.
-    pub fn run_fault_aware<B: MvmBackend>(
-        &self,
-        backend: &B,
-        graph: &Graph,
-        seed: u64,
-        target_cut: Option<f64>,
-        health: &HealthConfig,
-        observer: &mut dyn SolveObserver,
-    ) -> Result<SophieOutcome> {
-        health.validate()?;
-        let schedule = Schedule::generate(
-            &self.grid,
-            self.config.global_iters,
-            self.config.tile_fraction,
-            self.config.stochastic_spin_update,
-            seed ^ 0x5c3a_11ed_0b57_aced,
-        );
-        self.run_impl(
-            backend,
-            graph,
-            &schedule,
-            schedule.rounds().len(),
-            seed,
-            target_cut,
-            None,
-            Some(health),
-            &RunControl::unrestricted(),
-            observer,
-            &mut NullTimeline,
-        )
-    }
-
-    /// Runs a [`SolveJob`] on `backend` through the shared
-    /// [`Solver`](sophie_solve::Solver) contract: the job's seed and
-    /// target replace per-call parameters, `budget.max_iterations` caps
-    /// the configured `global_iters`, the job's [`RunControl`] is polled
-    /// between rounds, and the returned [`SolveReport`] is distilled from
-    /// the exact event stream `observer` receives. With no budget or
-    /// cancellation the stream is byte-identical to
-    /// [`Self::run_with_backend_observed`] (or, with `health` set, to
-    /// [`Self::run_fault_aware`]) for the same (graph, seed, target).
-    ///
-    /// This is the backend-generic core of the `Solver` impls: the ideal
-    /// impl on this type fixes the backend to [`IdealBackend`], and the
-    /// OPCM adapter in `sophie-hw` supplies its device model.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::BadJob`] if the job's graph order differs from the
-    /// engine dimension, [`SolveError::BadConfig`] for an invalid
-    /// `health`.
-    pub fn solve_job<B: MvmBackend>(
-        &self,
-        backend: &B,
-        job: &SolveJob,
-        health: Option<&HealthConfig>,
-        observer: &mut dyn SolveObserver,
-    ) -> std::result::Result<SolveReport, SolveError> {
-        self.solve_job_with_timeline(backend, job, health, observer, &mut NullTimeline)
-    }
-
-    /// Like [`Self::solve_job`], but streaming every device command
-    /// completion and host-side cost record of the run to `timeline` —
-    /// the exact per-command attribution behind the aggregate
-    /// [`OpCounts`] in the report. The sum of all device-record costs
-    /// plus all host-record costs reproduces the report's op totals
-    /// exactly, and the device stream's `(round, wave, unit)` keys are
-    /// byte-identical for every `SOPHIE_THREADS` setting. Outcomes and
+    /// Every device command completion and host-side cost record goes to
+    /// `timeline` ([`NullTimeline`](crate::queue::NullTimeline) drops
+    /// them): the sum of all record costs reproduces the report's op
+    /// totals exactly, and the device stream's `(round, wave, unit)` keys
+    /// are byte-identical for every `SOPHIE_THREADS` setting. Reports and
     /// events are unaffected by the sink.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Self::solve_job`].
-    pub fn solve_job_with_timeline<B: MvmBackend>(
+    /// [`SolveError::BadJob`] if the job's graph order or the warm start's
+    /// length differs from the engine dimension, or the schedule was
+    /// generated for another grid; [`SolveError::BadConfig`] for an
+    /// invalid health config.
+    pub fn solve_job<B: MvmBackend>(
         &self,
         backend: &B,
         job: &SolveJob,
-        health: Option<&HealthConfig>,
+        run: &EngineRun<'_>,
         observer: &mut dyn SolveObserver,
         timeline: &mut dyn TimelineSink,
     ) -> std::result::Result<SolveReport, SolveError> {
+        let bad_job = |message: String| SolveError::BadJob {
+            solver: "sophie".to_string(),
+            message,
+        };
         if job.graph.num_nodes() != self.n {
-            return Err(SolveError::BadJob {
-                solver: "sophie".to_string(),
-                message: format!(
-                    "graph order {} does not match engine dimension {}",
-                    job.graph.num_nodes(),
-                    self.n
-                ),
-            });
+            return Err(bad_job(format!(
+                "graph order {} does not match engine dimension {}",
+                job.graph.num_nodes(),
+                self.n
+            )));
         }
-        if let Some(h) = health {
+        if let Some(bits) = run.initial_bits.filter(|b| b.len() != self.n) {
+            return Err(bad_job(format!(
+                "initial state has {} spins, engine dimension is {}",
+                bits.len(),
+                self.n
+            )));
+        }
+        if let Some(schedule) = run.schedule.filter(|s| s.blocks() != self.grid.blocks()) {
+            return Err(bad_job(format!(
+                "schedule has {} block columns, engine grid has {}",
+                schedule.blocks(),
+                self.grid.blocks()
+            )));
+        }
+        if let Some(h) = run.health {
             h.validate().map_err(|e| SolveError::BadConfig {
                 solver: "sophie".to_string(),
                 message: e.to_string(),
             })?;
         }
-        let planned = job.budget.cap(self.config.global_iters);
         let control = job.control();
-        // Cooperative generation: schedule setup is O(global_iters) work
-        // before the first round, so it honors cancellation and deadlines
-        // too. Truncation is unobservable — a run stopped during setup
-        // would never execute the missing rounds — and `planned` still
-        // reports the requested count.
-        let schedule = Schedule::generate_while(
-            &self.grid,
-            planned,
-            self.config.tile_fraction,
-            self.config.stochastic_spin_update,
-            job.seed ^ 0x5c3a_11ed_0b57_aced,
-            || !control.should_stop(),
-        );
-        let mut recorder = TraceRecorder::new();
-        let outcome = {
-            let mut tee = Tee::new(&mut recorder, observer);
-            self.run_impl(
-                backend, &job.graph, &schedule, planned, job.seed, job.target, None, health,
-                &control, &mut tee, timeline,
-            )
-            .map_err(|e| SolveError::Failed {
-                solver: "sophie".to_string(),
-                message: e.to_string(),
-            })?
+        let generated;
+        let (schedule, planned) = match run.schedule {
+            Some(schedule) => (schedule, job.budget.cap(schedule.rounds().len())),
+            None => {
+                let planned = job.budget.cap(self.config.global_iters);
+                // Cooperative generation: schedule setup is
+                // O(global_iters) work before the first round, so it
+                // honors cancellation and deadlines too. Truncation is
+                // unobservable — a run stopped during setup would never
+                // execute the missing rounds — and `planned` still
+                // reports the requested count.
+                generated = Schedule::generate_while(
+                    &self.grid,
+                    planned,
+                    self.config.tile_fraction,
+                    self.config.stochastic_spin_update,
+                    job.seed ^ 0x5c3a_11ed_0b57_aced,
+                    || !control.should_stop(),
+                );
+                (&generated, planned)
+            }
         };
+        let mut recorder = TraceRecorder::new();
+        let best_bits = self.run_impl(
+            backend,
+            job,
+            schedule,
+            planned,
+            run,
+            &control,
+            &mut Tee::new(&mut recorder, observer),
+            timeline,
+        );
         let mut report = recorder.into_report();
         // Events carry no bits; attach the winning state out-of-band so
         // problem decoders can map the report back to their domain.
-        report.best_bits = outcome.best_bits;
+        report.best_bits = best_bits;
         Ok(report)
     }
 
+    /// The stage loop over the first `planned` rounds of `schedule`,
+    /// returning the best bits; inputs are validated by
+    /// [`Self::solve_job`].
     #[allow(clippy::too_many_arguments)]
     fn run_impl<B: MvmBackend>(
         &self,
         backend: &B,
-        graph: &Graph,
+        job: &SolveJob,
         schedule: &Schedule,
         planned: usize,
-        seed: u64,
-        target_cut: Option<f64>,
-        initial_bits: Option<&[bool]>,
-        health_config: Option<&HealthConfig>,
+        run: &EngineRun<'_>,
         control: &RunControl,
         observer: &mut dyn SolveObserver,
         timeline: &mut dyn TimelineSink,
-    ) -> Result<SophieOutcome> {
-        assert_eq!(graph.num_nodes(), self.n, "graph order mismatch");
-        assert_eq!(
-            schedule.blocks(),
-            self.grid.blocks(),
-            "schedule grid mismatch"
-        );
-
+    ) -> Vec<bool> {
+        let (graph, seed) = (job.graph.as_ref(), job.seed);
         observer.on_event(&SolveEvent::RunStarted {
             solver: "sophie",
             dimension: self.n,
             planned_iterations: planned,
             seed,
-            target: target_cut,
+            target: job.target,
         });
 
-        let mut monitor = health_config.map(|h| health::HealthMonitor::new(*h));
+        let mut monitor = run.health.map(|h| health::HealthMonitor::new(*h));
         let probe_seed = monitor
             .as_ref()
             .map_or(0, health::HealthMonitor::probe_seed);
 
         // Stage 1: program the units and upload the initial state.
-        let mut ms = program::program(self, backend, seed, initial_bits, probe_seed, timeline);
+        let mut ms = program::program(self, backend, seed, run.initial_bits, probe_seed, timeline);
         // Reuse-model setup charge: the initial state computes every field
         // from scratch (one full pass over the nonzeros of C).
         dispatch::host_record(&mut ms, 0, "reuse_setup", timeline, |ms| {
@@ -631,7 +421,7 @@ impl SophieSolver {
 
         let bits = state::global_bits(&ms.global, self.n);
         let cut0 = cut_value_binary(graph, &bits);
-        let mut tracker = track::RunTracker::start(target_cut, &bits, cut0, ms.ops, observer);
+        let mut tracker = track::RunTracker::start(job.target, &bits, cut0, ms.ops, observer);
         let mut prev_bits = bits;
         let mut reuse_stamp = vec![0_u32; self.n];
         let mut reuse_gen = 0_u32;
@@ -639,7 +429,7 @@ impl SophieSolver {
         let local_iters = self.config.local_iters;
         let mut active: Vec<usize> = Vec::with_capacity(self.pairs.len());
         let mut rounds_done = 0usize;
-        for (g, sched_round) in schedule.rounds().iter().enumerate() {
+        for (g, sched_round) in schedule.rounds().iter().take(planned).enumerate() {
             // Cooperative stop (deadline or sibling cancellation): wind
             // down at round granularity, still emitting `RunFinished`.
             if control.should_stop() {
@@ -743,7 +533,7 @@ impl SophieSolver {
             prev_bits = bits;
         }
 
-        Ok(tracker.finish(rounds_done, ms.ops, observer))
+        tracker.finish(rounds_done, ms.ops, observer)
     }
 }
 
@@ -759,7 +549,8 @@ impl SophieSolver {
 /// Deliberately **strategy- and thread-independent**: derived solely from
 /// the synchronized global state and the static pattern of `C`, never from
 /// which kernel the backend actually executed — so event streams stay
-/// byte-identical across [`ComputeMode`]s and `SOPHIE_THREADS` settings.
+/// byte-identical across [`ComputeMode`](crate::ComputeMode)s and
+/// `SOPHIE_THREADS` settings.
 fn tally_reuse(
     adjacency: &SparseCsr,
     prev: &[bool],

@@ -25,11 +25,8 @@ use crate::queue::{BufferPool, CommandKind, CommandQueue, DeviceQueue, TimelineS
 ///
 /// On return the per-pair tallies have been drained, so `ms.ops` is the
 /// complete setup cost (the `ops_delta` of the round-0 `GlobalSync`
-/// event).
-///
-/// # Panics
-///
-/// Panics if `initial_bits` has the wrong length.
+/// event). A warm start's length was checked by
+/// [`SophieSolver::solve_job`].
 pub(super) fn program<B: MvmBackend>(
     solver: &SophieSolver,
     backend: &B,
@@ -58,7 +55,7 @@ pub(super) fn program<B: MvmBackend>(
     let mut global = vec![0.0_f32; solver.grid.padded_len()];
     match initial_bits {
         Some(bits) => {
-            assert_eq!(bits.len(), solver.n, "initial state length mismatch");
+            debug_assert_eq!(bits.len(), solver.n, "initial state length mismatch");
             for (g, &bit) in global.iter_mut().zip(bits) {
                 *g = if bit { 1.0 } else { 0.0 };
             }

@@ -1,12 +1,51 @@
+use std::sync::Arc;
+
 use sophie_graph::cut::cut_value_binary;
 use sophie_graph::generate::{complete, gnm, WeightDist};
+use sophie_graph::Graph;
 use sophie_linalg::TilePair;
-use sophie_solve::{SolveEvent, TraceRecorder};
+use sophie_solve::{
+    NullObserver, SolveError, SolveEvent, SolveJob, SolveObserver, SolveReport, Solver,
+};
 
-use super::SophieSolver;
+use super::{EngineRun, SophieSolver};
 use crate::backend::IdealBackend;
 use crate::config::SophieConfig;
+use crate::queue::NullTimeline;
 use crate::schedule::Schedule;
+
+/// One job through `Solver::solve`.
+fn solve_observing(
+    solver: &SophieSolver,
+    g: &Arc<Graph>,
+    seed: u64,
+    target: Option<f64>,
+    observer: &mut dyn SolveObserver,
+) -> SolveReport {
+    let job = SolveJob::new(Arc::clone(g), seed).with_target(target);
+    solver.solve(&job, observer).unwrap()
+}
+
+fn solve(solver: &SophieSolver, g: &Arc<Graph>, seed: u64, target: Option<f64>) -> SolveReport {
+    solve_observing(solver, g, seed, target, &mut NullObserver)
+}
+
+/// One job through the backend-generic core on the ideal backend.
+fn solve_run(
+    solver: &SophieSolver,
+    g: &Arc<Graph>,
+    seed: u64,
+    run: &EngineRun<'_>,
+) -> Result<SolveReport, SolveError> {
+    let job = SolveJob::new(Arc::clone(g), seed);
+    solver.solve_job(
+        &IdealBackend::new(),
+        &job,
+        run,
+        &mut NullObserver,
+        &mut NullTimeline,
+    )
+}
 
 fn small_config(tile: usize, giters: usize) -> SophieConfig {
     SophieConfig {
@@ -23,7 +62,7 @@ fn small_config(tile: usize, giters: usize) -> SophieConfig {
 
 #[test]
 fn pair_index_matches_enumeration() {
-    let g = complete(40, WeightDist::Unit, 0).unwrap();
+    let g = Arc::new(complete(40, WeightDist::Unit, 0).unwrap());
     let solver = SophieSolver::from_graph(&g, small_config(8, 1)).unwrap();
     let b = solver.grid().blocks();
     for r in 0..b {
@@ -41,7 +80,7 @@ fn pair_index_matches_enumeration() {
 
 #[test]
 fn solves_k4_exactly() {
-    let g = complete(4, WeightDist::Unit, 0).unwrap();
+    let g = Arc::new(complete(4, WeightDist::Unit, 0).unwrap());
     let config = SophieConfig {
         tile_size: 2,
         local_iters: 3,
@@ -50,16 +89,16 @@ fn solves_k4_exactly() {
         ..SophieConfig::default()
     };
     let solver = SophieSolver::from_graph(&g, config).unwrap();
-    let out = solver.run(&g, 3, Some(4.0)).unwrap();
+    let out = solve(&solver, &g, 3, Some(4.0));
     assert_eq!(out.best_cut, 4.0);
-    assert!(out.global_iters_to_target.is_some());
+    assert!(out.iterations_to_target.is_some());
 }
 
 #[test]
 fn beats_random_on_sparse_graph() {
-    let g = gnm(96, 400, WeightDist::Unit, 7).unwrap();
+    let g = Arc::new(gnm(96, 400, WeightDist::Unit, 7).unwrap());
     let solver = SophieSolver::from_graph(&g, small_config(16, 120)).unwrap();
-    let out = solver.run(&g, 5, None).unwrap();
+    let out = solve(&solver, &g, 5, None);
     assert!(
         out.best_cut > 230.0,
         "best cut {} ≤ random baseline",
@@ -71,32 +110,32 @@ fn beats_random_on_sparse_graph() {
 
 #[test]
 fn deterministic_per_seed() {
-    let g = gnm(48, 180, WeightDist::Unit, 2).unwrap();
+    let g = Arc::new(gnm(48, 180, WeightDist::Unit, 2).unwrap());
     let solver = SophieSolver::from_graph(&g, small_config(16, 30)).unwrap();
-    let a = solver.run(&g, 11, None).unwrap();
-    let b = solver.run(&g, 11, None).unwrap();
+    let a = solve(&solver, &g, 11, None);
+    let b = solve(&solver, &g, 11, None);
     assert_eq!(a.best_cut, b.best_cut);
     assert_eq!(a.cut_trace, b.cut_trace);
-    let c = solver.run(&g, 12, None).unwrap();
+    let c = solve(&solver, &g, 12, None);
     assert_ne!(a.cut_trace, c.cut_trace);
 }
 
 #[test]
 fn trace_has_one_entry_per_sync_plus_initial() {
-    let g = gnm(40, 100, WeightDist::Unit, 1).unwrap();
+    let g = Arc::new(gnm(40, 100, WeightDist::Unit, 1).unwrap());
     let solver = SophieSolver::from_graph(&g, small_config(16, 25)).unwrap();
-    let out = solver.run(&g, 0, None).unwrap();
+    let out = solve(&solver, &g, 0, None);
     assert_eq!(out.cut_trace.len(), 26);
-    assert_eq!(out.global_iters_run, 25);
+    assert_eq!(out.iterations_run, 25);
     assert_eq!(out.ops.global_syncs, 25);
 }
 
 #[test]
 fn op_counts_match_closed_form_at_full_selection() {
-    let g = gnm(64, 200, WeightDist::Unit, 4).unwrap();
+    let g = Arc::new(gnm(64, 200, WeightDist::Unit, 4).unwrap());
     let cfg = small_config(16, 10); // 4 blocks → 10 pairs (4 diag, 6 off)
     let solver = SophieSolver::from_graph(&g, cfg.clone()).unwrap();
-    let out = solver.run(&g, 0, None).unwrap();
+    let out = solve(&solver, &g, 0, None);
     let (b, t, l, giters) = (4u64, 16u64, cfg.local_iters as u64, 10u64);
     let pairs = b * (b + 1) / 2;
     let off = pairs - b;
@@ -119,15 +158,15 @@ fn op_counts_match_closed_form_at_full_selection() {
 
 #[test]
 fn stochastic_selection_reduces_compute() {
-    let g = gnm(64, 200, WeightDist::Unit, 4).unwrap();
+    let g = Arc::new(gnm(64, 200, WeightDist::Unit, 4).unwrap());
     let full = SophieSolver::from_graph(&g, small_config(16, 20)).unwrap();
     let half_cfg = SophieConfig {
         tile_fraction: 0.5,
         ..small_config(16, 20)
     };
     let half = SophieSolver::from_graph(&g, half_cfg).unwrap();
-    let fo = full.run(&g, 1, None).unwrap();
-    let ho = half.run(&g, 1, None).unwrap();
+    let fo = solve(&full, &g, 1, None);
+    let ho = solve(&half, &g, 1, None);
     assert!(ho.ops.total_tile_mvms() < fo.ops.total_tile_mvms());
     assert!(ho.ops.pairs_executed <= fo.ops.pairs_executed / 2 + 20);
     assert!(ho.ops.sync_traffic_bits() < fo.ops.sync_traffic_bits());
@@ -135,13 +174,13 @@ fn stochastic_selection_reduces_compute() {
 
 #[test]
 fn majority_vote_mode_runs() {
-    let g = gnm(40, 120, WeightDist::Unit, 3).unwrap();
+    let g = Arc::new(gnm(40, 120, WeightDist::Unit, 3).unwrap());
     let cfg = SophieConfig {
         stochastic_spin_update: false,
         ..small_config(8, 40)
     };
     let solver = SophieSolver::from_graph(&g, cfg).unwrap();
-    let out = solver.run(&g, 2, None).unwrap();
+    let out = solve(&solver, &g, 2, None);
     assert!(out.best_cut > 60.0, "cut {}", out.best_cut);
 }
 
@@ -149,7 +188,7 @@ fn majority_vote_mode_runs() {
 fn tiled_engine_matches_pris_quality_on_small_graph() {
     // With one tile covering the whole matrix and the paper's L=10, the
     // engine should solve small instances as well as plain PRIS.
-    let g = complete(16, WeightDist::Unit, 5).unwrap();
+    let g = Arc::new(complete(16, WeightDist::Unit, 5).unwrap());
     let cfg = SophieConfig {
         tile_size: 16,
         local_iters: 10,
@@ -158,31 +197,49 @@ fn tiled_engine_matches_pris_quality_on_small_graph() {
         ..SophieConfig::default()
     };
     let solver = SophieSolver::from_graph(&g, cfg).unwrap();
-    let out = solver.run(&g, 7, None).unwrap();
+    let out = solve(&solver, &g, 7, None);
     // Optimum of K16 (unit weights) is 8·8 = 64.
     assert!(out.best_cut >= 60.0, "cut {}", out.best_cut);
 }
 
 #[test]
 fn rejects_mismatched_graph() {
-    let g = complete(20, WeightDist::Unit, 0).unwrap();
-    let other = complete(24, WeightDist::Unit, 0).unwrap();
+    let g = Arc::new(complete(20, WeightDist::Unit, 0).unwrap());
+    let other = Arc::new(complete(24, WeightDist::Unit, 0).unwrap());
     let solver = SophieSolver::from_graph(&g, small_config(8, 2)).unwrap();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = solver.run(&other, 0, None);
-    }));
-    assert!(result.is_err());
+    let result = solve_run(&solver, &other, 0, &EngineRun::default());
+    assert!(
+        matches!(result, Err(SolveError::BadJob { .. })),
+        "{result:?}"
+    );
+}
+
+#[test]
+fn rejects_a_schedule_for_another_grid() {
+    let g = Arc::new(complete(20, WeightDist::Unit, 0).unwrap());
+    let solver = SophieSolver::from_graph(&g, small_config(8, 2)).unwrap();
+    let other = SophieSolver::from_graph(&g, small_config(4, 2)).unwrap();
+    let schedule = Schedule::generate(other.grid(), 2, 1.0, true, 0);
+    let run = EngineRun {
+        schedule: Some(&schedule),
+        ..EngineRun::default()
+    };
+    let result = solve_run(&solver, &g, 0, &run);
+    assert!(
+        matches!(result, Err(SolveError::BadJob { .. })),
+        "{result:?}"
+    );
 }
 
 #[test]
 fn zero_noise_still_produces_valid_runs() {
-    let g = gnm(32, 90, WeightDist::Unit, 9).unwrap();
+    let g = Arc::new(gnm(32, 90, WeightDist::Unit, 9).unwrap());
     let cfg = SophieConfig {
         phi: 0.0,
         ..small_config(8, 15)
     };
     let solver = SophieSolver::from_graph(&g, cfg).unwrap();
-    let out = solver.run(&g, 0, None).unwrap();
+    let out = solve(&solver, &g, 0, None);
     assert!(out.best_cut >= 0.0);
     assert_eq!(
         out.ops.noise_injections,
@@ -204,8 +261,8 @@ fn compute_modes_are_bit_identical() {
     use crate::config::ComputeMode;
     use sophie_solve::EventLog;
 
-    let g = gnm(60, 240, WeightDist::Unit, 4).unwrap();
-    let mut reference: Option<(crate::SophieOutcome, EventLog)> = None;
+    let g = Arc::new(gnm(60, 240, WeightDist::Unit, 4).unwrap());
+    let mut reference: Option<(SolveReport, EventLog)> = None;
     for (compute, crossover) in [
         (ComputeMode::Dense, None),
         (ComputeMode::Sparse, None),
@@ -219,7 +276,7 @@ fn compute_modes_are_bit_identical() {
         };
         let solver = SophieSolver::from_graph(&g, cfg).unwrap();
         let mut log = EventLog::new();
-        let out = solver.run_observed(&g, 9, None, &mut log).unwrap();
+        let out = solve_observing(&solver, &g, 9, None, &mut log);
         match &reference {
             None => reference = Some((out, log)),
             Some((ref_out, ref_log)) => {
@@ -227,9 +284,7 @@ fn compute_modes_are_bit_identical() {
                     ref_out.best_cut, out.best_cut,
                     "cut diverged for {compute:?}"
                 );
-                assert_eq!(ref_out.best_bits, out.best_bits);
-                assert_eq!(ref_out.cut_trace, out.cut_trace);
-                assert_eq!(ref_out.ops, out.ops);
+                assert_eq!(ref_out, &out);
                 assert_eq!(
                     ref_log.events(),
                     log.events(),
@@ -246,32 +301,28 @@ mod observed {
 
     #[test]
     fn observed_run_is_bit_identical_to_plain_run() {
-        let g = gnm(48, 180, WeightDist::Unit, 2).unwrap();
+        let g = Arc::new(gnm(48, 180, WeightDist::Unit, 2).unwrap());
         let solver = SophieSolver::from_graph(&g, small_config(16, 30)).unwrap();
-        let plain = solver.run(&g, 11, Some(300.0)).unwrap();
-        let mut rec = TraceRecorder::new();
-        let observed = solver.run_observed(&g, 11, Some(300.0), &mut rec).unwrap();
-        assert_eq!(plain.best_cut, observed.best_cut);
-        assert_eq!(plain.best_bits, observed.best_bits);
-        assert_eq!(plain.cut_trace, observed.cut_trace);
-        assert_eq!(plain.activity_trace, observed.activity_trace);
-        assert_eq!(plain.ops, observed.ops);
-        // The recorder's reconstruction matches the legacy outcome fields.
-        let report = rec.into_report();
-        assert_eq!(report.cut_trace, plain.cut_trace);
-        assert_eq!(report.activity_trace, plain.activity_trace);
-        assert_eq!(report.best_cut, plain.best_cut);
-        assert_eq!(report.iterations_to_target, plain.global_iters_to_target);
-        assert_eq!(report.ops, plain.ops);
-        assert_eq!(report.solver, "sophie");
+        let plain = solve(&solver, &g, 11, Some(300.0));
+        let mut log = EventLog::new();
+        let observed = solve_observing(&solver, &g, 11, Some(300.0), &mut log);
+        // Attaching an observer must not perturb the run…
+        assert_eq!(plain, observed);
+        // …and the report's bits must reproduce its best cut.
+        assert_eq!(cut_value_binary(&g, &plain.best_bits), plain.best_cut);
+        assert_eq!(plain.solver, "sophie");
+        assert!(matches!(
+            log.events().last(),
+            Some(SolveEvent::RunFinished { best_cut, .. }) if *best_cut == plain.best_cut
+        ));
     }
 
     #[test]
     fn event_stream_follows_the_ordering_contract() {
-        let g = gnm(40, 120, WeightDist::Unit, 3).unwrap();
+        let g = Arc::new(gnm(40, 120, WeightDist::Unit, 3).unwrap());
         let solver = SophieSolver::from_graph(&g, small_config(8, 12)).unwrap();
         let mut log = EventLog::new();
-        let out = solver.run_observed(&g, 4, None, &mut log).unwrap();
+        let out = solve_observing(&solver, &g, 4, None, &mut log);
         let events = log.into_events();
         assert!(matches!(
             events.first(),
@@ -311,7 +362,7 @@ mod observed {
 
     #[test]
     fn target_reached_emitted_at_most_once() {
-        let g = complete(4, WeightDist::Unit, 0).unwrap();
+        let g = Arc::new(complete(4, WeightDist::Unit, 0).unwrap());
         let config = SophieConfig {
             tile_size: 2,
             local_iters: 3,
@@ -321,7 +372,7 @@ mod observed {
         };
         let solver = SophieSolver::from_graph(&g, config).unwrap();
         let mut log = EventLog::new();
-        let out = solver.run_observed(&g, 3, Some(4.0), &mut log).unwrap();
+        let out = solve_observing(&solver, &g, 3, Some(4.0), &mut log);
         let hits: Vec<_> = log
             .events()
             .iter()
@@ -331,16 +382,17 @@ mod observed {
             })
             .collect();
         assert_eq!(hits.len(), 1);
-        assert_eq!(Some(hits[0]), out.global_iters_to_target);
+        assert_eq!(Some(hits[0]), out.iterations_to_target);
     }
 }
 
 mod warm_start_tests {
     use super::*;
+    use sophie_solve::JobBudget;
 
     #[test]
     fn warm_start_begins_from_the_given_state() {
-        let g = gnm(40, 150, WeightDist::Unit, 23).unwrap();
+        let g = Arc::new(gnm(40, 150, WeightDist::Unit, 23).unwrap());
         let cfg = SophieConfig {
             tile_size: 16,
             global_iters: 10,
@@ -350,16 +402,19 @@ mod warm_start_tests {
         let solver = SophieSolver::from_graph(&g, cfg.clone()).unwrap();
         let schedule = Schedule::generate(solver.grid(), cfg.global_iters, 1.0, true, 3);
         let initial = vec![true; 40]; // all-one-side: cut 0 at iteration 0
-        let out = solver
-            .run_scheduled_from(&IdealBackend::new(), &g, &schedule, 1, None, Some(&initial))
-            .unwrap();
+        let run = EngineRun {
+            schedule: Some(&schedule),
+            initial_bits: Some(&initial),
+            ..EngineRun::default()
+        };
+        let out = solve_run(&solver, &g, 1, &run).unwrap();
         assert_eq!(out.cut_trace[0], 0.0);
         assert!(out.best_cut > 0.0, "annealing should escape the start");
     }
 
     #[test]
     fn warm_start_from_good_state_does_not_regress_best() {
-        let g = gnm(48, 200, WeightDist::Unit, 29).unwrap();
+        let g = Arc::new(gnm(48, 200, WeightDist::Unit, 29).unwrap());
         let cfg = SophieConfig {
             tile_size: 16,
             global_iters: 30,
@@ -367,18 +422,14 @@ mod warm_start_tests {
             ..SophieConfig::default()
         };
         let solver = SophieSolver::from_graph(&g, cfg.clone()).unwrap();
-        let cold = solver.run(&g, 5, None).unwrap();
+        let cold = solve(&solver, &g, 5, None);
         let schedule = Schedule::generate(solver.grid(), cfg.global_iters, 1.0, true, 7);
-        let warm = solver
-            .run_scheduled_from(
-                &IdealBackend::new(),
-                &g,
-                &schedule,
-                6,
-                None,
-                Some(&cold.best_bits),
-            )
-            .unwrap();
+        let run = EngineRun {
+            schedule: Some(&schedule),
+            initial_bits: Some(&cold.best_bits),
+            ..EngineRun::default()
+        };
+        let warm = solve_run(&solver, &g, 6, &run).unwrap();
         // The warm run starts at the cold run's best, so its best can only
         // match or improve it.
         assert!(warm.best_cut >= cold.best_cut);
@@ -386,9 +437,8 @@ mod warm_start_tests {
     }
 
     #[test]
-    #[should_panic(expected = "initial state length")]
     fn rejects_wrong_length_initial_state() {
-        let g = gnm(30, 90, WeightDist::Unit, 1).unwrap();
+        let g = Arc::new(gnm(30, 90, WeightDist::Unit, 1).unwrap());
         let cfg = SophieConfig {
             tile_size: 16,
             global_iters: 2,
@@ -396,13 +446,47 @@ mod warm_start_tests {
         };
         let solver = SophieSolver::from_graph(&g, cfg.clone()).unwrap();
         let schedule = Schedule::generate(solver.grid(), 2, 1.0, true, 0);
-        let _ = solver.run_scheduled_from(
-            &IdealBackend::new(),
-            &g,
-            &schedule,
-            0,
-            None,
-            Some(&[true; 10]),
+        let run = EngineRun {
+            schedule: Some(&schedule),
+            initial_bits: Some(&[true; 10]),
+            ..EngineRun::default()
+        };
+        let result = solve_run(&solver, &g, 0, &run);
+        assert!(
+            matches!(result, Err(SolveError::BadJob { .. })),
+            "{result:?}"
         );
+    }
+
+    #[test]
+    fn a_budget_caps_a_supplied_schedule() {
+        let g = Arc::new(gnm(30, 90, WeightDist::Unit, 1).unwrap());
+        let solver = SophieSolver::from_graph(&g, small_config(8, 20)).unwrap();
+        let schedule = Schedule::generate(solver.grid(), 20, 1.0, true, 4);
+        let run = EngineRun {
+            schedule: Some(&schedule),
+            ..EngineRun::default()
+        };
+        let job = |budget| SolveJob::new(Arc::clone(&g), 2).with_budget(budget);
+        let solve_capped = |budget| {
+            solver
+                .solve_job(
+                    &IdealBackend::new(),
+                    &job(budget),
+                    &run,
+                    &mut NullObserver,
+                    &mut NullTimeline,
+                )
+                .unwrap()
+        };
+        let full = solve_capped(JobBudget::default());
+        let capped = solve_capped(JobBudget {
+            max_iterations: Some(7),
+            time_limit: None,
+        });
+        assert_eq!((full.planned_iterations, full.iterations_run), (20, 20));
+        assert_eq!((capped.planned_iterations, capped.iterations_run), (7, 7));
+        // The capped run is a prefix of the full one.
+        assert_eq!(capped.cut_trace[..], full.cut_trace[..8]);
     }
 }

@@ -1,4 +1,4 @@
-//! Stage 4 — best/target/trace bookkeeping and event emission.
+//! Stage 4 — best/target bookkeeping and event emission.
 //!
 //! Scores every synchronized state, maintains the best configuration and
 //! time-to-target via the shared [`SolutionTracker`], derives per-round
@@ -8,8 +8,6 @@
 //! driving the run, never on the worker pool.
 
 use sophie_solve::{OpCounts, SolutionTracker, SolveEvent, SolveObserver};
-
-use crate::outcome::SophieOutcome;
 
 /// Tracks one run's quality trajectory and reports it as events.
 #[derive(Debug)]
@@ -70,28 +68,21 @@ impl RunTracker {
         }
     }
 
-    /// Emits `RunFinished` and assembles the outcome.
+    /// Emits `RunFinished` and hands back the best bits (the one output
+    /// the event stream does not carry).
     pub fn finish(
         self,
         rounds_run: usize,
         ops: OpCounts,
         observer: &mut dyn SolveObserver,
-    ) -> SophieOutcome {
+    ) -> Vec<bool> {
         observer.on_event(&SolveEvent::RunFinished {
             best_cut: self.tracker.best_cut(),
             best_round: self.tracker.best_iteration(),
             rounds_run,
             ops,
         });
-        let (best_cut, best_bits, first_hit, cut_trace, activity_trace) = self.tracker.into_parts();
-        SophieOutcome {
-            best_cut,
-            best_bits,
-            global_iters_run: rounds_run,
-            global_iters_to_target: first_hit,
-            cut_trace,
-            activity_trace,
-            ops,
-        }
+        let (_, best_bits, _) = self.tracker.into_parts();
+        best_bits
     }
 }

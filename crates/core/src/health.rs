@@ -1,6 +1,7 @@
 //! Health monitoring and fault-recovery configuration.
 //!
-//! A fault-aware run (see [`crate::SophieSolver::run_fault_aware`])
+//! A fault-aware run (a [`crate::SophieSolver::solve_job`] with
+//! [`EngineRun::health`](crate::EngineRun::health) set)
 //! interleaves cheap calibration MVMs with the solve: every
 //! [`HealthConfig::check_interval`] rounds the engine sends a known probe
 //! vector through each pair's physical unit, compares the result against

@@ -24,16 +24,19 @@
 //! # Example
 //!
 //! ```
-//! use sophie_core::{SophieConfig, SophieSolver};
+//! use std::sync::Arc;
+//!
+//! use sophie_core::observe::NullObserver;
+//! use sophie_core::{SolveJob, Solver, SophieConfig, SophieSolver};
 //! use sophie_graph::generate::{complete, WeightDist};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let graph = complete(24, WeightDist::Unit, 0)?;
+//! let graph = Arc::new(complete(24, WeightDist::Unit, 0)?);
 //! let config = SophieConfig { tile_size: 8, global_iters: 60, ..SophieConfig::default() };
 //! let solver = SophieSolver::from_graph(&graph, config)?;
-//! let outcome = solver.run(&graph, 1, None)?;
+//! let report = solver.solve(&SolveJob::new(graph, 1), &mut NullObserver)?;
 //! // K24 with unit weights has optimum 12·12 = 144.
-//! assert!(outcome.best_cut >= 120.0);
+//! assert!(report.best_cut >= 120.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -48,18 +51,16 @@ mod engine;
 mod error;
 mod gaussian;
 mod health;
-mod outcome;
 pub mod queue;
 pub mod schedule;
 mod solver;
 pub mod sparse;
 
 pub use config::{ComputeMode, SophieConfig};
-pub use engine::SophieSolver;
+pub use engine::{EngineRun, SophieSolver};
 pub use error::{Result, SophieError};
 pub use gaussian::GaussianSource;
 pub use health::{HealthConfig, RecoveryPolicy};
-pub use outcome::SophieOutcome;
 pub use schedule::{Round, Schedule};
 pub use solver::SophieIsing;
 pub use sophie_linalg::{KernelPlan, KernelVariant};

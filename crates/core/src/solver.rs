@@ -22,7 +22,8 @@ use sophie_solve::{Capabilities, SolveError, SolveJob, SolveObserver, SolveRepor
 
 use crate::backend::IdealBackend;
 use crate::config::{ComputeMode, SophieConfig};
-use crate::engine::SophieSolver;
+use crate::engine::{EngineRun, SophieSolver};
+use crate::queue::NullTimeline;
 use crate::sparse::SparseBackend;
 
 impl Solver for SophieSolver {
@@ -46,13 +47,17 @@ impl Solver for SophieSolver {
         // Dispatch on the configured compute mode; dense and sparse
         // backends are bit-identical in every output (see `crate::sparse`),
         // so this choice affects wall-clock only.
+        let run = EngineRun::default();
         match self.config().compute {
-            ComputeMode::Dense => self.solve_job(&IdealBackend::new(), job, None, observer),
+            ComputeMode::Dense => {
+                self.solve_job(&IdealBackend::new(), job, &run, observer, &mut NullTimeline)
+            }
             ComputeMode::Sparse | ComputeMode::Auto => self.solve_job(
                 &SparseBackend::from_config(self.config()),
                 job,
-                None,
+                &run,
                 observer,
+                &mut NullTimeline,
             ),
         }
     }
@@ -124,7 +129,7 @@ mod tests {
     use super::*;
     use sophie_graph::generate::{complete, WeightDist};
     use sophie_graph::Graph;
-    use sophie_solve::{EventLog, JobBudget, NullObserver, TraceRecorder};
+    use sophie_solve::{JobBudget, NullObserver, TraceRecorder};
 
     fn test_config() -> SophieConfig {
         SophieConfig {
@@ -136,27 +141,6 @@ mod tests {
 
     fn test_graph() -> Arc<Graph> {
         Arc::new(complete(24, WeightDist::Unit, 3).unwrap())
-    }
-
-    #[test]
-    fn trait_solve_matches_legacy_run_observed_exactly() {
-        let g = test_graph();
-        let engine = SophieSolver::from_graph(&g, test_config()).unwrap();
-
-        let mut legacy = EventLog::new();
-        let outcome = engine
-            .run_observed(&g, 42, Some(100.0), &mut legacy)
-            .unwrap();
-
-        let mut modern = EventLog::new();
-        let job = SolveJob::new(Arc::clone(&g), 42).with_target(Some(100.0));
-        let report = engine.solve(&job, &mut modern).unwrap();
-
-        assert_eq!(legacy.events(), modern.events());
-        assert_eq!(report.best_cut, outcome.best_cut);
-        assert_eq!(report.iterations_run, outcome.global_iters_run);
-        assert_eq!(report.cut_trace, outcome.cut_trace);
-        assert_eq!(report.ops, outcome.ops);
     }
 
     #[test]

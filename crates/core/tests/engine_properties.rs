@@ -1,10 +1,20 @@
 //! Property-based tests of the tiled engine's invariants.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use sophie_core::backend::IdealBackend;
-use sophie_core::{Schedule, SophieConfig, SophieSolver};
+use sophie_core::observe::NullObserver;
+use sophie_core::queue::NullTimeline;
+use sophie_core::{EngineRun, Schedule, SolveJob, SolveReport, Solver, SophieConfig, SophieSolver};
 use sophie_graph::cut::cut_value_binary;
 use sophie_graph::generate::{gnm, WeightDist};
+use sophie_graph::Graph;
+
+fn solve(solver: &SophieSolver, g: &Arc<Graph>, seed: u64, target: Option<f64>) -> SolveReport {
+    let job = SolveJob::new(Arc::clone(g), seed).with_target(target);
+    solver.solve(&job, &mut NullObserver).unwrap()
+}
 
 fn config_strategy() -> impl Strategy<Value = SophieConfig> {
     (
@@ -34,9 +44,9 @@ proptest! {
     /// for every configuration of the engine.
     #[test]
     fn best_bits_always_match_best_cut(cfg in config_strategy(), seed in 0u64..100) {
-        let g = gnm(48, 180, WeightDist::Unit, 11).unwrap();
+        let g = Arc::new(gnm(48, 180, WeightDist::Unit, 11).unwrap());
         let solver = SophieSolver::from_graph(&g, cfg).unwrap();
-        let out = solver.run(&g, seed, None).unwrap();
+        let out = solve(&solver, &g, seed, None);
         prop_assert_eq!(cut_value_binary(&g, &out.best_bits), out.best_cut);
     }
 
@@ -44,9 +54,9 @@ proptest! {
     /// entry per synchronization plus the initial state.
     #[test]
     fn trace_invariants(cfg in config_strategy(), seed in 0u64..100) {
-        let g = gnm(40, 150, WeightDist::PlusMinusOne, 7).unwrap();
+        let g = Arc::new(gnm(40, 150, WeightDist::PlusMinusOne, 7).unwrap());
         let solver = SophieSolver::from_graph(&g, cfg.clone()).unwrap();
-        let out = solver.run(&g, seed, None).unwrap();
+        let out = solve(&solver, &g, seed, None);
         prop_assert_eq!(out.cut_trace.len(), cfg.global_iters + 1);
         let trace_max = out.cut_trace.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         prop_assert_eq!(out.best_cut, trace_max);
@@ -56,10 +66,10 @@ proptest! {
     /// different seeds diverge (with noise enabled).
     #[test]
     fn determinism(cfg in config_strategy(), seed in 0u64..50) {
-        let g = gnm(40, 160, WeightDist::Unit, 3).unwrap();
+        let g = Arc::new(gnm(40, 160, WeightDist::Unit, 3).unwrap());
         let solver = SophieSolver::from_graph(&g, cfg).unwrap();
-        let a = solver.run(&g, seed, None).unwrap();
-        let b = solver.run(&g, seed, None).unwrap();
+        let a = solve(&solver, &g, seed, None);
+        let b = solve(&solver, &g, seed, None);
         prop_assert_eq!(a.cut_trace, b.cut_trace);
         prop_assert_eq!(a.best_bits, b.best_bits);
     }
@@ -68,7 +78,7 @@ proptest! {
     /// replay, for every configuration.
     #[test]
     fn op_counts_match_analytic(cfg in config_strategy(), sched_seed in 0u64..100) {
-        let g = gnm(48, 200, WeightDist::Unit, 5).unwrap();
+        let g = Arc::new(gnm(48, 200, WeightDist::Unit, 5).unwrap());
         let solver = SophieSolver::from_graph(&g, cfg.clone()).unwrap();
         let schedule = Schedule::generate(
             solver.grid(),
@@ -77,8 +87,10 @@ proptest! {
             cfg.stochastic_spin_update,
             sched_seed,
         );
+        let run = EngineRun { schedule: Some(&schedule), ..EngineRun::default() };
+        let job = SolveJob::new(g, 1);
         let out = solver
-            .run_scheduled(&IdealBackend::new(), &g, &schedule, 1, None)
+            .solve_job(&IdealBackend::new(), &job, &run, &mut NullObserver, &mut NullTimeline)
             .unwrap();
         let analytic =
             sophie_core::analytic::analytic_op_counts(48, &cfg, sched_seed).unwrap();
@@ -119,12 +131,12 @@ proptest! {
     /// iteration must be consistent with the trace.
     #[test]
     fn target_detection_is_consistent(cfg in config_strategy(), seed in 0u64..50) {
-        let g = gnm(40, 150, WeightDist::Unit, 13).unwrap();
+        let g = Arc::new(gnm(40, 150, WeightDist::Unit, 13).unwrap());
         let solver = SophieSolver::from_graph(&g, cfg).unwrap();
-        let free = solver.run(&g, seed, None).unwrap();
+        let free = solve(&solver, &g, seed, None);
         let target = free.best_cut; // achievable by construction
-        let tracked = solver.run(&g, seed, Some(target)).unwrap();
-        let hit = tracked.global_iters_to_target;
+        let tracked = solve(&solver, &g, seed, Some(target));
+        let hit = tracked.iterations_to_target;
         prop_assert!(hit.is_some());
         let g_hit = hit.unwrap();
         prop_assert!(tracked.cut_trace[g_hit] >= target);
@@ -142,9 +154,9 @@ proptest! {
     /// exceed the maximum possible (sanity of the Hamming accounting).
     #[test]
     fn activity_trace_is_well_formed(cfg in config_strategy(), seed in 0u64..40) {
-        let g = gnm(40, 150, WeightDist::Unit, 19).unwrap();
+        let g = Arc::new(gnm(40, 150, WeightDist::Unit, 19).unwrap());
         let solver = SophieSolver::from_graph(&g, cfg.clone()).unwrap();
-        let out = solver.run(&g, seed, None).unwrap();
+        let out = solve(&solver, &g, seed, None);
         prop_assert_eq!(out.activity_trace.len(), cfg.global_iters);
         for &flips in &out.activity_trace {
             prop_assert!(flips <= 40);

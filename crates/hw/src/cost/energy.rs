@@ -276,11 +276,13 @@ mod tests {
         // per-sync `ops_delta` energies sum to the energy of the run's
         // total counts — the linearity contract per-round attribution
         // rests on.
+        use std::sync::Arc;
+
         use sophie_core::observe::{EventLog, SolveEvent};
-        use sophie_core::{SophieConfig, SophieSolver};
+        use sophie_core::{SolveJob, Solver, SophieConfig, SophieSolver};
         use sophie_graph::generate::{gnm, WeightDist};
 
-        let g = gnm(64, 300, WeightDist::UniformInt { lo: -2, hi: 2 }, 9).unwrap();
+        let g = Arc::new(gnm(64, 300, WeightDist::UniformInt { lo: -2, hi: 2 }, 9).unwrap());
         let cfg = SophieConfig {
             tile_size: 16,
             local_iters: 4,
@@ -289,7 +291,7 @@ mod tests {
         };
         let solver = SophieSolver::from_graph(&g, cfg).unwrap();
         let mut log = EventLog::new();
-        let out = solver.run_observed(&g, 3, None, &mut log).unwrap();
+        let out = solver.solve(&SolveJob::new(g, 3), &mut log).unwrap();
 
         let m = MachineConfig::sophie_default(1);
         let p = CostParams::default();

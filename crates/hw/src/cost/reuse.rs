@@ -100,12 +100,15 @@ pub fn reuse_estimate(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use sophie_core::{SophieConfig, SophieSolver};
+    use sophie_core::observe::NullObserver;
+    use sophie_core::{SolveJob, Solver, SophieConfig, SophieSolver};
     use sophie_graph::generate::{gnm, WeightDist};
 
     fn run_ops(n: usize, m: usize) -> OpCounts {
-        let g = gnm(n, m, WeightDist::UniformInt { lo: -2, hi: 2 }, 9).unwrap();
+        let g = Arc::new(gnm(n, m, WeightDist::UniformInt { lo: -2, hi: 2 }, 9).unwrap());
         let cfg = SophieConfig {
             tile_size: 16,
             local_iters: 4,
@@ -113,7 +116,9 @@ mod tests {
             ..SophieConfig::default()
         };
         let solver = SophieSolver::from_graph(&g, cfg).unwrap();
-        let out = solver.run(&g, 3, None).unwrap();
+        let out = solver
+            .solve(&SolveJob::new(g, 3), &mut NullObserver)
+            .unwrap();
         out.ops
     }
 

@@ -143,16 +143,30 @@ mod tests {
 
     #[test]
     fn matches_engine_counts() {
+        use std::sync::Arc;
+
         use sophie_core::backend::IdealBackend;
-        use sophie_core::{Schedule, SophieSolver};
+        use sophie_core::observe::NullObserver;
+        use sophie_core::queue::NullTimeline;
+        use sophie_core::{EngineRun, Schedule, SolveJob, SophieSolver};
         use sophie_graph::generate::{gnm, WeightDist};
 
         let cfg = config(0.6);
-        let g = gnm(64, 180, WeightDist::Unit, 5).unwrap();
+        let g = Arc::new(gnm(64, 180, WeightDist::Unit, 5).unwrap());
         let solver = SophieSolver::from_graph(&g, cfg.clone()).unwrap();
         let schedule = Schedule::generate(solver.grid(), cfg.global_iters, 0.6, true, 21);
+        let run = EngineRun {
+            schedule: Some(&schedule),
+            ..EngineRun::default()
+        };
         let out = solver
-            .run_scheduled(&IdealBackend::new(), &g, &schedule, 0, None)
+            .solve_job(
+                &IdealBackend::new(),
+                &SolveJob::new(g, 0),
+                &run,
+                &mut NullObserver,
+                &mut NullTimeline,
+            )
             .unwrap();
         let from_run = WorkloadSummary::from_ops(64, &cfg, &out.ops, 4);
         let analytic = WorkloadSummary::analytic(64, &cfg, 4, 21).unwrap();

@@ -11,7 +11,8 @@
 
 use std::sync::Arc;
 
-use sophie_core::{HealthConfig, SophieConfig, SophieSolver, TransformCache};
+use sophie_core::queue::NullTimeline;
+use sophie_core::{EngineRun, HealthConfig, SophieConfig, SophieSolver, TransformCache};
 use sophie_graph::Graph;
 use sophie_solve::{Capabilities, SolveError, SolveJob, SolveObserver, SolveReport, Solver};
 
@@ -150,10 +151,14 @@ impl Solver for SophieOpcm {
     ) -> Result<SolveReport, SolveError> {
         let engine = self.engine_for(&job.graph)?;
         // Fresh backend per job: unit ids (and hence noise/fault streams)
-        // restart from zero, exactly as the legacy per-run entry points
-        // are driven, and concurrent jobs never share mutable state.
+        // restart from zero for every job, and concurrent jobs never share
+        // mutable state.
         let backend = OpcmBackend::try_new(self.backend).map_err(bad_config)?;
-        engine.solve_job(&backend, job, self.health.as_ref(), observer)
+        let run = EngineRun {
+            health: self.health.as_ref(),
+            ..EngineRun::default()
+        };
+        engine.solve_job(&backend, job, &run, observer, &mut NullTimeline)
     }
 }
 
@@ -163,7 +168,6 @@ mod tests {
     use sophie_solve::EventLog;
 
     use super::*;
-    use crate::fault::FaultSchedule;
 
     fn small_config() -> SophieConfig {
         SophieConfig {
@@ -172,57 +176,6 @@ mod tests {
             phi: 0.1,
             ..SophieConfig::default()
         }
-    }
-
-    #[test]
-    fn trait_solve_matches_legacy_run_with_backend_observed_exactly() {
-        let g = Arc::new(complete(24, WeightDist::Unit, 3).unwrap());
-        let cfg = small_config();
-        let hw = OpcmBackendConfig::default();
-
-        let engine = SophieSolver::from_graph(&g, cfg.clone()).unwrap();
-        let mut legacy = EventLog::new();
-        let outcome = engine
-            .run_with_backend_observed(&OpcmBackend::new(hw), &g, 7, Some(100.0), &mut legacy)
-            .unwrap();
-
-        let solver = SophieOpcm::new(cfg, hw, Arc::default()).unwrap();
-        let mut modern = EventLog::new();
-        let job = SolveJob::new(Arc::clone(&g), 7).with_target(Some(100.0));
-        let report = solver.solve(&job, &mut modern).unwrap();
-
-        assert_eq!(legacy.events(), modern.events());
-        assert_eq!(report.best_cut, outcome.best_cut);
-        assert_eq!(report.solver, "sophie");
-    }
-
-    #[test]
-    fn health_path_matches_legacy_run_fault_aware_exactly() {
-        let g = Arc::new(complete(24, WeightDist::Unit, 3).unwrap());
-        let cfg = small_config();
-        let hw = OpcmBackendConfig {
-            faults: FaultSchedule::uniform(0.02, 99),
-            ..OpcmBackendConfig::default()
-        };
-        let health = HealthConfig::default();
-
-        let engine = SophieSolver::from_graph(&g, cfg.clone()).unwrap();
-        let mut legacy = EventLog::new();
-        let outcome = engine
-            .run_fault_aware(&OpcmBackend::new(hw), &g, 5, None, &health, &mut legacy)
-            .unwrap();
-
-        let solver = SophieOpcm::new(cfg, hw, Arc::default())
-            .unwrap()
-            .with_health(health)
-            .unwrap();
-        let mut modern = EventLog::new();
-        let report = solver
-            .solve(&SolveJob::new(Arc::clone(&g), 5), &mut modern)
-            .unwrap();
-
-        assert_eq!(legacy.events(), modern.events());
-        assert_eq!(report.best_cut, outcome.best_cut);
     }
 
     #[test]

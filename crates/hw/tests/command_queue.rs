@@ -17,7 +17,8 @@ use std::sync::Arc;
 use sophie_core::backend::IdealBackend;
 use sophie_core::queue::{Completion, TimelineSink};
 use sophie_core::{
-    HealthConfig, OpCounts, RecoveryPolicy, SolveJob, SophieConfig, SophieSolver, SparseBackend,
+    EngineRun, HealthConfig, OpCounts, RecoveryPolicy, SolveJob, SophieConfig, SophieSolver,
+    SparseBackend,
 };
 use sophie_graph::generate::{gnm, WeightDist};
 use sophie_graph::Graph;
@@ -90,11 +91,15 @@ fn run_collected<B: sophie_core::backend::MvmBackend>(
     health: Option<&HealthConfig>,
 ) -> (OpCounts, Collector) {
     let mut sink = Collector::default();
+    let run = EngineRun {
+        health,
+        ..EngineRun::default()
+    };
     let report = solver
-        .solve_job_with_timeline(
+        .solve_job(
             backend,
             &SolveJob::new(Arc::clone(graph), 5),
-            health,
+            &run,
             &mut NullObserver,
             &mut sink,
         )

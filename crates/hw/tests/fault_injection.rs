@@ -1,13 +1,18 @@
 //! Fault-injection study: how much GST device degradation SOPHIE's
 //! algorithm absorbs before solution quality collapses.
 
-use sophie_core::{SophieConfig, SophieSolver};
+use std::sync::Arc;
+
+use sophie_core::observe::NullObserver;
+use sophie_core::queue::NullTimeline;
+use sophie_core::{EngineRun, SolveJob, SophieConfig, SophieSolver};
 use sophie_graph::generate::{gnm, WeightDist};
+use sophie_graph::Graph;
 use sophie_hw::device::variability::VariabilityModel;
 use sophie_hw::{OpcmBackend, OpcmBackendConfig};
 
-fn solver_and_graph() -> (SophieSolver, sophie_graph::Graph) {
-    let g = gnm(128, 640, WeightDist::Unit, 17).unwrap();
+fn solver_and_graph() -> (SophieSolver, Arc<Graph>) {
+    let g = Arc::new(gnm(128, 640, WeightDist::Unit, 17).unwrap());
     let cfg = SophieConfig {
         tile_size: 32,
         global_iters: 100,
@@ -17,7 +22,7 @@ fn solver_and_graph() -> (SophieSolver, sophie_graph::Graph) {
     (SophieSolver::from_graph(&g, cfg).unwrap(), g)
 }
 
-fn best_with(model: VariabilityModel, solver: &SophieSolver, g: &sophie_graph::Graph) -> f64 {
+fn best_with(model: VariabilityModel, solver: &SophieSolver, g: &Arc<Graph>) -> f64 {
     (0..3u64)
         .map(|seed| {
             let backend = OpcmBackend::new(OpcmBackendConfig {
@@ -26,7 +31,13 @@ fn best_with(model: VariabilityModel, solver: &SophieSolver, g: &sophie_graph::G
                 ..OpcmBackendConfig::default()
             });
             solver
-                .run_with_backend(&backend, g, seed, None)
+                .solve_job(
+                    &backend,
+                    &SolveJob::new(Arc::clone(g), seed),
+                    &EngineRun::default(),
+                    &mut NullObserver,
+                    &mut NullTimeline,
+                )
                 .unwrap()
                 .best_cut
         })

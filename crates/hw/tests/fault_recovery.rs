@@ -1,13 +1,20 @@
 //! Fault-aware runtime: transient injection through the OPCM backend,
 //! calibration-based detection, and retry/remap recovery.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use sophie_core::backend::{MvmBackend, MvmUnit};
-use sophie_core::observe::TraceRecorder;
-use sophie_core::{HealthConfig, RecoveryPolicy, SophieConfig, SophieSolver};
+use sophie_core::observe::NullObserver;
+use sophie_core::queue::NullTimeline;
+use sophie_core::{
+    EngineRun, HealthConfig, RecoveryPolicy, SolveJob, SolveReport, SophieConfig, SophieSolver,
+};
 use sophie_graph::generate::{gnm, WeightDist};
+use sophie_graph::Graph;
 use sophie_hw::{FaultSchedule, OpcmBackend, OpcmBackendConfig};
 use sophie_linalg::Tile;
+use sophie_solve::SolveError;
 
 /// A backend that is exact except for the given fault schedule: ideal
 /// variability, zero read noise, generous ADC resolution.
@@ -213,8 +220,8 @@ fn new_panics_on_invalid_config() {
 
 // ---- Engine-level recovery behavior. ----
 
-fn solver_and_graph() -> (SophieSolver, sophie_graph::Graph) {
-    let g = gnm(96, 480, WeightDist::Unit, 23).unwrap();
+fn solver_and_graph() -> (SophieSolver, Arc<Graph>) {
+    let g = Arc::new(gnm(96, 480, WeightDist::Unit, 23).unwrap());
     let cfg = SophieConfig {
         tile_size: 32,
         global_iters: 60,
@@ -222,6 +229,22 @@ fn solver_and_graph() -> (SophieSolver, sophie_graph::Graph) {
         ..SophieConfig::default()
     };
     (SophieSolver::from_graph(&g, cfg).unwrap(), g)
+}
+
+/// One job on `backend`, fault-aware when `health` is set.
+fn solve_on(
+    solver: &SophieSolver,
+    backend: &OpcmBackend,
+    g: &Arc<Graph>,
+    seed: u64,
+    health: Option<&HealthConfig>,
+) -> Result<SolveReport, SolveError> {
+    let run = EngineRun {
+        health,
+        ..EngineRun::default()
+    };
+    let job = SolveJob::new(Arc::clone(g), seed);
+    solver.solve_job(backend, &job, &run, &mut NullObserver, &mut NullTimeline)
 }
 
 #[test]
@@ -235,20 +258,16 @@ fn reprogram_recovery_beats_no_recovery_under_dropout() {
     let mut recovered_any = false;
     for seed in 0..3u64 {
         let backend = exact_backend(faults);
-        let bare = solver.run_with_backend(&backend, &g, seed, None).unwrap();
+        let bare = solve_on(&solver, &backend, &g, seed, None).unwrap();
         bare_best = bare_best.max(bare.best_cut);
 
         let backend = exact_backend(faults);
-        let mut rec = TraceRecorder::new();
-        let healed = solver
-            .run_fault_aware(&backend, &g, seed, None, &health, &mut rec)
-            .unwrap();
+        let healed = solve_on(&solver, &backend, &g, seed, Some(&health)).unwrap();
         recovered_best = recovered_best.max(healed.best_cut);
-        let report = rec.into_report();
-        assert!(report.faults_injected > 0, "storm must fire faults");
-        recovered_any |= report.tiles_recovered > 0;
+        assert!(healed.faults_injected > 0, "storm must fire faults");
+        recovered_any |= healed.tiles_recovered > 0;
         assert!(healed.ops.probe_mvms > 0, "probes must be charged");
-        if report.tiles_recovered > 0 {
+        if healed.tiles_recovered > 0 {
             assert!(
                 healed.ops.recovery_reprograms > 0,
                 "recovery writes must be charged"
@@ -281,14 +300,10 @@ fn remap_policy_consumes_spares_on_stuck_cells() {
         ..HealthConfig::default()
     };
     let backend = exact_backend(faults);
-    let mut rec = TraceRecorder::new();
-    let outcome = solver
-        .run_fault_aware(&backend, &g, 1, None, &health, &mut rec)
-        .unwrap();
-    let report = rec.into_report();
+    let report = solve_on(&solver, &backend, &g, 1, Some(&health)).unwrap();
     assert!(report.faults_injected > 0);
     assert!(
-        outcome.ops.units_remapped > 0,
+        report.ops.units_remapped > 0,
         "stuck cells can only be cured by remapping"
     );
     assert!(report.tiles_recovered > 0);
@@ -309,11 +324,7 @@ fn quarantine_policy_degrades_gracefully() {
         ..HealthConfig::default()
     };
     let backend = exact_backend(faults);
-    let mut rec = TraceRecorder::new();
-    let outcome = solver
-        .run_fault_aware(&backend, &g, 1, None, &health, &mut rec)
-        .unwrap();
-    let report = rec.into_report();
+    let outcome = solve_on(&solver, &backend, &g, 1, Some(&health)).unwrap();
     assert!(outcome.best_cut.is_finite());
     // m/2 = 240 is the random-cut baseline; the rounds before quarantine
     // kicks in must at least hold that level.
@@ -327,7 +338,7 @@ fn quarantine_policy_degrades_gracefully() {
         "heavy stuck-cell pressure must quarantine at least one pair"
     );
     assert_eq!(
-        report.recoveries_exhausted as u64,
+        outcome.recoveries_exhausted as u64,
         outcome.ops.pairs_quarantined
     );
 }
@@ -340,10 +351,10 @@ fn fault_aware_run_rejects_invalid_health_config() {
         check_interval: 0,
         ..HealthConfig::default()
     };
-    let mut rec = TraceRecorder::new();
-    assert!(solver
-        .run_fault_aware(&backend, &g, 0, None, &health, &mut rec)
-        .is_err());
+    assert!(matches!(
+        solve_on(&solver, &backend, &g, 0, Some(&health)),
+        Err(SolveError::BadConfig { .. })
+    ));
 }
 
 #[test]
@@ -356,15 +367,11 @@ fn healthy_fault_aware_run_matches_plain_run() {
         ..HealthConfig::default()
     };
     let backend = exact_backend(FaultSchedule::none());
-    let plain = solver.run_with_backend(&backend, &g, 7, None).unwrap();
+    let plain = solve_on(&solver, &backend, &g, 7, None).unwrap();
     let backend = exact_backend(FaultSchedule::none());
-    let mut rec = TraceRecorder::new();
-    let aware = solver
-        .run_fault_aware(&backend, &g, 7, None, &health, &mut rec)
-        .unwrap();
+    let aware = solve_on(&solver, &backend, &g, 7, Some(&health)).unwrap();
     assert_eq!(plain.best_cut, aware.best_cut);
     assert_eq!(plain.best_bits, aware.best_bits);
-    let report = rec.into_report();
-    assert_eq!(report.faults_detected, 0, "ideal units must not be flagged");
+    assert_eq!(aware.faults_detected, 0, "ideal units must not be flagged");
     assert!(aware.ops.probe_mvms >= 60, "one probe per pair per round");
 }

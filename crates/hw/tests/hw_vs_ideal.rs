@@ -3,10 +3,15 @@
 //! read noise, 8-bit ADC) must yield solution quality close to the exact
 //! floating-point backend.
 
-use sophie_core::backend::IdealBackend;
-use sophie_core::{SophieConfig, SophieSolver};
+use std::sync::Arc;
+
+use sophie_core::backend::{IdealBackend, MvmBackend};
+use sophie_core::observe::NullObserver;
+use sophie_core::queue::NullTimeline;
+use sophie_core::{EngineRun, SolveJob, SolveReport, SophieConfig, SophieSolver};
 use sophie_graph::cut::cut_value_binary;
 use sophie_graph::generate::{complete, gnm, WeightDist};
+use sophie_graph::Graph;
 use sophie_hw::{OpcmBackend, OpcmBackendConfig};
 
 fn config(tile: usize, giters: usize) -> SophieConfig {
@@ -22,7 +27,26 @@ fn config(tile: usize, giters: usize) -> SophieConfig {
     }
 }
 
-fn best_of(solver: &SophieSolver, graph: &sophie_graph::Graph, runs: u64, hw: bool) -> f64 {
+/// One job on `backend` through the engine core.
+fn solve_on<B: MvmBackend>(
+    solver: &SophieSolver,
+    backend: &B,
+    graph: &Arc<Graph>,
+    seed: u64,
+) -> SolveReport {
+    let job = SolveJob::new(Arc::clone(graph), seed);
+    solver
+        .solve_job(
+            backend,
+            &job,
+            &EngineRun::default(),
+            &mut NullObserver,
+            &mut NullTimeline,
+        )
+        .unwrap()
+}
+
+fn best_of(solver: &SophieSolver, graph: &Arc<Graph>, runs: u64, hw: bool) -> f64 {
     (0..runs)
         .map(|seed| {
             if hw {
@@ -30,15 +54,9 @@ fn best_of(solver: &SophieSolver, graph: &sophie_graph::Graph, runs: u64, hw: bo
                     seed: seed * 31 + 1,
                     ..OpcmBackendConfig::default()
                 });
-                solver
-                    .run_with_backend(&backend, graph, seed, None)
-                    .unwrap()
-                    .best_cut
+                solve_on(solver, &backend, graph, seed).best_cut
             } else {
-                solver
-                    .run_with_backend(&IdealBackend::new(), graph, seed, None)
-                    .unwrap()
-                    .best_cut
+                solve_on(solver, &IdealBackend::new(), graph, seed).best_cut
             }
         })
         .fold(f64::NEG_INFINITY, f64::max)
@@ -46,7 +64,7 @@ fn best_of(solver: &SophieSolver, graph: &sophie_graph::Graph, runs: u64, hw: bo
 
 #[test]
 fn opcm_backend_matches_ideal_quality_on_dense_graph() {
-    let g = complete(48, WeightDist::Unit, 3).unwrap();
+    let g = Arc::new(complete(48, WeightDist::Unit, 3).unwrap());
     let solver = SophieSolver::from_graph(&g, config(16, 80)).unwrap();
     let ideal = best_of(&solver, &g, 3, false);
     let device = best_of(&solver, &g, 3, true);
@@ -60,7 +78,7 @@ fn opcm_backend_matches_ideal_quality_on_dense_graph() {
 
 #[test]
 fn opcm_backend_matches_ideal_quality_on_sparse_graph() {
-    let g = gnm(120, 600, WeightDist::Unit, 11).unwrap();
+    let g = Arc::new(gnm(120, 600, WeightDist::Unit, 11).unwrap());
     let solver = SophieSolver::from_graph(&g, config(32, 100)).unwrap();
     let ideal = best_of(&solver, &g, 3, false);
     let device = best_of(&solver, &g, 3, true);
@@ -72,10 +90,10 @@ fn opcm_backend_matches_ideal_quality_on_sparse_graph() {
 
 #[test]
 fn device_run_reports_consistent_bits() {
-    let g = gnm(64, 256, WeightDist::Unit, 5).unwrap();
+    let g = Arc::new(gnm(64, 256, WeightDist::Unit, 5).unwrap());
     let solver = SophieSolver::from_graph(&g, config(16, 40)).unwrap();
     let backend = OpcmBackend::default();
-    let out = solver.run_with_backend(&backend, &g, 9, None).unwrap();
+    let out = solve_on(&solver, &backend, &g, 9);
     assert_eq!(cut_value_binary(&g, &out.best_bits), out.best_cut);
 }
 
@@ -83,7 +101,7 @@ fn device_run_reports_consistent_bits() {
 fn coarser_cells_degrade_gracefully() {
     // 4-level (2-bit) cells hold much less weight precision than 64-level
     // cells; quality may dip but the machine must still beat random.
-    let g = gnm(80, 400, WeightDist::Unit, 2).unwrap();
+    let g = Arc::new(gnm(80, 400, WeightDist::Unit, 2).unwrap());
     let solver = SophieSolver::from_graph(&g, config(16, 80)).unwrap();
     let coarse = OpcmBackend::new(OpcmBackendConfig {
         cell: sophie_hw::device::opcm::OpcmCellSpec {
@@ -92,7 +110,7 @@ fn coarser_cells_degrade_gracefully() {
         },
         ..OpcmBackendConfig::default()
     });
-    let out = solver.run_with_backend(&coarse, &g, 4, None).unwrap();
+    let out = solve_on(&solver, &coarse, &g, 4);
     // Random cuts average m/2 = 200.
     assert!(out.best_cut > 210.0, "cut {}", out.best_cut);
 }

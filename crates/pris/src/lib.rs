@@ -18,13 +18,18 @@
 //! # Example
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use sophie_graph::generate::{complete, WeightDist};
-//! use sophie_pris::runner::{solve_max_cut, RunConfig};
+//! use sophie_pris::{PrisJobConfig, PrisSolver};
+//! use sophie_solve::{NullObserver, SolveJob, Solver};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let g = complete(8, WeightDist::Unit, 0)?;
-//! let out = solve_max_cut(&g, 0.0, &RunConfig { iterations: 200, phi: 0.3, seed: 1, target_cut: None })?;
-//! assert!(out.best_cut >= 12.0); // optimum for K8 is 16
+//! let g = Arc::new(complete(8, WeightDist::Unit, 0)?);
+//! let config = PrisJobConfig { alpha: 0.0, iterations: 200, phi: 0.3 };
+//! let solver = PrisSolver::new(config, Arc::default());
+//! let report = solver.solve(&SolveJob::new(g, 1), &mut NullObserver)?;
+//! assert!(report.best_cut >= 12.0); // optimum for K8 is 16
 //! # Ok(())
 //! # }
 //! ```

@@ -52,7 +52,8 @@ pub struct RunOutcome {
 }
 
 /// Runs PRIS on `graph` using `model` (built from the graph's transformed
-/// coupling matrix).
+/// coupling matrix). [`crate::PrisSolver`] runs the same loop through the
+/// `Solver` trait, streaming its events.
 ///
 /// The model dimension must equal the graph's node count.
 ///
@@ -64,39 +65,26 @@ pub struct RunOutcome {
 ///
 /// Panics if `model.dim() != graph.num_nodes()`.
 pub fn run(model: &PrisModel, graph: &Graph, config: &RunConfig) -> Result<RunOutcome> {
-    run_observed(model, graph, config, &mut NullObserver)
+    run_controlled(
+        model,
+        graph,
+        config,
+        &RunControl::unrestricted(),
+        &mut NullObserver,
+    )
 }
 
-/// Runs PRIS like [`run`] while emitting [`SolveEvent`]s to `observer`.
+/// The loop behind [`run`] and [`crate::PrisSolver`]: emits
+/// [`SolveEvent`]s to `observer`, polls `control` between recurrent steps
+/// and winds down early (still emitting `RunFinished`, with `rounds_run` /
+/// `iterations` reflecting the steps actually executed) when it requests
+/// a stop.
 ///
 /// One recurrent step maps to one round: every step emits a
 /// [`SolveEvent::GlobalSync`] whose `activity` is the Hamming distance to
 /// the previous state and whose `ops_delta` is zero (PRIS has no hardware
 /// operation model). Round 0 is the initial random state. The event
-/// stream does not perturb the sampling path — `run` delegates here with
-/// a [`NullObserver`] and produces bit-identical outcomes.
-///
-/// # Errors
-///
-/// Returns [`crate::PrisError::BadNoise`] for invalid φ.
-///
-/// # Panics
-///
-/// Panics if `model.dim() != graph.num_nodes()`.
-pub fn run_observed(
-    model: &PrisModel,
-    graph: &Graph,
-    config: &RunConfig,
-    observer: &mut dyn SolveObserver,
-) -> Result<RunOutcome> {
-    run_controlled(model, graph, config, &RunControl::unrestricted(), observer)
-}
-
-/// The controllable core of [`run_observed`]: polls `control` between
-/// recurrent steps and winds down early (still emitting `RunFinished`,
-/// with `rounds_run` / `iterations` reflecting the steps actually
-/// executed) when it requests a stop. With an unrestricted control this
-/// is exactly [`run_observed`].
+/// stream does not perturb the sampling path.
 pub(crate) fn run_controlled(
     model: &PrisModel,
     graph: &Graph,
@@ -164,7 +152,7 @@ pub(crate) fn run_controlled(
     });
 
     let best_iteration = tracker.best_iteration();
-    let (best_cut, best_bits, first_hit, _, _) = tracker.into_parts();
+    let (best_cut, best_bits, first_hit) = tracker.into_parts();
     Ok(RunOutcome {
         best_cut,
         best_bits,
@@ -174,32 +162,23 @@ pub(crate) fn run_controlled(
     })
 }
 
-/// Runs PRIS end-to-end from a graph: builds `K`, applies eigenvalue
-/// dropout with factor `alpha`, and samples.
-///
-/// This is the convenience entry point used by examples and benchmarks;
-/// sweeps should build a [`crate::dropout::Preprocessor`] once instead.
-///
-/// # Errors
-///
-/// Propagates preprocessing and sampling errors.
-pub fn solve_max_cut(graph: &Graph, alpha: f64, config: &RunConfig) -> Result<RunOutcome> {
-    let k = sophie_graph::coupling::coupling_matrix(graph);
-    let delta = sophie_graph::coupling::delta_diagonal(graph);
-    let c = crate::dropout::transformation_matrix(
-        &k,
-        delta,
-        alpha,
-        crate::dropout::DeltaVariant::Gershgorin,
-    )?;
-    let model = PrisModel::new(c)?;
-    run(&model, graph, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sophie_graph::generate::{complete, gnm, WeightDist};
+
+    /// Preprocesses `graph` at dropout factor `alpha` and runs PRIS on it.
+    fn solve(graph: &Graph, alpha: f64, config: &RunConfig) -> Result<RunOutcome> {
+        let k = sophie_graph::coupling::coupling_matrix(graph);
+        let delta = sophie_graph::coupling::delta_diagonal(graph);
+        let c = crate::dropout::transformation_matrix(
+            &k,
+            delta,
+            alpha,
+            crate::dropout::DeltaVariant::Gershgorin,
+        )?;
+        run(&PrisModel::new(c)?, graph, config)
+    }
 
     #[test]
     fn finds_the_optimum_on_a_tiny_bipartite_instance() {
@@ -211,7 +190,7 @@ mod tests {
             seed: 1,
             target_cut: Some(4.0),
         };
-        let out = solve_max_cut(&g, 0.0, &config).unwrap();
+        let out = solve(&g, 0.0, &config).unwrap();
         assert_eq!(out.best_cut, 4.0);
         assert!(out.iterations_to_target.is_some());
     }
@@ -225,7 +204,7 @@ mod tests {
             seed: 2,
             target_cut: None,
         };
-        let out = solve_max_cut(&g, 0.0, &config).unwrap();
+        let out = solve(&g, 0.0, &config).unwrap();
         // Expected random cut = m/2 = 120; PRIS should clearly beat it.
         assert!(out.best_cut > 140.0, "best cut {}", out.best_cut);
         // The reported bits must reproduce the reported cut.
@@ -241,8 +220,8 @@ mod tests {
             seed: 9,
             target_cut: None,
         };
-        let a = solve_max_cut(&g, 0.0, &config).unwrap();
-        let b = solve_max_cut(&g, 0.0, &config).unwrap();
+        let a = solve(&g, 0.0, &config).unwrap();
+        let b = solve(&g, 0.0, &config).unwrap();
         assert_eq!(a.best_cut, b.best_cut);
         assert_eq!(a.best_bits, b.best_bits);
     }
@@ -268,7 +247,8 @@ mod tests {
         };
         let plain = run(&model, &g, &config).unwrap();
         let mut rec = sophie_solve::TraceRecorder::new();
-        let observed = run_observed(&model, &g, &config, &mut rec).unwrap();
+        let observed =
+            run_controlled(&model, &g, &config, &RunControl::unrestricted(), &mut rec).unwrap();
         assert_eq!(plain.best_cut, observed.best_cut);
         assert_eq!(plain.best_bits, observed.best_bits);
         assert_eq!(plain.best_iteration, observed.best_iteration);
@@ -289,7 +269,7 @@ mod tests {
             seed: 0,
             target_cut: None,
         };
-        let out = solve_max_cut(&g, 0.0, &config).unwrap();
+        let out = solve(&g, 0.0, &config).unwrap();
         assert_eq!(out.iterations, 0);
         assert!(out.best_cut >= 0.0);
     }

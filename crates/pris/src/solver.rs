@@ -110,47 +110,7 @@ impl Solver for PrisSolver {
 mod tests {
     use super::*;
     use sophie_graph::generate::{gnm, WeightDist};
-    use sophie_solve::{EventLog, NullObserver};
-
-    #[test]
-    fn trait_solve_matches_legacy_run_observed_exactly() {
-        let g = Arc::new(gnm(30, 90, WeightDist::Unit, 5).unwrap());
-        let config = PrisJobConfig {
-            alpha: 0.0,
-            iterations: 40,
-            phi: 0.15,
-        };
-
-        let k = sophie_graph::coupling::coupling_matrix(&g);
-        let delta = sophie_graph::coupling::delta_diagonal(&g);
-        let c = crate::dropout::transformation_matrix(
-            &k,
-            delta,
-            config.alpha,
-            crate::dropout::DeltaVariant::Gershgorin,
-        )
-        .unwrap();
-        let model = PrisModel::new(c).unwrap();
-        let run = RunConfig {
-            iterations: config.iterations,
-            phi: config.phi,
-            seed: 9,
-            target_cut: Some(50.0),
-        };
-        let mut legacy = EventLog::new();
-        let outcome = crate::runner::run_observed(&model, &g, &run, &mut legacy).unwrap();
-
-        let solver = PrisSolver::new(config, Arc::default());
-        let mut modern = EventLog::new();
-        let job = SolveJob::new(Arc::clone(&g), 9).with_target(Some(50.0));
-        let report = solver.solve(&job, &mut modern).unwrap();
-
-        assert_eq!(legacy.events(), modern.events());
-        assert_eq!(report.best_cut, outcome.best_cut);
-        assert_eq!(report.iterations_run, outcome.iterations);
-        assert_eq!(report.iterations_to_target, outcome.iterations_to_target);
-        assert_eq!(report.solver, "pris");
-    }
+    use sophie_solve::NullObserver;
 
     #[test]
     fn transform_cache_serves_the_second_job_on_a_graph() {

@@ -70,7 +70,57 @@ struct QueuedJob {
     solver: Arc<dyn Solver>,
     cancel: CancelToken,
     conn: Arc<Conn>,
+    /// The submitting connection's in-flight jobs, which this one leaves
+    /// when it ends.
+    conn_jobs: Arc<ConnJobs>,
     submitted_at: Instant,
+}
+
+impl QueuedJob {
+    /// Writes the job's final frame, after taking the job out of its
+    /// connection's map: a client that reuses the id once it has read this
+    /// frame must not be told `duplicate_id`.
+    fn send_final(&self, frame: &str) {
+        self.conn_jobs.finish(&self.request.id);
+        self.conn.send(frame);
+    }
+}
+
+/// One connection's in-flight jobs by client id. `cancel` finds a job
+/// here and dropping the connection cancels every job still here. A job
+/// enters before it is queued and leaves before its final frame is
+/// written, so the map holds only live jobs and an id is free again once
+/// its result has been sent.
+#[derive(Default)]
+struct ConnJobs(Mutex<HashMap<String, CancelToken>>);
+
+impl ConnJobs {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, CancelToken>> {
+        self.0.lock().expect("conn jobs lock")
+    }
+
+    fn contains(&self, id: &str) -> bool {
+        self.lock().contains_key(id)
+    }
+
+    fn insert(&self, id: &str, token: CancelToken) {
+        self.lock().insert(id.to_string(), token);
+    }
+
+    fn finish(&self, id: &str) {
+        self.lock().remove(id);
+    }
+
+    /// Cancels job `id`; returns whether it was in flight.
+    fn cancel(&self, id: &str) -> bool {
+        self.lock().get(id).map(CancelToken::cancel).is_some()
+    }
+
+    fn cancel_all(&self) {
+        for token in self.lock().values() {
+            token.cancel();
+        }
+    }
 }
 
 /// State shared by every thread of one daemon.
@@ -205,8 +255,7 @@ fn trigger_shutdown(shared: &Shared) {
     for job in shared.queue.close() {
         shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
         let latency = job.submitted_at.elapsed().as_secs_f64() * 1e3;
-        job.conn
-            .send(&result_frame(&job.request.id, "cancelled", latency, "null"));
+        job.send_final(&result_frame(&job.request.id, "cancelled", latency, "null"));
     }
     for token in shared.active.lock().expect("active lock").values() {
         token.cancel();
@@ -251,14 +300,16 @@ fn accept_conn(shared: &Arc<Shared>, stream: TcpStream) {
     let handle = std::thread::Builder::new()
         .name("serve-conn".into())
         .spawn(move || {
-            handle_conn(&shared2, stream);
+            handle_conn(&shared2, stream, &Arc::default());
             shared2.conn_count.fetch_sub(1, Ordering::AcqRel);
         })
         .expect("spawn connection thread");
     shared.conns.add_thread(handle);
 }
 
-fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
+/// Serves one connection; `jobs` starts empty and tracks the jobs it
+/// submits.
+fn handle_conn(shared: &Arc<Shared>, stream: TcpStream, jobs: &Arc<ConnJobs>) {
     let writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -267,8 +318,6 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
     shared.conns.add_conn(&conn);
     conn.send(&hello_frame(&shared.registry.names()));
     let mut reader = BufReader::new(stream);
-    // Jobs this connection submitted; dropping the connection cancels them.
-    let mut jobs: HashMap<String, CancelToken> = HashMap::new();
     loop {
         let line = match read_line_bounded(&mut reader, shared.config.max_line_bytes) {
             Ok(Some(line)) => line,
@@ -283,11 +332,8 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
         }
         match parse_request(&line) {
             Err(e) => conn.send(&error_frame("", &e.to_string())),
-            Ok(Request::Submit(req)) => handle_submit(shared, &conn, &mut jobs, *req),
-            Ok(Request::Cancel { id }) => {
-                let found = jobs.get(&id).map(CancelToken::cancel).is_some();
-                conn.send(&cancel_ok_frame(&id, found));
-            }
+            Ok(Request::Submit(req)) => handle_submit(shared, &conn, jobs, *req),
+            Ok(Request::Cancel { id }) => conn.send(&cancel_ok_frame(&id, jobs.cancel(&id))),
             Ok(Request::ListSolvers) => conn.send(&solvers_frame(shared)),
             Ok(Request::Stats) => conn.send(&stats_frame(shared)),
             Ok(Request::Ping) => conn.send("{\"type\":\"pong\"}"),
@@ -302,18 +348,25 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
         }
     }
     // Connection gone (or shutting down): cancel everything it submitted.
-    for token in jobs.values() {
-        token.cancel();
-    }
+    jobs.cancel_all();
     conn.mark_dead();
 }
 
 fn handle_submit(
     shared: &Arc<Shared>,
     conn: &Arc<Conn>,
-    jobs: &mut HashMap<String, CancelToken>,
+    jobs: &Arc<ConnJobs>,
     request: SubmitRequest,
 ) {
+    // A reused id still in flight on this connection would overwrite the
+    // first job's cancel token, leaving it uncancellable by id or by a
+    // connection drop. Only this thread inserts, so the check holds until
+    // the insert below.
+    if jobs.contains(&request.id) {
+        shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+        conn.send(&rejected_frame(&request.id, "duplicate_id"));
+        return;
+    }
     // Exactly one of `graph` / `problem` is set (parse-time invariant):
     // direct submits resolve their instance, problem submits compile one.
     let resolved = match (&request.graph, &request.problem) {
@@ -346,31 +399,33 @@ fn handle_submit(
     };
     let cancel = CancelToken::new();
     let id = request.id.clone();
+    // The job enters the map before a worker can see it, so its
+    // `finish` always follows this insert.
+    jobs.insert(&id, cancel.clone());
     let job = QueuedJob {
         request,
         graph,
         problem,
         solver,
-        cancel: cancel.clone(),
+        cancel,
         conn: Arc::clone(conn),
+        conn_jobs: Arc::clone(jobs),
         submitted_at: Instant::now(),
     };
     // Hold the writer lock across push + ack: the worker that picks the
     // job up cannot write its frames before the client sees `accepted`.
-    conn.send_locked(|| match shared.queue.try_push(job) {
-        Ok(depth) => {
-            shared.metrics.accepted.fetch_add(1, Ordering::Relaxed);
-            jobs.insert(id.clone(), cancel);
-            accepted_frame(&id, depth)
-        }
-        Err(PushError::Full) => {
-            shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            rejected_frame(&id, "queue_full")
-        }
-        Err(PushError::Closed) => {
-            shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            rejected_frame(&id, "shutting_down")
-        }
+    conn.send_locked(|| {
+        let reason = match shared.queue.try_push(job) {
+            Ok(depth) => {
+                shared.metrics.accepted.fetch_add(1, Ordering::Relaxed);
+                return accepted_frame(&id, depth);
+            }
+            Err(PushError::Full) => "queue_full",
+            Err(PushError::Closed) => "shutting_down",
+        };
+        jobs.finish(&id);
+        shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+        rejected_frame(&id, reason)
     });
 }
 
@@ -485,8 +540,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         // Cancelled while queued (explicit cancel or connection drop).
         shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
         let latency = job.submitted_at.elapsed().as_secs_f64() * 1e3;
-        job.conn
-            .send(&result_frame(&id, "cancelled", latency, "null"));
+        job.send_final(&result_frame(&id, "cancelled", latency, "null"));
         return;
     }
     let serial = shared.job_serial.fetch_add(1, Ordering::Relaxed);
@@ -556,13 +610,11 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                 report_json.push_str(&decoded_json);
                 report_json.push('}');
             }
-            job.conn
-                .send(&result_frame(&id, status, latency_ms, &report_json));
+            job.send_final(&result_frame(&id, status, latency_ms, &report_json));
         }
         Err(e) => {
             shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-            job.conn
-                .send(&failed_frame(&id, latency_ms, &e.to_string()));
+            job.send_final(&failed_frame(&id, latency_ms, &e.to_string()));
         }
     }
     shared.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
@@ -574,6 +626,7 @@ mod tests {
     use std::io::BufRead;
 
     use super::*;
+    use crate::client::{Client, SubmitArgs};
 
     /// Connects, reads the hello frame, and closes.
     fn hello_round_trip(addr: SocketAddr) {
@@ -609,6 +662,46 @@ mod tests {
             threads <= 2 && conns <= 2,
             "41 connections served, {threads} threads and {conns} write halves still tracked"
         );
+        handle.shutdown();
+    }
+
+    #[test]
+    fn finished_jobs_leave_their_connections_job_map() {
+        let handle = Server::start(
+            ServeConfig::default(),
+            sophie::default_registry(),
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        // Serve one connection by hand so the test can watch its map.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let jobs = Arc::new(ConnJobs::default());
+        let serving = {
+            let shared = Arc::clone(&handle.shared);
+            let jobs = Arc::clone(&jobs);
+            std::thread::spawn(move || {
+                let (stream, _) = listener.accept().unwrap();
+                handle_conn(&shared, stream, &jobs);
+            })
+        };
+        let mut client = Client::connect(addr).unwrap();
+        let mut job = SubmitArgs::new("sa", GraphSpec::Named("K20".into()));
+        job.config_json = Some(r#"{"sweeps": 5}"#.into());
+        for i in 0..100 {
+            let id = format!("job-{}", i % 3);
+            let admission = client.submit(&id, &job).unwrap();
+            assert_eq!(admission.frame_type(), Some("accepted"), "job {i}");
+            assert_eq!(client.wait_result(&id).unwrap().status, "done");
+        }
+        // Each job left the map before its result frame was written.
+        assert_eq!(
+            jobs.lock().len(),
+            0,
+            "100 finished jobs left entries behind"
+        );
+        drop(client);
+        serving.join().unwrap();
         handle.shutdown();
     }
 }

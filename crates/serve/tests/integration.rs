@@ -367,3 +367,44 @@ fn named_complete_graphs_obey_the_edge_cap() {
 
     server.shutdown();
 }
+
+#[test]
+fn duplicate_in_flight_id_is_rejected_and_free_again_after_its_result() {
+    let server = start_server(4, 1);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    let mut long_job = SubmitArgs::new("sa", GraphSpec::Named("K60".into()));
+    long_job.config_json = Some(r#"{"sweeps": 100000000}"#.into());
+    long_job.deadline_ms = Some(30_000);
+    let admission = client.submit("dup", &long_job).expect("submit");
+    assert_eq!(admission.frame_type(), Some("accepted"));
+
+    // Reusing the id while the first job runs is a typed rejection, not a
+    // silent overwrite of the first job's cancel token.
+    let admission = client.submit("dup", &long_job).expect("resubmit");
+    assert_eq!(admission.frame_type(), Some("rejected"));
+    assert_eq!(
+        admission.get("reason").and_then(Json::as_str),
+        Some("duplicate_id")
+    );
+    assert_eq!(counter(&client.stats().expect("stats"), "rejected"), 1);
+
+    // The first job is still tracked: cancel finds it and ends it.
+    assert!(
+        client.cancel("dup").expect("cancel"),
+        "cancel must find the first job"
+    );
+    assert_eq!(
+        client.wait_result("dup").expect("result").status,
+        "cancelled"
+    );
+
+    // Once its result is out, the id is free again.
+    let mut quick = SubmitArgs::new("sa", GraphSpec::Named("K20".into()));
+    quick.config_json = Some(r#"{"sweeps": 5}"#.into());
+    let admission = client.submit("dup", &quick).expect("reuse");
+    assert_eq!(admission.frame_type(), Some("accepted"));
+    assert_eq!(client.wait_result("dup").expect("result").status, "done");
+
+    server.shutdown();
+}

@@ -43,8 +43,9 @@
 //! [`SolveEvent::TargetReached`]; finally one [`SolveEvent::RunFinished`].
 //! Events are emitted from the thread driving the run, never from worker
 //! threads, so streams are bit-identical for every `SOPHIE_THREADS` value.
-//! [`Solver::solve`] emits exactly the stream the solver's legacy
-//! `*_observed` entry point emits for the same (graph, seed, target).
+//! [`Solver::solve`] is every solver's one event-streaming entry point;
+//! the root package's `tests/solver_registry.rs` pins each solver's
+//! stream by digest.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

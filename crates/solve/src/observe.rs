@@ -380,11 +380,10 @@ impl SolveObserver for EventLog {
 
 /// Reconstructs trace vectors and a [`SolveReport`] from the event stream.
 ///
-/// The recorded `cut_trace` / `activity_trace` are bit-identical to the
-/// legacy fields of `SophieOutcome` when attached to an engine run:
-/// `cut_trace` collects the `cut` of every `GlobalSync` (round 0 first)
-/// and `activity_trace` the `activity` of every `GlobalSync` with
-/// `round ≥ 1`.
+/// This is the one place run traces are kept: every `Solver` adapter
+/// returns the report its recorder distills, with `cut_trace` collecting
+/// the `cut` of every `GlobalSync` (round 0 first) and `activity_trace`
+/// the `activity` of every `GlobalSync` with `round ≥ 1`.
 #[derive(Debug, Clone, Default)]
 pub struct TraceRecorder {
     report: SolveReport,

@@ -27,10 +27,10 @@ pub struct Capabilities {
 ///
 /// # Contract
 ///
-/// * `solve` emits the full event stream documented at the crate level to
-///   `observer` — byte-identical to the solver's legacy `*_observed`
-///   entry point for the same (graph, seed, target) — and returns the
-///   [`SolveReport`] distilled from that same stream.
+/// * `solve` is the solver's one entry point that streams events: it
+///   emits the full event stream documented at the crate level to
+///   `observer` and returns the [`SolveReport`] distilled from that same
+///   stream (plus the winning bits, which events do not carry).
 /// * The job's `seed` replaces any seed in the solver's configuration, and
 ///   `budget.max_iterations` caps the configured iteration count.
 /// * Implementations poll the job's [`RunControl`](crate::RunControl) at

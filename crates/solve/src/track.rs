@@ -5,9 +5,10 @@
 //! run reaches a quality target such as 95 % of the best-known cut
 //! (Fig. 8, 10, and the `T_x` columns of Table II). [`CutTracker`] records
 //! both in a single pass; [`SolutionTracker`] layers best-state capture and
-//! trace/activity bookkeeping on top — the one implementation behind both
+//! per-observation activity on top — the one implementation behind both
 //! the SOPHIE engine's per-sync tracking and the PRIS runner's per-step
-//! tracking (they used to duplicate this logic independently).
+//! tracking. Cut and activity traces are kept only by
+//! [`crate::TraceRecorder`], from the event stream.
 
 /// Streaming tracker for cut-value observations over iterations.
 #[derive(Debug, Clone)]
@@ -94,20 +95,18 @@ pub struct Observation {
     pub reached_target: bool,
 }
 
-/// Best-state, trace, and activity bookkeeping over binary states.
+/// Best-state and activity bookkeeping over binary states.
 ///
-/// Wraps a [`CutTracker`] and additionally keeps: the best binary
+/// Wraps a [`CutTracker`] and additionally keeps the best binary
 /// configuration seen (updated only on strict improvement, matching the
-/// historical engine/runner semantics), the full cut trace (`trace[0]` is
-/// the initial state), and the activity trace (Hamming distance between
-/// consecutive observed states; one entry per observation after the first).
+/// historical engine/runner semantics) and the last observed state, from
+/// which each observation's activity (Hamming distance to the previous
+/// state) is derived.
 #[derive(Debug, Clone)]
 pub struct SolutionTracker {
     tracker: CutTracker,
     best_bits: Vec<bool>,
     bits: Vec<bool>,
-    cut_trace: Vec<f64>,
-    activity_trace: Vec<usize>,
 }
 
 impl SolutionTracker {
@@ -122,8 +121,6 @@ impl SolutionTracker {
             tracker,
             best_bits: bits.to_vec(),
             bits: bits.to_vec(),
-            cut_trace: vec![cut],
-            activity_trace: Vec::new(),
         }
     }
 
@@ -143,8 +140,6 @@ impl SolutionTracker {
             self.best_bits.copy_from_slice(bits);
         }
         self.bits.copy_from_slice(bits);
-        self.cut_trace.push(cut);
-        self.activity_trace.push(flips);
         Observation {
             flips,
             improved,
@@ -182,30 +177,14 @@ impl SolutionTracker {
         self.tracker.first_hit()
     }
 
-    /// Cut value at every observation; index 0 is the initial state.
+    /// Consumes the tracker, returning `(best_cut, best_bits, first_hit)` —
+    /// the fields outcome structs are built from.
     #[must_use]
-    pub fn cut_trace(&self) -> &[f64] {
-        &self.cut_trace
-    }
-
-    /// Hamming distance between consecutive observed states (one entry per
-    /// observation after the initial state).
-    #[must_use]
-    pub fn activity_trace(&self) -> &[usize] {
-        &self.activity_trace
-    }
-
-    /// Consumes the tracker, returning
-    /// `(best_cut, best_bits, first_hit, cut_trace, activity_trace)` — the
-    /// fields outcome structs are built from.
-    #[must_use]
-    pub fn into_parts(self) -> (f64, Vec<bool>, Option<usize>, Vec<f64>, Vec<usize>) {
+    pub fn into_parts(self) -> (f64, Vec<bool>, Option<usize>) {
         (
             self.tracker.best_cut(),
             self.best_bits,
             self.tracker.first_hit(),
-            self.cut_trace,
-            self.activity_trace,
         )
     }
 }
@@ -276,24 +255,23 @@ mod tests {
     }
 
     #[test]
-    fn solution_tracker_traces_match_observations() {
+    fn solution_tracker_observations_report_flips_and_one_target_crossing() {
         let mut t = SolutionTracker::start(Some(4.0), &[false; 3], 0.0);
         assert!(!t.hit_at_start());
         let o = t.observe(1, &[true, false, true], 2.0);
         assert!(!o.reached_target);
+        assert_eq!(o.flips, 2);
         let o = t.observe(2, &[true, true, true], 5.0);
         assert!(o.reached_target);
+        assert_eq!(o.flips, 1);
         let o = t.observe(3, &[true, true, false], 6.0);
         assert!(!o.reached_target, "target reported only once");
-        assert_eq!(t.cut_trace(), &[0.0, 2.0, 5.0, 6.0]);
-        assert_eq!(t.activity_trace(), &[2, 1, 1]);
+        assert_eq!(o.flips, 1);
         assert_eq!(t.first_hit(), Some(2));
-        let (best, bits, hit, trace, activity) = t.into_parts();
+        let (best, bits, hit) = t.into_parts();
         assert_eq!(best, 6.0);
         assert_eq!(bits, vec![true, true, false]);
         assert_eq!(hit, Some(2));
-        assert_eq!(trace.len(), 4);
-        assert_eq!(activity.len(), 3);
     }
 
     #[test]

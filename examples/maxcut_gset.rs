@@ -8,6 +8,7 @@
 //! Run with: `cargo run --release --example maxcut_gset [< G1.txt]`
 
 use std::io::{IsTerminal, Read};
+use std::sync::Arc;
 
 use sophie::baselines::local_search::{search, BlsConfig};
 use sophie::baselines::sa::{anneal, SaConfig};
@@ -15,7 +16,8 @@ use sophie::baselines::sb::{bifurcate, SbConfig};
 use sophie::core::{SophieConfig, SophieSolver};
 use sophie::graph::generate::presets;
 use sophie::graph::{io, Graph, GraphStats};
-use sophie::pris::runner::{solve_max_cut, RunConfig};
+use sophie::pris::{PrisJobConfig, PrisSolver};
+use sophie::solve::{NullObserver, SolveJob, Solver};
 
 fn load_graph() -> Result<Graph, Box<dyn std::error::Error>> {
     let stdin = std::io::stdin();
@@ -29,8 +31,9 @@ fn load_graph() -> Result<Graph, Box<dyn std::error::Error>> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let graph = load_graph()?;
+    let graph = Arc::new(load_graph()?);
     println!("instance: {}", GraphStats::compute(&graph));
+    let job = SolveJob::new(Arc::clone(&graph), 7);
 
     let mut results: Vec<(&str, f64)> = Vec::new();
 
@@ -41,20 +44,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..SophieConfig::default()
     };
     let solver = SophieSolver::from_graph(&graph, config)?;
-    let sophie = solver.run(&graph, 7, None)?;
+    let sophie = solver.solve(&job, &mut NullObserver)?;
     results.push(("SOPHIE (tiled engine)", sophie.best_cut));
 
     // Original (untiled) PRIS.
-    let pris = solve_max_cut(
-        &graph,
-        0.0,
-        &RunConfig {
+    let pris = PrisSolver::new(
+        PrisJobConfig {
+            alpha: 0.0,
             iterations: 1500,
             phi: 0.1,
-            seed: 7,
-            target_cut: None,
         },
-    )?;
+        Arc::default(),
+    )
+    .solve(&job, &mut NullObserver)?;
     results.push(("PRIS (original)", pris.best_cut));
 
     results.push((

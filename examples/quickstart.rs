@@ -6,13 +6,16 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use std::sync::Arc;
+
 use sophie::baselines::{best_known_cut, Effort};
 use sophie::core::{SophieConfig, SophieSolver};
 use sophie::graph::generate::presets;
+use sophie::solve::{NullObserver, SolveJob, Solver};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's K100 benchmark: complete graph, random ±1 weights.
-    let graph = presets::k100(42)?;
+    let graph = Arc::new(presets::k100(42)?);
     println!("graph: {graph}");
 
     // The paper's operating point: tile 64, 10 local iterations per global
@@ -37,17 +40,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let reference = best_known_cut(&graph, Effort::Standard);
     let mut best = f64::NEG_INFINITY;
     for seed in 0..5 {
-        let outcome = solver.run(&graph, seed, Some(0.95 * reference))?;
+        let job = SolveJob::new(Arc::clone(&graph), seed).with_target(Some(0.95 * reference));
+        let report = solver.solve(&job, &mut NullObserver)?;
         println!(
             "seed {seed}: best cut {:>7.1} ({:.1} % of reference){}",
-            outcome.best_cut,
-            100.0 * outcome.best_cut / reference,
-            match outcome.global_iters_to_target {
+            report.best_cut,
+            100.0 * report.best_cut / reference,
+            match report.iterations_to_target {
                 Some(g) => format!(", reached 95 % after {g} global iterations"),
                 None => String::new(),
             }
         );
-        best = best.max(outcome.best_cut);
+        best = best.max(report.best_cut);
     }
     println!("reference (SB + local search): {reference:.1}");
     println!("SOPHIE best over 5 seeds:      {best:.1}");

@@ -38,12 +38,16 @@ run cargo clippy --all-targets --workspace -- -D warnings
 run cargo build --release
 run cargo test -q
 
-# Layering gate: experiment modules go through the Solver trait and the
-# batch scheduler, never through a solver's legacy `*_observed` entry
-# points (those remain only as shims under the trait impls).
-echo "==> grep gate: no *_observed calls under crates/bench/src/experiments/"
-if grep -rn "_observed(" crates/bench/src/experiments/; then
-    echo "experiment modules must use the Solver trait / batch scheduler, not legacy *_observed APIs" >&2
+# One-entry-point gate: every job runs through `Solver::solve` or, for a
+# chosen backend, health monitor, schedule or warm start, the engine's one
+# backend-generic core `SophieSolver::solve_job`. No `*_observed` solve
+# entry point or `SophieOutcome` may come back anywhere in the code. The
+# one exception is a zero-argument `fn ..._observed()` line: a test's
+# name, not an entry point.
+echo "==> grep gate: no *_observed entry points or SophieOutcome under crates/ src/ tests/ examples/"
+if grep -rnE "_observed\(|SophieOutcome" crates/ src/ tests/ examples/ \
+    | grep -vE "^[^:]+:[0-9]+:\s*fn [a-z0-9_]+_observed\(\) \{$"; then
+    echo "solvers have one entry point (Solver::solve, or SophieSolver::solve_job for a chosen backend); no *_observed APIs or SophieOutcome" >&2
     exit 1
 fi
 

@@ -30,15 +30,18 @@
 //! # Quickstart
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use sophie::core::{SophieConfig, SophieSolver};
 //! use sophie::graph::generate::{complete, WeightDist};
+//! use sophie::solve::{NullObserver, SolveJob, Solver};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let graph = complete(32, WeightDist::Unit, 7)?;
+//! let graph = Arc::new(complete(32, WeightDist::Unit, 7)?);
 //! let config = SophieConfig { tile_size: 8, global_iters: 80, ..SophieConfig::default() };
 //! let solver = SophieSolver::from_graph(&graph, config)?;
-//! let outcome = solver.run(&graph, 1, None)?;
-//! println!("best cut: {}", outcome.best_cut);
+//! let report = solver.solve(&SolveJob::new(graph, 1), &mut NullObserver)?;
+//! println!("best cut: {}", report.best_cut);
 //! # Ok(())
 //! # }
 //! ```

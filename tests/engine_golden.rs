@@ -8,22 +8,29 @@
 //! fault-aware OPCM run recovering with `RecoveryPolicy::Reprogram` — plus
 //! the command timeline (key, kind, cost of every record) of the dense run.
 //! Two small instances cover the tile shapes: one at tile 16, and one at
-//! tile 64 whose edge tiles are trimmed. The digests hold at every
+//! tile 64 whose edge tiles are trimmed. A sixth digest pins a warm-started
+//! run over an explicitly supplied schedule. The digests hold at every
 //! `SOPHIE_THREADS` value.
 //!
 //! Set `SOPHIE_PRINT_DIGESTS=1` to print the digests instead of checking
 //! them.
+
+mod common;
 
 use std::sync::{Arc, Mutex};
 
 use sophie::core::backend::IdealBackend;
 use sophie::core::observe::EventLog;
 use sophie::core::queue::{Completion, TimelineSink};
-use sophie::core::{ComputeMode, HealthConfig, RecoveryPolicy, SophieConfig, SophieSolver};
+use sophie::core::{
+    ComputeMode, EngineRun, HealthConfig, RecoveryPolicy, Schedule, SophieConfig, SophieSolver,
+};
 use sophie::graph::generate::{gnm, WeightDist};
 use sophie::graph::Graph;
 use sophie::hw::{FaultSchedule, OpcmBackendConfig, SophieOpcm};
 use sophie::solve::{OpCounts, SolveJob, Solver};
+
+use common::Fnv;
 
 /// `SOPHIE_THREADS` is process-global; serialize the tests that set it.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -35,30 +42,9 @@ fn with_threads<T>(threads: &str, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Streaming FNV-1a.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn feed(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-}
-
 /// Digest of a run's event stream rendered to JSONL, one line per event.
 fn event_digest(log: &EventLog) -> u64 {
-    let mut h = Fnv::new();
-    for e in log.events() {
-        h.feed(e.to_json().as_bytes());
-        h.feed(b"\n");
-    }
-    h.0
+    common::event_digest(log.events())
 }
 
 /// Timeline sink hashing every record's key, kind (or host stage) and
@@ -165,13 +151,13 @@ fn digests(graph: &Arc<Graph>, config: &SophieConfig) -> [u64; 5] {
         "the fault-aware run must inject faults and recover from them"
     );
 
-    let mut timeline = TimelineDigest(Fnv::new());
+    let mut timeline = TimelineDigest(Fnv::default());
     let mut timed_log = EventLog::new();
     dense
-        .solve_job_with_timeline(
+        .solve_job(
             &IdealBackend::new(),
             &job,
-            None,
+            &EngineRun::default(),
             &mut timed_log,
             &mut timeline,
         )
@@ -239,5 +225,57 @@ fn engine_streams_match_recorded_digests_at_every_thread_count() {
                 .1;
             assert_eq!(got, want, "{label} at SOPHIE_THREADS={threads}");
         }
+    }
+}
+
+/// Event digest of a dense run on the `t16` instance, warm-started from
+/// every third spin set and driven by a 12-round schedule generated
+/// apart from the job seed.
+fn warm_start_digest() -> u64 {
+    let (_, graph, config) = instances().swap_remove(0);
+    let engine = SophieSolver::from_graph(&graph, config).unwrap();
+    let schedule = Schedule::generate(engine.grid(), 12, 0.5, true, 2024);
+    let bits: Vec<bool> = (0..graph.num_nodes()).map(|i| i % 3 == 0).collect();
+    let run = EngineRun {
+        schedule: Some(&schedule),
+        initial_bits: Some(&bits),
+        ..EngineRun::default()
+    };
+    let job = SolveJob::new(graph, 42).with_target(Some(110.0));
+    let mut log = EventLog::new();
+    let report = engine
+        .solve_job(
+            &IdealBackend::new(),
+            &job,
+            &run,
+            &mut log,
+            &mut sophie::core::queue::NullTimeline,
+        )
+        .unwrap();
+    assert_eq!(
+        report.iterations_run, 12,
+        "the supplied schedule is run as given"
+    );
+    event_digest(&log)
+}
+
+/// Recorded through the engine's former warm-start entry point, which took
+/// the schedule, seed, target and initial bits as separate arguments.
+const WARM_START_GOLDEN: u64 = 0xdb39_2bbf_dec6_c764;
+
+#[test]
+fn warm_started_scheduled_run_matches_recorded_digest_at_every_thread_count() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let print = std::env::var_os("SOPHIE_PRINT_DIGESTS").is_some();
+    for threads in ["1", "4"] {
+        let got = with_threads(threads, warm_start_digest);
+        if print {
+            println!("    warm start: {got:#018x} // {threads}");
+            continue;
+        }
+        assert_eq!(
+            got, WARM_START_GOLDEN,
+            "warm start at SOPHIE_THREADS={threads}"
+        );
     }
 }

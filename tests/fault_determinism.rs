@@ -8,10 +8,13 @@
 //! `recovery_exhausted` lines, must be byte-identical for every
 //! `SOPHIE_THREADS` value.
 
+mod common;
+
 use std::sync::{Arc, Mutex};
 
 use sophie::core::observe::EventLog;
-use sophie::core::{HealthConfig, RecoveryPolicy, SophieConfig, SophieSolver};
+use sophie::core::queue::NullTimeline;
+use sophie::core::{EngineRun, HealthConfig, RecoveryPolicy, SophieConfig, SophieSolver};
 use sophie::graph::generate::{gnm, WeightDist};
 use sophie::graph::Graph;
 use sophie::hw::{FaultSchedule, OpcmBackend, OpcmBackendConfig, SophieOpcm};
@@ -27,8 +30,8 @@ fn with_threads<T>(threads: &str, f: impl FnOnce() -> T) -> T {
     out
 }
 
-fn test_instance() -> (Graph, SophieSolver) {
-    let g = gnm(96, 500, WeightDist::UniformInt { lo: -3, hi: 3 }, 11).unwrap();
+fn test_instance() -> (Arc<Graph>, SophieSolver) {
+    let g = Arc::new(gnm(96, 500, WeightDist::UniformInt { lo: -3, hi: 3 }, 11).unwrap());
     let cfg = SophieConfig {
         tile_size: 16,
         local_iters: 4,
@@ -44,10 +47,10 @@ fn test_instance() -> (Graph, SophieSolver) {
 
 /// One fault-aware run under `threads`, returning the whole event stream
 /// rendered to JSONL (byte comparison catches *any* divergence: order,
-/// payloads, and counts alike) plus the outcome's best cut.
+/// payloads, and counts alike) plus the report's best cut.
 fn run_stream(
     solver: &SophieSolver,
-    g: &Graph,
+    g: &Arc<Graph>,
     health: &HealthConfig,
     threads: &str,
 ) -> (String, f64) {
@@ -57,12 +60,22 @@ fn run_stream(
             faults: FaultSchedule::uniform(0.08, 99),
             ..OpcmBackendConfig::default()
         });
+        let run = EngineRun {
+            health: Some(health),
+            ..EngineRun::default()
+        };
         let mut log = EventLog::new();
-        let outcome = solver
-            .run_fault_aware(&backend, g, 42, None, health, &mut log)
+        let report = solver
+            .solve_job(
+                &backend,
+                &SolveJob::new(Arc::clone(g), 42),
+                &run,
+                &mut log,
+                &mut NullTimeline,
+            )
             .unwrap();
         let jsonl: Vec<String> = log.events().iter().map(|e| e.to_json()).collect();
-        (jsonl.join("\n"), outcome.best_cut)
+        (jsonl.join("\n"), report.best_cut)
     })
 }
 
@@ -108,11 +121,15 @@ fn remap_and_quarantine_streams_match_across_thread_counts() {
     }
 }
 
+/// Event-stream digest of the default-health fault-aware run in
+/// [`run_stream`], recorded from the engine's former fault-aware entry
+/// point.
+const FAULT_AWARE_GOLDEN: u64 = 0x04be_b2d4_6f32_9301;
+
 #[test]
 fn trait_object_fault_aware_stream_matches_legacy_across_thread_counts() {
     let _guard = ENV_LOCK.lock().unwrap();
-    let (g, solver) = test_instance();
-    let graph = Arc::new(g);
+    let (graph, solver) = test_instance();
     let health = HealthConfig::default();
     let backend_config = OpcmBackendConfig {
         seed: 7,
@@ -125,18 +142,22 @@ fn trait_object_fault_aware_stream_matches_legacy_across_thread_counts() {
             .with_health(health)
             .unwrap(),
     );
-    let trait_stream = |threads: &str| {
+    let trait_digest = |threads: &str| {
         with_threads(threads, || {
             let mut log = EventLog::new();
             opcm.solve(&SolveJob::new(Arc::clone(&graph), 42), &mut log)
                 .unwrap();
-            let jsonl: Vec<String> = log.events().iter().map(|e| e.to_json()).collect();
-            jsonl.join("\n")
+            common::event_digest(log.events())
         })
     };
-    let (legacy_1, _) = run_stream(&solver, &graph, &health, "1");
-    let trait_1 = trait_stream("1");
-    let trait_4 = trait_stream("4");
-    assert_eq!(legacy_1, trait_1, "trait vs legacy, 1 thread");
-    assert_eq!(trait_1, trait_4, "trait stream thread-dependent");
+    assert_eq!(
+        trait_digest("1"),
+        FAULT_AWARE_GOLDEN,
+        "recorded digest, 1 thread"
+    );
+    assert_eq!(
+        trait_digest("4"),
+        FAULT_AWARE_GOLDEN,
+        "recorded digest, 4 threads"
+    );
 }

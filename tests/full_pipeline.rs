@@ -1,13 +1,19 @@
 //! Integration tests spanning every crate: graph generation →
 //! preprocessing → tiled engine → hardware backend → PPA models.
 
-use sophie::core::{SophieConfig, SophieSolver};
+use std::sync::Arc;
+
+use sophie::core::backend::IdealBackend;
+use sophie::core::queue::NullTimeline;
+use sophie::core::{EngineRun, SophieConfig, SophieSolver};
 use sophie::graph::cut::cut_value_binary;
 use sophie::graph::generate::{gnm, WeightDist};
 use sophie::hw::arch::MachineConfig;
 use sophie::hw::cost::{edap, params::CostParams, workload::WorkloadSummary};
 use sophie::hw::device::opcm::OpcmCellSpec;
 use sophie::hw::OpcmBackend;
+use sophie::pris::{PrisJobConfig, PrisSolver};
+use sophie::solve::{NullObserver, SolveJob, Solver};
 
 fn config(giters: usize) -> SophieConfig {
     SophieConfig {
@@ -25,13 +31,21 @@ fn config(giters: usize) -> SophieConfig {
 #[test]
 fn graph_to_ppa_pipeline_runs_end_to_end() {
     // 1. Workload.
-    let graph = gnm(200, 1200, WeightDist::Unit, 13).unwrap();
+    let graph = Arc::new(gnm(200, 1200, WeightDist::Unit, 13).unwrap());
     let cfg = config(40);
 
     // 2. Functional run on the hardware backend.
     let solver = SophieSolver::from_graph(&graph, cfg.clone()).unwrap();
     let backend = OpcmBackend::default();
-    let out = solver.run_with_backend(&backend, &graph, 5, None).unwrap();
+    let out = solver
+        .solve_job(
+            &backend,
+            &SolveJob::new(Arc::clone(&graph), 5),
+            &EngineRun::default(),
+            &mut NullObserver,
+            &mut NullTimeline,
+        )
+        .unwrap();
     assert!(out.best_cut > 600.0 * 0.55, "cut {}", out.best_cut);
     assert_eq!(cut_value_binary(&graph, &out.best_bits), out.best_cut);
 
@@ -57,20 +71,20 @@ fn graph_to_ppa_pipeline_runs_end_to_end() {
 fn engine_quality_tracks_pris_quality() {
     // The tiled engine approximates PRIS; on a mid-size sparse graph their
     // best cuts should be within a few percent of each other.
-    let graph = gnm(160, 800, WeightDist::Unit, 21).unwrap();
-    let pris = sophie::pris::runner::solve_max_cut(
-        &graph,
-        0.0,
-        &sophie::pris::RunConfig {
+    let graph = Arc::new(gnm(160, 800, WeightDist::Unit, 21).unwrap());
+    let job = SolveJob::new(Arc::clone(&graph), 3);
+    let pris = PrisSolver::new(
+        PrisJobConfig {
+            alpha: 0.0,
             iterations: 600,
             phi: 0.1,
-            seed: 3,
-            target_cut: None,
         },
+        Arc::default(),
     )
+    .solve(&job, &mut NullObserver)
     .unwrap();
     let solver = SophieSolver::from_graph(&graph, config(60)).unwrap();
-    let tiled = solver.run(&graph, 3, None).unwrap();
+    let tiled = solver.solve(&job, &mut NullObserver).unwrap();
     assert!(
         tiled.best_cut >= 0.9 * pris.best_cut,
         "tiled {} vs pris {}",
@@ -81,17 +95,19 @@ fn engine_quality_tracks_pris_quality() {
 
 #[test]
 fn gset_io_round_trips_through_the_solver() {
-    let graph = gnm(96, 400, WeightDist::PlusMinusOne, 2).unwrap();
+    let graph = Arc::new(gnm(96, 400, WeightDist::PlusMinusOne, 2).unwrap());
     let text = sophie::graph::io::format_graph(&graph);
-    let parsed = sophie::graph::io::parse_graph(&text).unwrap();
+    let parsed = Arc::new(sophie::graph::io::parse_graph(&text).unwrap());
     let solver = SophieSolver::from_graph(&parsed, config(30)).unwrap();
-    let out = solver.run(&parsed, 1, None).unwrap();
+    let out = solver
+        .solve(&SolveJob::new(Arc::clone(&parsed), 1), &mut NullObserver)
+        .unwrap();
     assert_eq!(cut_value_binary(&parsed, &out.best_bits), out.best_cut);
 }
 
 #[test]
 fn analytic_counts_predict_engine_counts_across_crates() {
-    let graph = gnm(128, 700, WeightDist::Unit, 9).unwrap();
+    let graph = Arc::new(gnm(128, 700, WeightDist::Unit, 9).unwrap());
     let cfg = config(15);
     let solver = SophieSolver::from_graph(&graph, cfg.clone()).unwrap();
     let schedule = sophie::core::Schedule::generate(
@@ -101,13 +117,17 @@ fn analytic_counts_predict_engine_counts_across_crates() {
         cfg.stochastic_spin_update,
         77,
     );
+    let run = EngineRun {
+        schedule: Some(&schedule),
+        ..EngineRun::default()
+    };
     let out = solver
-        .run_scheduled(
-            &sophie::core::backend::IdealBackend::new(),
-            &graph,
-            &schedule,
-            1,
-            None,
+        .solve_job(
+            &IdealBackend::new(),
+            &SolveJob::new(graph, 1),
+            &run,
+            &mut NullObserver,
+            &mut NullTimeline,
         )
         .unwrap();
     let analytic = sophie::core::analytic::analytic_op_counts(128, &cfg, 77).unwrap();

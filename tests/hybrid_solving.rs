@@ -1,16 +1,45 @@
 //! Hybrid solving flows: SOPHIE composed with the classical baselines.
 
+use std::sync::Arc;
+
 use sophie::baselines::local_search::{search, BlsConfig};
 use sophie::baselines::sb::{bifurcate, SbConfig};
 use sophie::core::backend::IdealBackend;
-use sophie::core::{Schedule, SophieConfig, SophieSolver};
+use sophie::core::queue::NullTimeline;
+use sophie::core::{EngineRun, Schedule, SophieConfig, SophieSolver};
 use sophie::graph::cut::spins_to_binary;
 use sophie::graph::generate::{gnm, WeightDist};
-use sophie::graph::Partition;
+use sophie::graph::{Graph, Partition};
+use sophie::solve::{NullObserver, SolveJob, SolveReport, Solver};
+
+/// One job on the ideal backend over `schedule`, warm-started from
+/// `initial_bits` when given.
+fn polish(
+    solver: &SophieSolver,
+    g: &Arc<Graph>,
+    schedule: &Schedule,
+    seed: u64,
+    initial_bits: Option<&[bool]>,
+) -> SolveReport {
+    let run = EngineRun {
+        schedule: Some(schedule),
+        initial_bits,
+        ..EngineRun::default()
+    };
+    solver
+        .solve_job(
+            &IdealBackend::new(),
+            &SolveJob::new(Arc::clone(g), seed),
+            &run,
+            &mut NullObserver,
+            &mut NullTimeline,
+        )
+        .unwrap()
+}
 
 #[test]
 fn sophie_polishes_an_sb_solution() {
-    let g = gnm(96, 460, WeightDist::Unit, 31).unwrap();
+    let g = Arc::new(gnm(96, 460, WeightDist::Unit, 31).unwrap());
     // A deliberately short SB run leaves room for improvement.
     let sb = bifurcate(
         &g,
@@ -27,16 +56,13 @@ fn sophie_polishes_an_sb_solution() {
     };
     let solver = SophieSolver::from_graph(&g, cfg.clone()).unwrap();
     let schedule = Schedule::generate(solver.grid(), cfg.global_iters, 1.0, true, 5);
-    let warm = solver
-        .run_scheduled_from(
-            &IdealBackend::new(),
-            &g,
-            &schedule,
-            3,
-            None,
-            Some(&spins_to_binary(&sb.best_spins)),
-        )
-        .unwrap();
+    let warm = polish(
+        &solver,
+        &g,
+        &schedule,
+        3,
+        Some(&spins_to_binary(&sb.best_spins)),
+    );
     assert!(
         warm.best_cut >= sb.best_cut,
         "warm start must not regress: {} vs {}",
@@ -47,7 +73,7 @@ fn sophie_polishes_an_sb_solution() {
 
 #[test]
 fn local_search_certifies_sophie_output_as_partition() {
-    let g = gnm(80, 360, WeightDist::Unit, 37).unwrap();
+    let g = Arc::new(gnm(80, 360, WeightDist::Unit, 37).unwrap());
     let cfg = SophieConfig {
         tile_size: 16,
         global_iters: 80,
@@ -55,7 +81,9 @@ fn local_search_certifies_sophie_output_as_partition() {
         ..SophieConfig::default()
     };
     let solver = SophieSolver::from_graph(&g, cfg).unwrap();
-    let out = solver.run(&g, 1, None).unwrap();
+    let out = solver
+        .solve(&SolveJob::new(Arc::clone(&g), 1), &mut NullObserver)
+        .unwrap();
     // Package as a verified partition certificate.
     let p = Partition::from_bits(&g, &out.best_bits);
     assert!(p.verify(&g));
@@ -73,7 +101,7 @@ fn local_search_certifies_sophie_output_as_partition() {
 
 #[test]
 fn chained_batches_keep_improving_or_hold() {
-    let g = gnm(64, 300, WeightDist::Unit, 41).unwrap();
+    let g = Arc::new(gnm(64, 300, WeightDist::Unit, 41).unwrap());
     let cfg = SophieConfig {
         tile_size: 16,
         global_iters: 25,
@@ -85,16 +113,7 @@ fn chained_batches_keep_improving_or_hold() {
     let mut best = f64::NEG_INFINITY;
     for stage in 0..3u64 {
         let schedule = Schedule::generate(solver.grid(), cfg.global_iters, 1.0, true, stage);
-        let out = solver
-            .run_scheduled_from(
-                &IdealBackend::new(),
-                &g,
-                &schedule,
-                stage + 10,
-                None,
-                bits.as_deref(),
-            )
-            .unwrap();
+        let out = polish(&solver, &g, &schedule, stage + 10, bits.as_deref());
         assert!(out.best_cut >= best || bits.is_none());
         best = best.max(out.best_cut);
         bits = Some(out.best_bits);

@@ -11,10 +11,10 @@
 //! modes. Each run also checks that the override really resolved to the
 //! plan it names, so a stale variant name cannot silently test `auto`.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use sophie::core::observe::EventLog;
-use sophie::core::{ComputeMode, KernelPlan, SophieConfig, SophieSolver};
+use sophie::core::{ComputeMode, KernelPlan, SolveJob, Solver, SophieConfig, SophieSolver};
 use sophie::graph::generate::{gnm, WeightDist};
 use sophie::graph::Graph;
 
@@ -33,8 +33,8 @@ fn with_env<T>(kernel: &str, threads: &str, f: impl FnOnce() -> T) -> T {
 /// n=100 at tile 64 gives a 2×2 grid whose edge tiles are trimmed to 36
 /// used rows/columns — the stream only stays identical if the trimmed
 /// fringe path is exact in every variant too.
-fn test_instance(compute: ComputeMode) -> (Graph, SophieSolver) {
-    let g = gnm(100, 800, WeightDist::UniformInt { lo: -3, hi: 3 }, 5).unwrap();
+fn test_instance(compute: ComputeMode) -> (Arc<Graph>, SophieSolver) {
+    let g = Arc::new(gnm(100, 800, WeightDist::UniformInt { lo: -3, hi: 3 }, 5).unwrap());
     let cfg = SophieConfig {
         tile_size: 64,
         local_iters: 4,
@@ -56,7 +56,7 @@ fn test_instance(compute: ComputeMode) -> (Graph, SophieSolver) {
 ///
 /// Panics unless the plan the run resolves is the one `kernel` names: the
 /// variant pinned for both directions, or the tuned plan for `"auto"`.
-fn run_stream(solver: &SophieSolver, g: &Graph, kernel: &str, threads: &str) -> (String, f64) {
+fn run_stream(solver: &SophieSolver, g: &Arc<Graph>, kernel: &str, threads: &str) -> (String, f64) {
     with_env(kernel, threads, || {
         let tile = solver.config().tile_size;
         let want = if kernel == "auto" {
@@ -70,7 +70,9 @@ fn run_stream(solver: &SophieSolver, g: &Graph, kernel: &str, threads: &str) -> 
             "SOPHIE_KERNEL={kernel} did not resolve to the plan it names"
         );
         let mut log = EventLog::new();
-        let outcome = solver.run_observed(g, 42, None, &mut log).unwrap();
+        let outcome = solver
+            .solve(&SolveJob::new(Arc::clone(g), 42), &mut log)
+            .unwrap();
         let jsonl: Vec<String> = log.events().iter().map(|e| e.to_json()).collect();
         (jsonl.join("\n"), outcome.best_cut)
     })

@@ -3,17 +3,25 @@
 //! The instrumentation layer (`sophie::solve`) promises that a solver's
 //! event stream is (a) deterministic for a fixed seed, (b) independent of
 //! `SOPHIE_THREADS` — events are emitted only from the driving thread in
-//! a fixed order — and (c) faithful: the [`TraceRecorder`]'s distilled
-//! report reproduces exactly the traces and totals the solver reports
-//! through its own outcome type. These tests pin all three properties for
-//! the SOPHIE engine, the PRIS runner, and the SA/SB baselines.
+//! a fixed order — and (c) faithful: the report is the one a
+//! [`TraceRecorder`] distills from the stream, and the stream matches the
+//! digests recorded from the engine's former observed entry point. These
+//! tests pin all three properties for the SOPHIE engine, the PRIS runner,
+//! and the SA/SB baselines.
+
+mod common;
 
 use std::sync::{Arc, Mutex};
 
+use sophie::baselines::{SaConfig, SaSolver, SbConfig, SbSolver};
 use sophie::core::{SophieConfig, SophieSolver};
+use sophie::graph::cut::cut_value_binary;
 use sophie::graph::generate::{gnm, WeightDist};
 use sophie::graph::Graph;
-use sophie::solve::{EventLog, SolveEvent, SolveJob, Solver, TraceRecorder};
+use sophie::pris::{PrisJobConfig, PrisSolver};
+use sophie::solve::{
+    EventLog, SolveEvent, SolveJob, SolveObserver, SolveReport, Solver, TraceRecorder,
+};
 
 /// `SOPHIE_THREADS` is process-global; serialize the tests that set it.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -25,8 +33,8 @@ fn with_threads<T>(threads: &str, f: impl FnOnce() -> T) -> T {
     out
 }
 
-fn test_instance() -> (Graph, SophieSolver) {
-    let g = gnm(96, 500, WeightDist::UniformInt { lo: -3, hi: 3 }, 11).unwrap();
+fn test_instance() -> (Arc<Graph>, SophieSolver) {
+    let g = Arc::new(gnm(96, 500, WeightDist::UniformInt { lo: -3, hi: 3 }, 11).unwrap());
     let cfg = SophieConfig {
         tile_size: 16,
         local_iters: 4,
@@ -40,13 +48,29 @@ fn test_instance() -> (Graph, SophieSolver) {
     (g, solver)
 }
 
+/// One job through `Solver::solve`, streaming to `observer`.
+fn solve(
+    solver: &dyn Solver,
+    g: &Arc<Graph>,
+    seed: u64,
+    target: Option<f64>,
+    observer: &mut EventLog,
+) -> SolveReport {
+    let job = SolveJob::new(Arc::clone(g), seed).with_target(target);
+    solver.solve(&job, observer).unwrap()
+}
+
+/// Event-stream digests of [`test_instance`] at target 600 for seeds 0 and
+/// 42, recorded from the engine's former observed entry point.
+const GOLDEN: [(u64, u64); 2] = [(0, 0x1e6c_9efb_fd63_3142), (42, 0xeb0f_4993_6b6f_d3cf)];
+
 #[test]
 fn engine_event_stream_is_identical_across_thread_counts() {
     let _guard = ENV_LOCK.lock().unwrap();
     let (g, solver) = test_instance();
     let capture = || {
         let mut log = EventLog::new();
-        solver.run_observed(&g, 42, Some(600.0), &mut log).unwrap();
+        solve(&solver, &g, 42, Some(600.0), &mut log);
         log.into_events()
     };
     let serial = with_threads("1", capture);
@@ -60,25 +84,28 @@ fn engine_event_stream_is_identical_across_thread_counts() {
 #[test]
 fn trace_recorder_report_matches_the_engine_outcome() {
     let (g, solver) = test_instance();
-    for seed in [0u64, 42] {
-        let plain = solver.run(&g, seed, Some(600.0)).unwrap();
+    for (seed, digest) in GOLDEN {
+        let mut log = EventLog::new();
+        let report = solve(&solver, &g, seed, Some(600.0), &mut log);
+        // The stream is the one the former observed entry point emitted…
+        assert_eq!(common::event_digest(log.events()), digest, "seed {seed}");
+        // …the report is exactly what a recorder distills from it…
         let mut rec = TraceRecorder::new();
-        let observed = solver
-            .run_observed(&g, seed, Some(600.0), &mut rec)
-            .unwrap();
-        let report = rec.into_report();
-
-        // Observation must not perturb the run…
-        assert_eq!(plain.best_cut, observed.best_cut);
-        assert_eq!(plain.cut_trace, observed.cut_trace);
-        // …and the report must rebuild the outcome exactly from events.
+        for event in log.events() {
+            rec.on_event(event);
+        }
+        let distilled = rec.into_report();
+        assert_eq!(
+            SolveReport {
+                best_bits: Vec::new(),
+                ..report.clone()
+            },
+            distilled
+        );
         assert_eq!(report.solver, "sophie");
-        assert_eq!(report.best_cut, plain.best_cut);
-        assert_eq!(report.cut_trace, plain.cut_trace);
-        assert_eq!(report.activity_trace, plain.activity_trace);
-        assert_eq!(report.iterations_to_target, plain.global_iters_to_target);
-        assert_eq!(report.ops, plain.ops);
         assert_eq!(report.seed, seed);
+        // …and the out-of-band bits reproduce the best cut.
+        assert_eq!(cut_value_binary(&g, &report.best_bits), report.best_cut);
     }
 }
 
@@ -86,7 +113,7 @@ fn trace_recorder_report_matches_the_engine_outcome() {
 fn engine_sync_deltas_sum_to_the_run_totals_and_jsonl_is_valid() {
     let (g, solver) = test_instance();
     let mut log = EventLog::new();
-    let out = solver.run_observed(&g, 7, None, &mut log).unwrap();
+    let out = solve(&solver, &g, 7, None, &mut log);
 
     let mut summed = sophie::solve::OpCounts::default();
     for ev in log.events() {
@@ -142,55 +169,41 @@ fn assert_well_formed(events: &[SolveEvent], solver: &str) {
 
 #[test]
 fn pris_and_baselines_emit_well_formed_streams() {
-    let g = gnm(48, 200, WeightDist::Unit, 3).unwrap();
+    let g = Arc::new(gnm(48, 200, WeightDist::Unit, 3).unwrap());
 
     let mut log = EventLog::new();
-    let k = sophie::graph::coupling::coupling_matrix(&g);
-    let delta = sophie::graph::coupling::delta_diagonal(&g);
-    let c = sophie::pris::dropout::transformation_matrix(
-        &k,
-        delta,
-        0.1,
-        sophie::pris::DeltaVariant::Gershgorin,
-    )
-    .unwrap();
-    let model = sophie::pris::PrisModel::new(c).unwrap();
-    let config = sophie::pris::RunConfig {
-        iterations: 30,
-        ..sophie::pris::RunConfig::default()
-    };
-    sophie::pris::runner::run_observed(&model, &g, &config, &mut log).unwrap();
+    let pris = PrisSolver::new(
+        PrisJobConfig {
+            alpha: 0.1,
+            iterations: 30,
+            ..PrisJobConfig::default()
+        },
+        Arc::default(),
+    );
+    solve(&pris, &g, 0, None, &mut log);
     assert_well_formed(log.events(), "pris");
 
     let mut log = EventLog::new();
-    let _ = sophie::baselines::sa::anneal_observed(
-        &g,
-        &sophie::baselines::SaConfig {
-            sweeps: 25,
-            ..sophie::baselines::SaConfig::default()
-        },
-        Some(1.0),
-        &mut log,
-    );
+    let sa = SaSolver::new(SaConfig {
+        sweeps: 25,
+        ..SaConfig::default()
+    })
+    .unwrap();
+    solve(&sa, &g, 0, Some(1.0), &mut log);
     assert_well_formed(log.events(), "sa");
 
     let mut log = EventLog::new();
-    let _ = sophie::baselines::sb::bifurcate_observed(
-        &g,
-        &sophie::baselines::SbConfig {
-            steps: 25,
-            ..sophie::baselines::SbConfig::default()
-        },
-        Some(1.0),
-        &mut log,
-    );
+    let sb = SbSolver::new(SbConfig {
+        steps: 25,
+        ..SbConfig::default()
+    })
+    .unwrap();
+    solve(&sb, &g, 0, Some(1.0), &mut log);
     assert_well_formed(log.events(), "sb");
 
     let mut log = EventLog::new();
     let (graph2, solver) = test_instance();
-    solver
-        .run_observed(&graph2, 0, Some(600.0), &mut log)
-        .unwrap();
+    solve(&solver, &graph2, 0, Some(600.0), &mut log);
     assert_well_formed(log.events(), "sophie");
 }
 
@@ -198,24 +211,10 @@ fn pris_and_baselines_emit_well_formed_streams() {
 fn trait_solve_emits_the_same_stream_as_run_observed() {
     let _guard = ENV_LOCK.lock().unwrap();
     let (g, solver) = test_instance();
-    let graph = Arc::new(g);
-    let legacy = {
-        let mut log = EventLog::new();
-        solver
-            .run_observed(&graph, 42, Some(600.0), &mut log)
-            .unwrap();
-        log.into_events()
-    };
-    let via_trait = {
-        let mut log = EventLog::new();
-        Solver::solve(
-            &solver,
-            &SolveJob::new(Arc::clone(&graph), 42).with_target(Some(600.0)),
-            &mut log,
-        )
-        .unwrap();
-        log.into_events()
-    };
-    assert!(!legacy.is_empty());
-    assert_eq!(legacy, via_trait);
+    let mut log = EventLog::new();
+    solve(&solver, &g, 42, Some(600.0), &mut log);
+    assert!(!log.events().is_empty());
+    // The digest recorded from the engine's former observed entry point
+    // for this (graph, seed, target).
+    assert_eq!(common::event_digest(log.events()), GOLDEN[1].1);
 }

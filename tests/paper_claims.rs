@@ -1,9 +1,18 @@
 //! Tests pinning the paper's qualitative claims at reduced scale.
 
+use std::sync::Arc;
+
 use sophie::baselines::{best_known_cut, Effort};
 use sophie::core::{SophieConfig, SophieSolver};
 use sophie::graph::generate::{gnm, WeightDist};
+use sophie::graph::Graph;
 use sophie::linalg::TileGrid;
+use sophie::solve::{NullObserver, SolveJob, SolveReport, Solver};
+
+fn solve(solver: &SophieSolver, g: &Arc<Graph>, seed: u64, target: Option<f64>) -> SolveReport {
+    let job = SolveJob::new(Arc::clone(g), seed).with_target(target);
+    solver.solve(&job, &mut NullObserver).unwrap()
+}
 
 fn base_config() -> SophieConfig {
     SophieConfig {
@@ -68,7 +77,7 @@ fn stochastic_selection_cuts_25_to_50_percent_of_work() {
 /// mildly (within ~10 % of the best-known solution at the same budget).
 #[test]
 fn quality_degrades_mildly_with_fewer_tiles() {
-    let graph = gnm(192, 1000, WeightDist::Unit, 4).unwrap();
+    let graph = Arc::new(gnm(192, 1000, WeightDist::Unit, 4).unwrap());
     let reference = best_known_cut(&graph, Effort::Quick);
 
     let quality = |fraction: f64| {
@@ -79,7 +88,7 @@ fn quality_degrades_mildly_with_fewer_tiles() {
         let solver = SophieSolver::from_graph(&graph, cfg).unwrap();
         let mut best: f64 = 0.0;
         for seed in 0..3 {
-            best = best.max(solver.run(&graph, seed, None).unwrap().best_cut);
+            best = best.max(solve(&solver, &graph, seed, None).best_cut);
         }
         best / reference
     };
@@ -97,7 +106,7 @@ fn quality_degrades_mildly_with_fewer_tiles() {
 /// synchronization) needs more total iterations to converge.
 #[test]
 fn skipping_synchronization_slows_convergence() {
-    let graph = gnm(160, 900, WeightDist::Unit, 8).unwrap();
+    let graph = Arc::new(gnm(160, 900, WeightDist::Unit, 8).unwrap());
     let reference = best_known_cut(&graph, Effort::Quick);
     let target = 0.9 * reference;
 
@@ -111,8 +120,8 @@ fn skipping_synchronization_slows_convergence() {
         let mut total = 0.0;
         let mut hits = 0u32;
         for seed in 0..4 {
-            let out = solver.run(&graph, seed, Some(target)).unwrap();
-            if let Some(g) = out.global_iters_to_target {
+            let out = solve(&solver, &graph, seed, Some(target));
+            if let Some(g) = out.iterations_to_target {
                 total += (g * local) as f64;
                 hits += 1;
             }
@@ -144,7 +153,7 @@ fn skipping_synchronization_slows_convergence() {
 /// and the very noisy regimes.
 #[test]
 fn moderate_noise_is_optimal() {
-    let graph = gnm(128, 640, WeightDist::Unit, 6).unwrap();
+    let graph = Arc::new(gnm(128, 640, WeightDist::Unit, 6).unwrap());
     let quality = |phi: f64| {
         let cfg = SophieConfig {
             phi,
@@ -152,7 +161,7 @@ fn moderate_noise_is_optimal() {
         };
         let solver = SophieSolver::from_graph(&graph, cfg).unwrap();
         (0..3)
-            .map(|seed| solver.run(&graph, seed, None).unwrap().best_cut)
+            .map(|seed| solve(&solver, &graph, seed, None).best_cut)
             .fold(f64::NEG_INFINITY, f64::max)
     };
     let none = quality(0.0);

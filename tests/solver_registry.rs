@@ -5,24 +5,27 @@
 //!
 //! 1. **Constructibility** — each of the seven configurations builds by
 //!    name from its typed config and runs through the batch scheduler.
-//! 2. **Stream fidelity** — `Solver::solve` emits an event stream
-//!    byte-identical to the solver's legacy `*_observed` entry point, at
-//!    `SOPHIE_THREADS` 1 *and* 4 (the trait adapters reuse the legacy
-//!    loops through a tee, so any divergence is a regression).
+//! 2. **Stream fidelity** — `Solver::solve` emits an event stream whose
+//!    FNV-1a digest matches one recorded from each solver's former
+//!    observed entry point, at `SOPHIE_THREADS` 1 *and* 4. Set
+//!    `SOPHIE_PRINT_DIGESTS=1` to print the digests instead of checking
+//!    them.
 //! 3. **Batch determinism** — a heterogeneous SOPHIE + SA batch produces
 //!    bit-identical reports regardless of the worker-pool width.
+
+mod common;
 
 use std::sync::{Arc, Mutex};
 
 use sophie::baselines::{BlsConfig, PtConfig, SaConfig, SbConfig};
-use sophie::core::{SophieConfig, SophieSolver};
+use sophie::core::SophieConfig;
 use sophie::default_registry;
 use sophie::graph::generate::{gnm, WeightDist};
 use sophie::graph::Graph;
-use sophie::hw::{OpcmBackend, OpcmBackendConfig};
-use sophie::pris::{PrisJobConfig, PrisModel, RunConfig};
+use sophie::hw::OpcmBackendConfig;
+use sophie::pris::PrisJobConfig;
 use sophie::solve::{
-    run_batch, run_seeds, BatchJob, BatchOptions, EventLog, JobBudget, SolveEvent, SolveJob, Solver,
+    run_batch, run_seeds, BatchJob, BatchOptions, EventLog, JobBudget, SolveJob, Solver,
 };
 
 /// `SOPHIE_THREADS` is process-global; serialize the tests that set it.
@@ -119,82 +122,30 @@ fn bls_config() -> BlsConfig {
     }
 }
 
-/// The legacy `*_observed` event stream for `name` on `graph`, with the
-/// exact configs the trait solvers in [`family`] wrap (job seed/target
-/// spliced into the config where the legacy API keeps them there).
-fn legacy_stream(name: &str, graph: &Arc<Graph>) -> Vec<SolveEvent> {
-    let mut log = EventLog::new();
-    match name {
-        "sophie" => {
-            let solver = SophieSolver::from_graph(graph, sophie_config()).unwrap();
-            solver.run_observed(graph, SEED, TARGET, &mut log).unwrap();
-        }
-        "sophie-opcm" => {
-            let solver = SophieSolver::from_graph(graph, sophie_config()).unwrap();
-            let backend = OpcmBackend::new(opcm_config());
-            solver
-                .run_with_backend_observed(&backend, graph, SEED, TARGET, &mut log)
-                .unwrap();
-        }
-        "pris" => {
-            let cfg = pris_config();
-            let k = sophie::graph::coupling::coupling_matrix(graph);
-            let delta = sophie::graph::coupling::delta_diagonal(graph);
-            let c = sophie::pris::dropout::transformation_matrix(
-                &k,
-                delta,
-                cfg.alpha,
-                sophie::pris::DeltaVariant::Gershgorin,
-            )
-            .unwrap();
-            let model = PrisModel::new(c).unwrap();
-            let run = RunConfig {
-                iterations: cfg.iterations,
-                phi: cfg.phi,
-                seed: SEED,
-                target_cut: TARGET,
-            };
-            sophie::pris::runner::run_observed(&model, graph, &run, &mut log).unwrap();
-        }
-        "sa" => {
-            let cfg = SaConfig {
-                seed: SEED,
-                ..sa_config()
-            };
-            let _ = sophie::baselines::sa::anneal_observed(graph, &cfg, TARGET, &mut log);
-        }
-        "sb" => {
-            let cfg = SbConfig {
-                seed: SEED,
-                ..sb_config()
-            };
-            let _ = sophie::baselines::sb::bifurcate_observed(graph, &cfg, TARGET, &mut log);
-        }
-        "pt" => {
-            let cfg = PtConfig {
-                seed: SEED,
-                ..pt_config()
-            };
-            let _ = sophie::baselines::tempering::temper_observed(graph, &cfg, TARGET, &mut log);
-        }
-        "bls" => {
-            let cfg = BlsConfig {
-                seed: SEED,
-                ..bls_config()
-            };
-            let _ = sophie::baselines::local_search::search_observed(graph, &cfg, TARGET, &mut log);
-        }
-        other => panic!("unknown solver {other}"),
-    }
-    log.into_events()
-}
-
-fn trait_stream(solver: &Arc<dyn Solver>, graph: &Arc<Graph>) -> Vec<SolveEvent> {
+/// Digest of `solver`'s event stream on `graph` at the fixed seed and
+/// target.
+fn trait_digest(solver: &Arc<dyn Solver>, graph: &Arc<Graph>) -> u64 {
     let mut log = EventLog::new();
     let job = SolveJob::new(Arc::clone(graph), SEED).with_target(TARGET);
     solver.solve(&job, &mut log).unwrap();
-    log.into_events()
+    assert!(!log.events().is_empty(), "{}: empty stream", solver.name());
+    common::event_digest(log.events())
 }
+
+/// Event-stream digests of [`family`] on [`test_graph`] at [`SEED`] and
+/// [`TARGET`], recorded from each solver's former observed entry point
+/// (the engine's with its ideal or OPCM backend, PRIS's runner on a model
+/// preprocessed at the config's α, and the four baselines' with the job
+/// seed spliced into their configs).
+const GOLDEN: &[(&str, u64)] = &[
+    ("sophie", 0x5882_f368_8420_7a5c),
+    ("sophie-opcm", 0xa4e1_fa56_6430_3748),
+    ("pris", 0x75e5_cd9b_9df7_1f6a),
+    ("sa", 0xdc2c_4267_7eab_c362),
+    ("sb", 0xc177_7a26_79c3_2bb6),
+    ("pt", 0x61fd_1ad9_012d_cfc5),
+    ("bls", 0x07d3_a3ae_b811_4c05),
+];
 
 #[test]
 fn all_seven_solvers_build_by_name_and_run_through_the_scheduler() {
@@ -223,15 +174,21 @@ fn all_seven_solvers_build_by_name_and_run_through_the_scheduler() {
 fn trait_streams_match_legacy_observed_at_one_and_four_threads() {
     let _guard = ENV_LOCK.lock().unwrap();
     let graph = test_graph();
+    let print = std::env::var_os("SOPHIE_PRINT_DIGESTS").is_some();
     for (name, solver) in family() {
-        let legacy_1 = with_threads("1", || legacy_stream(name, &graph));
-        let trait_1 = with_threads("1", || trait_stream(&solver, &graph));
-        let legacy_4 = with_threads("4", || legacy_stream(name, &graph));
-        let trait_4 = with_threads("4", || trait_stream(&solver, &graph));
-        assert!(!legacy_1.is_empty(), "{name}: empty stream");
-        assert_eq!(legacy_1, trait_1, "{name}: trait vs legacy, 1 thread");
-        assert_eq!(legacy_4, trait_4, "{name}: trait vs legacy, 4 threads");
-        assert_eq!(legacy_1, legacy_4, "{name}: stream thread-dependent");
+        for threads in ["1", "4"] {
+            let got = with_threads(threads, || trait_digest(&solver, &graph));
+            if print {
+                println!("    (\"{name}\", {got:#018x}), // {threads}");
+                continue;
+            }
+            let want = GOLDEN
+                .iter()
+                .find(|(n, _)| *n == name)
+                .unwrap_or_else(|| panic!("no golden digest for {name}"))
+                .1;
+            assert_eq!(got, want, "{name} at SOPHIE_THREADS={threads}");
+        }
     }
 }
 

@@ -15,12 +15,13 @@
 //! keeps activity high → dense fallbacks) and compare every variant
 //! against the dense reference at `SOPHIE_THREADS` 1 and 4.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use sophie::core::{ComputeMode, SophieConfig, SophieSolver};
 use sophie::graph::generate::{gnm, WeightDist};
-use sophie::solve::EventLog;
+use sophie::graph::Graph;
+use sophie::solve::{EventLog, SolveJob, Solver};
 
 /// `SOPHIE_THREADS` is process-global; serialize the tests that set it.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -35,13 +36,15 @@ fn with_threads<T>(threads: &str, f: impl FnOnce() -> T) -> T {
 /// One run: outcome fields plus the full event stream rendered to a
 /// string, so stream comparison is a byte comparison.
 fn run_fingerprint(
-    g: &sophie::graph::Graph,
+    g: &Arc<Graph>,
     cfg: &SophieConfig,
     seed: u64,
 ) -> (f64, Vec<bool>, Vec<f64>, String) {
     let solver = SophieSolver::from_graph(g, cfg.clone()).expect("engine build");
     let mut log = EventLog::new();
-    let out = solver.run_observed(g, seed, None, &mut log).expect("run");
+    let out = solver
+        .solve(&SolveJob::new(Arc::clone(g), seed), &mut log)
+        .expect("run");
     (
         out.best_cut,
         out.best_bits,
@@ -84,8 +87,10 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let _guard = ENV_LOCK.lock().unwrap();
-        let g = gnm(n, edge_factor * n, WeightDist::UniformInt { lo: -3, hi: 3 }, seed ^ 0xA5)
-            .unwrap();
+        let g = Arc::new(
+            gnm(n, edge_factor * n, WeightDist::UniformInt { lo: -3, hi: 3 }, seed ^ 0xA5)
+                .unwrap(),
+        );
 
         // Dense reference at one thread.
         let dense_cfg = SophieConfig { compute: ComputeMode::Dense, ..cfg.clone() };
@@ -143,7 +148,7 @@ proptest! {
 #[test]
 fn warm_started_polish_is_identical_across_paths() {
     let _guard = ENV_LOCK.lock().unwrap();
-    let g = gnm(80, 320, WeightDist::UniformInt { lo: -2, hi: 2 }, 31).unwrap();
+    let g = Arc::new(gnm(80, 320, WeightDist::UniformInt { lo: -2, hi: 2 }, 31).unwrap());
     let base = SophieConfig {
         tile_size: 16,
         local_iters: 4,

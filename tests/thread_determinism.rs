@@ -4,18 +4,19 @@
 //! the persistent worker pool, with noise drawn from counter-derived
 //! per-(round, pair) RNG streams (see the `sophie_core::engine` module
 //! docs). These tests pin the resulting contract: a job's entire
-//! [`sophie::core::SophieOutcome`] — cut trace, best bits, activity, and
-//! the exact op counts consumed by the PPA models — is bit-identical no
-//! matter what `SOPHIE_THREADS` is set to, on both the exact backend and
-//! the OPCM device model.
+//! [`SolveReport`] — cut trace, best bits, activity, and the exact op
+//! counts consumed by the PPA models — is bit-identical no matter what
+//! `SOPHIE_THREADS` is set to, on both the exact backend and the OPCM
+//! device model.
 
 use std::sync::{Arc, Mutex};
 
-use sophie::core::{SophieConfig, SophieOutcome, SophieSolver};
+use sophie::core::queue::NullTimeline;
+use sophie::core::{EngineRun, SophieConfig, SophieSolver};
 use sophie::graph::generate::{gnm, WeightDist};
 use sophie::graph::Graph;
 use sophie::hw::{OpcmBackend, OpcmBackendConfig};
-use sophie::solve::{run_seeds, Solver};
+use sophie::solve::{run_seeds, NullObserver, SolveJob, SolveReport, Solver};
 
 /// `SOPHIE_THREADS` is process-global; serialize the tests that set it.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -27,7 +28,7 @@ fn with_threads<T>(threads: &str, f: impl FnOnce() -> T) -> T {
     out
 }
 
-fn assert_identical(serial: &SophieOutcome, parallel: &SophieOutcome, label: &str) {
+fn assert_identical(serial: &SolveReport, parallel: &SolveReport, label: &str) {
     assert_eq!(serial.best_cut, parallel.best_cut, "{label}: best_cut");
     assert_eq!(serial.best_bits, parallel.best_bits, "{label}: best_bits");
     assert_eq!(serial.cut_trace, parallel.cut_trace, "{label}: cut_trace");
@@ -36,14 +37,20 @@ fn assert_identical(serial: &SophieOutcome, parallel: &SophieOutcome, label: &st
         "{label}: activity_trace"
     );
     assert_eq!(
-        serial.global_iters_to_target, parallel.global_iters_to_target,
+        serial.iterations_to_target, parallel.iterations_to_target,
         "{label}: iters_to_target"
     );
     assert_eq!(serial.ops, parallel.ops, "{label}: op counts");
 }
 
-fn test_instance() -> (Graph, SophieSolver) {
-    let g = gnm(96, 500, WeightDist::UniformInt { lo: -3, hi: 3 }, 11).unwrap();
+fn solve(solver: &SophieSolver, g: &Arc<Graph>, seed: u64) -> SolveReport {
+    solver
+        .solve(&SolveJob::new(Arc::clone(g), seed), &mut NullObserver)
+        .unwrap()
+}
+
+fn test_instance() -> (Arc<Graph>, SophieSolver) {
+    let g = Arc::new(gnm(96, 500, WeightDist::UniformInt { lo: -3, hi: 3 }, 11).unwrap());
     let cfg = SophieConfig {
         tile_size: 16,
         local_iters: 4,
@@ -62,9 +69,9 @@ fn ideal_backend_outcome_is_identical_across_thread_counts() {
     let _guard = ENV_LOCK.lock().unwrap();
     let (g, solver) = test_instance();
     for seed in [0u64, 42, 1234] {
-        let serial = with_threads("1", || solver.run(&g, seed, None).unwrap());
-        let four = with_threads("4", || solver.run(&g, seed, None).unwrap());
-        let eight = with_threads("8", || solver.run(&g, seed, None).unwrap());
+        let serial = with_threads("1", || solve(&solver, &g, seed));
+        let four = with_threads("4", || solve(&solver, &g, seed));
+        let eight = with_threads("8", || solve(&solver, &g, seed));
         assert_identical(&serial, &four, &format!("ideal seed {seed}, 4 threads"));
         assert_identical(&serial, &eight, &format!("ideal seed {seed}, 8 threads"));
     }
@@ -73,7 +80,7 @@ fn ideal_backend_outcome_is_identical_across_thread_counts() {
 #[test]
 fn ideal_backend_majority_vote_mode_is_identical_across_thread_counts() {
     let _guard = ENV_LOCK.lock().unwrap();
-    let g = gnm(64, 300, WeightDist::Unit, 5).unwrap();
+    let g = Arc::new(gnm(64, 300, WeightDist::Unit, 5).unwrap());
     let cfg = SophieConfig {
         tile_size: 16,
         local_iters: 3,
@@ -84,8 +91,8 @@ fn ideal_backend_majority_vote_mode_is_identical_across_thread_counts() {
         ..SophieConfig::default()
     };
     let solver = SophieSolver::from_graph(&g, cfg).unwrap();
-    let serial = with_threads("1", || solver.run(&g, 9, None).unwrap());
-    let four = with_threads("4", || solver.run(&g, 9, None).unwrap());
+    let serial = with_threads("1", || solve(&solver, &g, 9));
+    let four = with_threads("4", || solve(&solver, &g, 9));
     assert_identical(&serial, &four, "ideal majority-vote");
 }
 
@@ -101,7 +108,15 @@ fn opcm_backend_outcome_is_identical_across_thread_counts() {
             seed: 7,
             ..OpcmBackendConfig::default()
         });
-        solver.run_with_backend(&backend, &g, 42, None).unwrap()
+        solver
+            .solve_job(
+                &backend,
+                &SolveJob::new(Arc::clone(&g), 42),
+                &EngineRun::default(),
+                &mut NullObserver,
+                &mut NullTimeline,
+            )
+            .unwrap()
     };
     let serial = with_threads("1", run);
     let four = with_threads("4", run);
@@ -113,8 +128,7 @@ fn opcm_backend_outcome_is_identical_across_thread_counts() {
 #[test]
 fn scheduler_batches_over_the_trait_object_are_identical_across_thread_counts() {
     let _guard = ENV_LOCK.lock().unwrap();
-    let (g, solver) = test_instance();
-    let graph = Arc::new(g);
+    let (graph, solver) = test_instance();
     let solver: Arc<dyn Solver> = Arc::new(solver);
     let run = || run_seeds(&solver, &graph, 3, None).unwrap();
     let serial = with_threads("1", run);
