@@ -1,5 +1,5 @@
-//! Microbenchmarks of the tiled engine: full jobs, intra-round thread
-//! scaling, schedule generation, and the analytic op-count replay. Suites
+//! Microbenchmarks of the tiled engine: full jobs, schedule generation,
+//! and the analytic op-count replay. Suites
 //! live in [`sophie_bench::micro`] so `repro bench-summary` can run the
 //! same code in-process.
 
@@ -9,7 +9,6 @@ use sophie_bench::micro;
 criterion_group!(
     benches,
     micro::engine_job,
-    micro::engine_scaling,
     micro::schedule_generation,
     micro::analytic_counts
 );

@@ -9,6 +9,7 @@
 //! energy/time they add on the cost model. Per-run rows additionally land
 //! in `robustness.jsonl` (written atomically) for downstream analysis.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use sophie_core::{HealthConfig, RecoveryPolicy, SophieConfig};
@@ -18,7 +19,7 @@ use sophie_hw::cost::params::CostParams;
 use sophie_hw::cost::timing::recovery_time_s;
 use sophie_hw::device::opcm::OpcmCellSpec;
 use sophie_hw::{FaultSchedule, OpcmBackendConfig, SophieOpcm};
-use sophie_solve::{run_batch, BatchJob, BatchOptions, OpCounts, SolveJob, SolveReport};
+use sophie_solve::{run_batch, BatchJob, BatchOptions, Json, OpCounts, SolveJob, SolveReport};
 
 use crate::experiments::mean;
 use crate::fidelity::Fidelity;
@@ -175,33 +176,31 @@ pub fn run(inst: &mut Instances, fidelity: Fidelity, report: &Report) -> std::io
             ]);
 
             for (seed, r) in results.iter().enumerate() {
-                jsonl.push_str(&format!(
-                    concat!(
-                        "{{\"experiment\":\"robustness\",\"graph\":\"{}\",",
-                        "\"fault_rate\":{},\"policy\":\"{}\",\"seed\":{},",
-                        "\"best_cut\":{},\"faults_injected\":{},",
-                        "\"faults_detected\":{},\"tiles_recovered\":{},",
-                        "\"recoveries_exhausted\":{},\"probe_mvms\":{},",
-                        "\"recovery_reprograms\":{},\"units_remapped\":{},",
-                        "\"pairs_quarantined\":{},\"recovery_energy_j\":{:e},",
-                        "\"recovery_time_s\":{:e}}}\n"
+                let record = Json::obj([
+                    ("experiment", "robustness".into()),
+                    ("graph", name.into()),
+                    ("fault_rate", rate.into()),
+                    ("policy", label.into()),
+                    ("seed", seed.into()),
+                    ("best_cut", r.best_cut.into()),
+                    ("faults_injected", r.faults_injected.into()),
+                    ("faults_detected", r.faults_detected.into()),
+                    ("tiles_recovered", r.tiles_recovered.into()),
+                    ("recoveries_exhausted", r.recoveries_exhausted.into()),
+                    ("probe_mvms", r.ops.probe_mvms.into()),
+                    ("recovery_reprograms", r.ops.recovery_reprograms.into()),
+                    ("units_remapped", r.ops.units_remapped.into()),
+                    ("pairs_quarantined", r.ops.pairs_quarantined.into()),
+                    (
+                        "recovery_energy_j",
+                        recovery_energy_j(&params, TILE, &r.ops).into(),
                     ),
-                    name,
-                    rate,
-                    label,
-                    seed,
-                    r.best_cut,
-                    r.faults_injected,
-                    r.faults_detected,
-                    r.tiles_recovered,
-                    r.recoveries_exhausted,
-                    r.ops.probe_mvms,
-                    r.ops.recovery_reprograms,
-                    r.ops.units_remapped,
-                    r.ops.pairs_quarantined,
-                    recovery_energy_j(&params, TILE, &r.ops),
-                    recovery_time_s(&params, TILE, &r.ops),
-                ));
+                    (
+                        "recovery_time_s",
+                        recovery_time_s(&params, TILE, &r.ops).into(),
+                    ),
+                ]);
+                let _ = writeln!(jsonl, "{record}");
             }
         }
     }

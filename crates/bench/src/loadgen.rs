@@ -12,9 +12,9 @@
 //!   clients, the standard way to expose queueing delay that closed
 //!   loops hide.
 //!
-//! Per-request records and the final summary are written as JSONL (the
-//! `BENCH_sophie.json` serving block is distilled from the same
-//! [`LoadgenSummary`]).
+//! Per-request records and the final summary are written as JSONL; a
+//! latency that was never measured (a rejected, failed or lost request)
+//! is `null`.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -128,24 +128,40 @@ impl LoadgenSummary {
     /// The summary as one JSONL line (`"type":"summary"`).
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"type\":\"summary\",\"mode\":\"{}\",\"requests\":{},\"done\":{},\"rejected\":{},\"errored\":{},\
-             \"wall_s\":{:.3},\"throughput_rps\":{:.2},\"rtt_mean_ms\":{:.3},\"rtt_p50_ms\":{:.3},\
-             \"rtt_p90_ms\":{:.3},\"rtt_p99_ms\":{:.3},\"replicas\":{},\"chaos\":{}}}",
-            self.mode,
-            self.requests,
-            self.done,
-            self.rejected,
-            self.errored,
-            self.wall_s,
-            self.throughput_rps,
-            self.rtt_mean_ms,
-            self.rtt_p50_ms,
-            self.rtt_p90_ms,
-            self.rtt_p99_ms,
-            self.replicas,
-            self.chaos,
-        )
+        let ms = |x: f64| Json::rounded(x, 3);
+        Json::obj([
+            ("type", "summary".into()),
+            ("mode", self.mode.into()),
+            ("requests", self.requests.into()),
+            ("done", self.done.into()),
+            ("rejected", self.rejected.into()),
+            ("errored", self.errored.into()),
+            ("wall_s", Json::rounded(self.wall_s, 3)),
+            ("throughput_rps", Json::rounded(self.throughput_rps, 2)),
+            ("rtt_mean_ms", ms(self.rtt_mean_ms)),
+            ("rtt_p50_ms", ms(self.rtt_p50_ms)),
+            ("rtt_p90_ms", ms(self.rtt_p90_ms)),
+            ("rtt_p99_ms", ms(self.rtt_p99_ms)),
+            ("replicas", self.replicas.into()),
+            ("chaos", self.chaos.into()),
+        ])
+        .to_string()
+    }
+}
+
+impl Record {
+    /// The record as one JSONL line (`"type":"request"`).
+    fn json(&self, opts: &LoadgenOptions) -> Json {
+        Json::obj([
+            ("type", "request".into()),
+            ("client", self.client.into()),
+            ("seq", self.seq.into()),
+            ("solver", opts.solver.as_str().into()),
+            ("graph", opts.graph.as_str().into()),
+            ("status", self.status.as_str().into()),
+            ("latency_ms", Json::rounded(self.latency_ms, 3)),
+            ("rtt_ms", Json::rounded(self.rtt_ms, 3)),
+        ])
     }
 }
 
@@ -223,12 +239,7 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadgenSummary, ServeError> {
     if let Some(path) = &opts.out {
         let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
         for r in &records {
-            writeln!(
-                file,
-                "{{\"type\":\"request\",\"client\":{},\"seq\":{},\"solver\":\"{}\",\"graph\":\"{}\",\
-                 \"status\":\"{}\",\"latency_ms\":{:.3},\"rtt_ms\":{:.3}}}",
-                r.client, r.seq, opts.solver, opts.graph, r.status, r.latency_ms, r.rtt_ms
-            )?;
+            writeln!(file, "{}", r.json(opts))?;
         }
         let summary = summarize(opts, total, &records, wall_s);
         writeln!(file, "{}", summary.to_json())?;
@@ -413,43 +424,6 @@ fn summarize(
     }
 }
 
-/// The measurements behind the `cluster` block of `BENCH_sophie.json`:
-/// closed-loop throughput against 1, 2, and 3 in-process replicas, plus
-/// one run with a replica killed and restarted mid-workload.
-#[derive(Debug, Clone)]
-pub struct ClusterBench {
-    /// One summary per replica count, in ascending order.
-    pub scaling: Vec<LoadgenSummary>,
-    /// The 3-replica run with failure injection.
-    pub chaos: LoadgenSummary,
-}
-
-/// Runs the cluster bench sweep with the default small workload.
-///
-/// # Errors
-///
-/// [`ServeError`] if a cluster fails to start.
-pub fn run_cluster_bench() -> Result<ClusterBench, ServeError> {
-    let mut scaling = Vec::new();
-    for n in 1..=3usize {
-        let opts = LoadgenOptions {
-            cluster_replicas: Some(n),
-            clients: 4,
-            requests: 4,
-            ..LoadgenOptions::default()
-        };
-        scaling.push(run(&opts)?);
-    }
-    let chaos = run(&LoadgenOptions {
-        cluster_replicas: Some(3),
-        chaos: true,
-        clients: 4,
-        requests: 8,
-        ..LoadgenOptions::default()
-    })?;
-    Ok(ClusterBench { scaling, chaos })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,6 +463,37 @@ mod tests {
         assert_eq!(summary.replicas, 2);
         assert!(summary.chaos);
         assert!(summary.to_json().contains("\"replicas\":2"));
+    }
+
+    /// Requests that never complete have no latency: their records and
+    /// the summary's quantiles must still be JSON (`null`, not `NaN`).
+    #[test]
+    fn unmeasured_latencies_render_as_null() {
+        let dir = std::env::temp_dir().join(format!("sophie_loadgen_null_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("loadgen.jsonl");
+        let opts = LoadgenOptions {
+            clients: 1,
+            requests: 3,
+            solver: "no-such-solver".to_string(),
+            graph: "K16".to_string(),
+            out: Some(path.clone()),
+            ..LoadgenOptions::default()
+        };
+        let summary = run(&opts).expect("loadgen runs");
+        assert_eq!((summary.done, summary.errored), (0, 3));
+        let body = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<Json> = body
+            .lines()
+            .map(|line| Json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}")))
+            .collect();
+        assert_eq!(lines.len(), 4);
+        for request in &lines[..3] {
+            assert_eq!(request.get("status").and_then(Json::as_str), Some("error"));
+            assert_eq!(request.get("latency_ms"), Some(&Json::Null));
+        }
+        assert_eq!(lines[3].get("rtt_p50_ms"), Some(&Json::Null));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

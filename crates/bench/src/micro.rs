@@ -21,6 +21,7 @@ use sophie_graph::coupling::coupling_matrix;
 use sophie_graph::generate::{gnm, WeightDist};
 use sophie_hw::{OpcmBackend, OpcmBackendConfig};
 use sophie_linalg::{Matrix, SparseCsr, Tile, TileGrid};
+use sophie_solve::Json;
 
 fn tile_of(size: usize) -> Tile {
     Tile::from_vec(
@@ -152,52 +153,6 @@ pub fn analytic_counts(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| sophie_core::analytic::analytic_op_counts(black_box(n), &cfg, 1).unwrap());
         });
-    }
-    group.finish();
-}
-
-/// Thread counts compared by the scaling suite: serial baseline plus the
-/// pool widths whose speedups `bench-summary` reports.
-pub const SCALING_THREADS: [usize; 2] = [1, 4];
-
-/// Intra-round parallel scaling on a G22-sized job at 100% tiles.
-///
-/// A 2000-spin instance with 64-wide tiles gives 32 blocks = 528 symmetric
-/// pairs per round — the workload shape of the paper's Fig. 10 sweep. Each
-/// thread count runs the *same* job (traces are thread-count-independent),
-/// so the medians isolate pool overhead vs. intra-round parallelism.
-pub fn engine_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_scaling_g22");
-    group.sample_size(10);
-    // Build the solver from a synthetic symmetric transform directly: the
-    // eigensolve in `from_graph` costs minutes at n=2000 and is not what
-    // this suite measures.
-    let n = 2000;
-    let cfg = SophieConfig {
-        tile_fraction: 1.0,
-        global_iters: 2,
-        ..engine_config(2)
-    };
-    let m = Matrix::from_fn(n, n, |r, cc| {
-        let v = ((r * 31 + cc * 17) % 13) as f64 / 6.0 - 1.0;
-        if r <= cc {
-            v
-        } else {
-            ((cc * 31 + r * 17) % 13) as f64 / 6.0 - 1.0
-        }
-    });
-    let solver = SophieSolver::from_transform(&m, cfg).unwrap();
-    let job = SolveJob::new(Arc::new(gnm(n, 10 * n, WeightDist::Unit, 7).unwrap()), 1);
-    let prev = std::env::var("SOPHIE_THREADS").ok();
-    for threads in SCALING_THREADS {
-        std::env::set_var("SOPHIE_THREADS", threads.to_string());
-        group.bench_function(BenchmarkId::new("threads", threads), |b| {
-            b.iter(|| solver.solve(black_box(&job), &mut NullObserver).unwrap());
-        });
-    }
-    match prev {
-        Some(v) => std::env::set_var("SOPHIE_THREADS", v),
-        None => std::env::remove_var("SOPHIE_THREADS"),
     }
     group.finish();
 }
@@ -343,85 +298,56 @@ pub fn all_suites(c: &mut Criterion) {
     backend_mvm(c);
     dense_matvec(c);
     engine_job(c);
-    engine_scaling(c);
     incremental_round(c);
     schedule_generation(c);
     analytic_counts(c);
 }
 
 /// Serializes bench results as the `BENCH_sophie.json` document tracked
-/// across PRs: one record per kernel, the intra-round scaling block
-/// derived from the [`engine_scaling`] suite, and (when provided) the
-/// serving block from an in-process loadgen run.
+/// across PRs: the run's provenance, the blocks derived from the
+/// incremental-round and tile-kernel suites, and one record per kernel,
+/// in the summary's house layout (see `render_json`).
 #[must_use]
-pub fn summary_json(
-    results: &[BenchResult],
-    serving: Option<&crate::loadgen::LoadgenSummary>,
-    cluster: Option<&crate::loadgen::ClusterBench>,
-) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"sophie-bench-v1\",");
-    let _ = writeln!(
-        out,
-        "  \"mode\": \"{}\",",
-        if criterion::quick_mode() {
-            "quick"
-        } else {
-            "full"
-        }
-    );
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let _ = writeln!(out, "  \"host_cores\": {cores},");
-
-    let scaling_ns = |threads: usize| {
-        let id = format!("engine_scaling_g22/threads/{threads}");
-        results.iter().find(|r| r.id == id).map(|r| r.median_ns)
-    };
-    if let (Some(serial), Some(parallel)) = (
-        scaling_ns(SCALING_THREADS[0]),
-        scaling_ns(SCALING_THREADS[1]),
-    ) {
-        let _ = writeln!(out, "  \"engine_scaling\": {{");
-        let _ = writeln!(out, "    \"job\": \"g22_sized_n2000_tile64_full_round\",");
-        let _ = writeln!(out, "    \"threads_1_ns\": {serial:.1},");
-        let _ = writeln!(
-            out,
-            "    \"threads_{}_ns\": {parallel:.1},",
-            SCALING_THREADS[1]
-        );
-        let _ = writeln!(out, "    \"speedup\": {:.3},", serial / parallel);
-        let _ = writeln!(
-            out,
-            "    \"note\": \"{}\"",
-            if cores < SCALING_THREADS[1] {
-                "host has fewer cores than the pool width; speedup bounded by host_cores"
-            } else {
-                "wall-clock speedup of one job from intra-round pair parallelism"
-            }
-        );
-        let _ = writeln!(out, "  }},");
-    }
-
+pub fn summary_json(results: &[BenchResult]) -> String {
+    let ns = |x: f64| Json::rounded(x, 1);
     let median = |id: &str| results.iter().find(|r| r.id == id).map(|r| r.median_ns);
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let mut doc = vec![
+        ("schema", "sophie-bench-v1".into()),
+        (
+            "mode",
+            if criterion::quick_mode() {
+                "quick"
+            } else {
+                "full"
+            }
+            .into(),
+        ),
+        ("host_cores", cores.into()),
+    ];
     if let (Some(dense), Some(sparse)) = (
         median("incremental_round/dense/2000"),
         median("incremental_round/sparse/2000"),
     ) {
-        let _ = writeln!(out, "  \"sparse_speedup\": {{");
-        let _ = writeln!(
-            out,
-            "    \"job\": \"g22_sized_n2000_m20000_tile500_warm_polish_phi0\","
-        );
-        let _ = writeln!(out, "    \"dense_ns\": {dense:.1},");
-        let _ = writeln!(out, "    \"sparse_ns\": {sparse:.1},");
-        let _ = writeln!(out, "    \"speedup\": {:.3},", dense / sparse);
-        let _ = writeln!(
-            out,
-            "    \"note\": \"same schedule, warm state, and seed at one thread; outcomes are bit-identical by the compute-mode contract\""
-        );
-        let _ = writeln!(out, "  }},");
+        doc.push((
+            "sparse_speedup",
+            Json::obj([
+                (
+                    "job",
+                    "g22_sized_n2000_m20000_tile500_warm_polish_phi0".into(),
+                ),
+                ("dense_ns", ns(dense)),
+                ("sparse_ns", ns(sparse)),
+                ("speedup", Json::rounded(dense / sparse, 3)),
+                (
+                    "note",
+                    "same schedule, warm state, and seed at one thread; outcomes are \
+                     bit-identical by the compute-mode contract"
+                        .into(),
+                ),
+            ]),
+        ));
     }
-
     // Forward/transposed tile kernels used to be asymmetric (the forward
     // column sweep strided across rows); the 'before' medians are the
     // last record produced by the strided kernel, kept here so the fix
@@ -430,80 +356,53 @@ pub fn summary_json(
         median("tile_mvm/forward/64"),
         median("tile_mvm/transposed/64"),
     ) {
-        let _ = writeln!(out, "  \"tile_kernel_asymmetry_fix\": {{");
-        let _ = writeln!(out, "    \"before_forward_64_ns\": 1374.2,");
-        let _ = writeln!(out, "    \"before_transposed_64_ns\": 481.8,");
-        let _ = writeln!(out, "    \"after_forward_64_ns\": {fwd:.1},");
-        let _ = writeln!(out, "    \"after_transposed_64_ns\": {trn:.1},");
-        let _ = writeln!(
-            out,
-            "    \"note\": \"both directions now run unit-stride axpy sweeps over direction-major mirrors\""
-        );
-        let _ = writeln!(out, "  }},");
+        doc.push((
+            "tile_kernel_asymmetry_fix",
+            Json::obj([
+                ("before_forward_64_ns", 1374.2.into()),
+                ("before_transposed_64_ns", 481.8.into()),
+                ("after_forward_64_ns", ns(fwd)),
+                ("after_transposed_64_ns", ns(trn)),
+                (
+                    "note",
+                    "both directions now run unit-stride axpy sweeps over direction-major mirrors"
+                        .into(),
+                ),
+            ]),
+        ));
     }
-
-    if let Some(s) = serving {
-        let _ = writeln!(out, "  \"serving\": {{");
-        let _ = writeln!(out, "    \"mode\": \"{}\",", s.mode);
-        let _ = writeln!(out, "    \"requests\": {},", s.requests);
-        let _ = writeln!(out, "    \"done\": {},", s.done);
-        let _ = writeln!(out, "    \"throughput_rps\": {:.2},", s.throughput_rps);
-        let _ = writeln!(out, "    \"rtt_p50_ms\": {:.3},", s.rtt_p50_ms);
-        let _ = writeln!(out, "    \"rtt_p99_ms\": {:.3}", s.rtt_p99_ms);
-        let _ = writeln!(out, "  }},");
-    }
-
-    if let Some(c) = cluster {
-        let _ = writeln!(out, "  \"cluster\": {{");
-        let _ = writeln!(out, "    \"scaling\": [");
-        for (i, s) in c.scaling.iter().enumerate() {
-            let comma = if i + 1 == c.scaling.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "      {{\"replicas\": {}, \"requests\": {}, \"done\": {}, \"throughput_rps\": {:.2}, \"rtt_p50_ms\": {:.3}, \"rtt_p99_ms\": {:.3}}}{comma}",
-                s.replicas, s.requests, s.done, s.throughput_rps, s.rtt_p50_ms, s.rtt_p99_ms
-            );
-        }
-        let _ = writeln!(out, "    ],");
-        let s = &c.chaos;
-        let _ = writeln!(
-            out,
-            "    \"chaos\": {{\"replicas\": {}, \"requests\": {}, \"done\": {}, \"rejected\": {}, \"errored\": {}, \"throughput_rps\": {:.2}, \"rtt_p50_ms\": {:.3}, \"rtt_p99_ms\": {:.3}}},",
-            s.replicas, s.requests, s.done, s.rejected, s.errored, s.throughput_rps, s.rtt_p50_ms, s.rtt_p99_ms
-        );
-        let _ = writeln!(
-            out,
-            "    \"note\": \"router + N in-process replicas, closed loop; the chaos run kills replica 0 a quarter into the workload and restarts it past 60%\""
-        );
-        let _ = writeln!(out, "  }},");
-    }
-
-    let _ = writeln!(out, "  \"results\": [");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 == results.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"id\": \"{}\", \"median_ns\": {:.1}, \"samples\": {}, \"iters_per_sample\": {}}}{comma}",
-            r.id, r.median_ns, r.samples, r.iters_per_sample
-        );
-    }
-    out.push_str("  ]\n}\n");
+    let records = results
+        .iter()
+        .map(|r| {
+            Json::obj([
+                ("id", r.id.as_str().into()),
+                ("median_ns", ns(r.median_ns)),
+                ("samples", r.samples.into()),
+                ("iters_per_sample", r.iters_per_sample.into()),
+            ])
+        })
+        .collect();
+    doc.push(("results", records));
+    let mut out = String::new();
+    render_json(&Json::obj(doc), 0, &mut out);
+    out.push('\n');
     out
 }
 
 /// Merges top-level blocks of a previous summary document into a fresh
 /// one.
 ///
-/// Any top-level key present in `old` but absent from `fresh` — e.g. the
-/// `serving` block when the loadgen daemon could not start, or a block a
-/// future suite writes that this build does not know about — is carried
-/// over, so a partial regeneration never silently drops sections it did
-/// not reproduce. Keys in `fresh` always win. If either document fails to
+/// Any top-level key present in `old` but absent from `fresh` — the
+/// `kernel_tune` and `problems` blocks other `repro` commands upsert, or a
+/// block a future suite writes that this build does not know about — is
+/// carried over, so a partial regeneration never silently drops sections
+/// it did not reproduce. A block no command writes any more is therefore
+/// carried forever: retiring one means deleting it from the committed
+/// document too. Keys in `fresh` always win. If either document fails to
 /// parse as a JSON object, or nothing needs preserving, `fresh` is
 /// returned unchanged (byte-identical).
 #[must_use]
 pub fn merge_preserving_blocks(fresh: &str, old: &str) -> String {
-    use sophie_serve::Json;
     let (Ok(Json::Obj(mut merged)), Ok(Json::Obj(previous))) =
         (Json::parse(fresh), Json::parse(old))
     else {
@@ -525,28 +424,44 @@ pub fn merge_preserving_blocks(fresh: &str, old: &str) -> String {
     out
 }
 
+/// Upserts one top-level `block` under `key` into the summary document
+/// at `path`, in place if the key exists, else appended. Every other
+/// block is preserved unchanged (same contract as
+/// [`merge_preserving_blocks`]); a missing or unparseable document is
+/// replaced by a minimal one holding only the block.
+///
+/// # Errors
+///
+/// Propagates the I/O error if `path` cannot be written.
+pub fn upsert_block(path: &Path, key: &str, block: Json) -> std::io::Result<()> {
+    let mut entries = match std::fs::read_to_string(path).map(|old| Json::parse(&old)) {
+        Ok(Ok(Json::Obj(entries))) => entries,
+        _ => vec![("schema".to_string(), "sophie-bench-v1".into())],
+    };
+    match entries.iter_mut().find(|(k, _)| k == key) {
+        Some((_, slot)) => *slot = block,
+        None => entries.push((key.to_string(), block)),
+    }
+    let mut out = String::new();
+    render_json(&Json::Obj(entries), 0, &mut out);
+    out.push('\n');
+    std::fs::write(path, out)
+}
+
 /// Pretty-printer matching the summary's house style: top-level and
-/// depth-1 objects span lines, everything deeper (array elements, nested
-/// values) renders inline. Shared with [`crate::tune`], which upserts the
-/// `kernel_tune` block into the same document.
-pub(crate) fn render_json(v: &sophie_serve::Json, depth: usize, out: &mut String) {
-    use sophie_serve::Json;
+/// depth-1 objects span lines, arrays put one element per line, and
+/// everything deeper renders inline with a space after each `:` and `,`.
+/// Only the layout lives here: every scalar and key is rendered by
+/// [`Json`]'s `Display`. Shared with [`crate::tune`] and
+/// [`crate::problems`], which upsert their blocks into the same document.
+pub(crate) fn render_json(v: &Json, depth: usize, out: &mut String) {
+    let key = |k: &str| Json::from(k);
     match v {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Json::Num(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Json::Str(s) => {
-            let _ = write!(out, "\"{}\"", sophie_serve::json::escape(s));
-        }
         Json::Obj(entries) if depth < 2 => {
             let pad = "  ".repeat(depth + 1);
             out.push_str("{\n");
             for (i, (k, val)) in entries.iter().enumerate() {
-                let _ = write!(out, "{pad}\"{}\": ", sophie_serve::json::escape(k));
+                let _ = write!(out, "{pad}{}: ", key(k));
                 render_json(val, depth + 1, out);
                 out.push_str(if i + 1 == entries.len() { "\n" } else { ",\n" });
             }
@@ -558,7 +473,7 @@ pub(crate) fn render_json(v: &sophie_serve::Json, depth: usize, out: &mut String
                 if i > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "\"{}\": ", sophie_serve::json::escape(k));
+                let _ = write!(out, "{}: ", key(k));
                 render_json(val, depth + 1, out);
             }
             out.push('}');
@@ -573,17 +488,19 @@ pub(crate) fn render_json(v: &sophie_serve::Json, depth: usize, out: &mut String
             }
             let _ = write!(out, "{}]", "  ".repeat(depth));
         }
+        scalar => {
+            let _ = write!(out, "{scalar}");
+        }
     }
 }
 
 /// Runs all suites in quick mode and writes `BENCH_sophie.json` at `path`.
 ///
 /// Unless the caller already configured `SOPHIE_BENCH_QUICK`, quick mode is
-/// forced so the whole sweep finishes in seconds. A small closed-loop
-/// loadgen run against an in-process daemon contributes the `serving`
-/// block; if the daemon cannot start the block is omitted from the fresh
-/// document, and [`merge_preserving_blocks`] then carries the previous
-/// record's block forward instead of dropping it.
+/// forced so the whole sweep finishes in seconds. Serving is measured by
+/// the standalone benchmark package (`benchmark/`), not here. Blocks of
+/// the previous document that this run does not write are carried forward
+/// by [`merge_preserving_blocks`].
 ///
 /// # Errors
 ///
@@ -594,13 +511,7 @@ pub fn write_bench_summary(path: &Path) -> std::io::Result<()> {
     }
     let mut c = Criterion::default();
     all_suites(&mut c);
-    let serving = crate::loadgen::run(&crate::loadgen::LoadgenOptions::default())
-        .map_err(|e| eprintln!("serving block skipped: {e}"))
-        .ok();
-    let cluster = crate::loadgen::run_cluster_bench()
-        .map_err(|e| eprintln!("cluster block skipped: {e}"))
-        .ok();
-    let fresh = summary_json(c.results(), serving.as_ref(), cluster.as_ref());
+    let fresh = summary_json(c.results());
     let merged = match std::fs::read_to_string(path) {
         Ok(old) => merge_preserving_blocks(&fresh, &old),
         Err(_) => fresh,
@@ -611,7 +522,6 @@ pub fn write_bench_summary(path: &Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sophie_serve::Json;
 
     const FRESH: &str = r#"{
   "schema": "sophie-bench-v1",
@@ -678,9 +588,19 @@ mod tests {
                 iters_per_sample: 1,
             },
         ];
-        let doc = Json::parse(&summary_json(&results, None, None)).expect("summary is valid JSON");
+        let text = summary_json(&results);
+        let doc = Json::parse(&text).expect("summary is valid JSON");
         let block = doc.get("sparse_speedup").expect("block present");
         assert_eq!(block.get("speedup").unwrap().as_f64(), Some(10.0));
         assert_eq!(block.get("dense_ns").unwrap().as_f64(), Some(50_000_000.0));
+        // The house layout: depth-1 blocks span lines, records are inline.
+        assert!(text.starts_with("{\n  \"schema\": \"sophie-bench-v1\",\n"));
+        assert!(text.contains("  \"sparse_speedup\": {\n    \"job\": "));
+        assert!(text.ends_with(
+            "  \"results\": [\n    {\"id\": \"incremental_round/dense/2000\", \
+             \"median_ns\": 50000000, \"samples\": 7, \"iters_per_sample\": 1},\n    \
+             {\"id\": \"incremental_round/sparse/2000\", \"median_ns\": 5000000, \
+             \"samples\": 7, \"iters_per_sample\": 1}\n  ]\n}\n"
+        ));
     }
 }

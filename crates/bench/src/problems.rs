@@ -180,74 +180,46 @@ pub fn problems_block(cells: &[ProblemCell], fidelity: Fidelity) -> Json {
     let entries = cells
         .iter()
         .map(|c| {
-            let decoded =
-                Json::parse(&c.best.decoded.to_json()).expect("Decoded::to_json emits valid JSON");
+            let report = &c.best.report;
             let mut entry = vec![
-                ("kind".to_string(), Json::Str(c.kind.to_string())),
-                ("label".to_string(), Json::Str(c.label.clone())),
-                ("spins".to_string(), Json::Num(c.spins as f64)),
-                ("solver".to_string(), Json::Str(c.solver.to_string())),
-                ("seeds".to_string(), Json::Num(c.seeds as f64)),
-                (
-                    "feasible_runs".to_string(),
-                    Json::Num(c.feasible_runs as f64),
-                ),
-                ("best_cut".to_string(), Json::Num(c.best.report.best_cut)),
-                (
-                    "iterations_run".to_string(),
-                    Json::Num(c.best.report.iterations_run as f64),
-                ),
-                ("decoded".to_string(), decoded),
+                ("kind", c.kind.into()),
+                ("label", c.label.as_str().into()),
+                ("spins", c.spins.into()),
+                ("solver", c.solver.into()),
+                ("seeds", c.seeds.into()),
+                ("feasible_runs", c.feasible_runs.into()),
+                ("best_cut", report.best_cut.into()),
+                ("iterations_run", report.iterations_run.into()),
+                ("decoded", c.best.decoded.json()),
             ];
-            if let Some(iters) = c.best.report.iterations_to_target {
-                entry.push(("iterations_to_target".to_string(), Json::Num(iters as f64)));
+            if let Some(iters) = report.iterations_to_target {
+                entry.push(("iterations_to_target", iters.into()));
             }
-            Json::Obj(entry)
+            Json::obj(entry)
         })
         .collect();
-    Json::Obj(vec![
+    Json::obj([
+        ("schema", "sophie-problems-v1".into()),
+        ("fidelity", format!("{fidelity:?}").into()),
+        ("entries", entries),
         (
-            "schema".to_string(),
-            Json::Str("sophie-problems-v1".to_string()),
-        ),
-        ("fidelity".to_string(), Json::Str(format!("{fidelity:?}"))),
-        ("entries".to_string(), Json::Arr(entries)),
-        (
-            "note".to_string(),
-            Json::Str(
-                "problem-compiler sweep: each front end compiled to an Ising job, solved \
-                 through the registry, decoded back to domain metrics. Coloring/LDPC run \
-                 with an objective-domain target of 0 (feasible optimum)."
-                    .to_string(),
-            ),
+            "note",
+            "problem-compiler sweep: each front end compiled to an Ising job, solved \
+             through the registry, decoded back to domain metrics. Coloring/LDPC run \
+             with an objective-domain target of 0 (feasible optimum)."
+                .into(),
         ),
     ])
 }
 
-/// Upserts the `problems` block into the summary document at `path`,
-/// preserving every other top-level block (same contract as
-/// [`crate::tune::write_kernel_tune`]).
+/// Upserts the `problems` block into the summary document at `path`
+/// ([`crate::micro::upsert_block`]).
 ///
 /// # Errors
 ///
 /// Propagates the I/O error if `path` cannot be written.
 pub fn write_problems(path: &Path, cells: &[ProblemCell], fidelity: Fidelity) -> io::Result<()> {
-    let block = problems_block(cells, fidelity);
-    let mut entries = match std::fs::read_to_string(path).map(|old| Json::parse(&old)) {
-        Ok(Ok(Json::Obj(entries))) => entries,
-        _ => vec![(
-            "schema".to_string(),
-            Json::Str("sophie-bench-v1".to_string()),
-        )],
-    };
-    match entries.iter_mut().find(|(k, _)| k == "problems") {
-        Some((_, slot)) => *slot = block,
-        None => entries.push(("problems".to_string(), block)),
-    }
-    let mut out = String::new();
-    crate::micro::render_json(&Json::Obj(entries), 0, &mut out);
-    out.push('\n');
-    std::fs::write(path, out)
+    crate::micro::upsert_block(path, "problems", problems_block(cells, fidelity))
 }
 
 /// Prints the sweep table for humans (stderr, like `repro tune`).

@@ -316,7 +316,7 @@ fn cmd_ctl(args: &[String]) -> Result<(), String> {
         }
         "ping" => {
             client.ping().map_err(|e| format!("ping failed: {e}"))?;
-            println!("{{\"type\":\"pong\"}}");
+            println!("{}", sophie_serve::protocol::bare_frame("pong"));
             Ok(())
         }
         "shutdown" => {

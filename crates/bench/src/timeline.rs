@@ -22,7 +22,7 @@ use sophie_core::queue::{Completion, TimelineSink};
 use sophie_core::{EngineRun, HealthConfig, SophieConfig};
 use sophie_hw::queue::CommandCostModel;
 use sophie_hw::{FaultSchedule, OpcmBackend, OpcmBackendConfig};
-use sophie_solve::{NullObserver, OpCounts, SolveJob};
+use sophie_solve::{Json, NullObserver, OpCounts, SolveJob};
 
 use crate::fidelity::Fidelity;
 use crate::instances::Instances;
@@ -94,14 +94,6 @@ impl TimelineSink for Recorder {
             stage,
             cost: *cost,
         });
-    }
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -188,18 +180,20 @@ pub fn write_timeline(
     let model = CommandCostModel::sophie_default();
     let total = model.annotate(&report.ops);
     let mut text = String::new();
-    writeln!(
-        text,
-        "{{\"record\":\"run\",\"instance\":\"{name}\",\"seed\":{seed},\"solver\":\"sophie\",\
-         \"tile_size\":{},\"local_iters\":{},\"global_iters\":{},\"fault_rate\":{},\
-         \"check_interval\":{}}}",
-        config.tile_size,
-        config.local_iters,
-        config.global_iters,
-        json_f64(TIMELINE_FAULT_RATE),
-        health.check_interval,
-    )
-    .expect("writing to a String cannot fail");
+    let mut line = |record: Json| {
+        writeln!(text, "{record}").expect("writing to a String cannot fail");
+    };
+    line(Json::obj([
+        ("record", "run".into()),
+        ("instance", name.into()),
+        ("seed", seed.into()),
+        ("solver", "sophie".into()),
+        ("tile_size", config.tile_size.into()),
+        ("local_iters", config.local_iters.into()),
+        ("global_iters", config.global_iters.into()),
+        ("fault_rate", TIMELINE_FAULT_RATE.into()),
+        ("check_interval", health.check_interval.into()),
+    ]));
 
     let mut device_iter = rec.device.iter().peekable();
     let mut host_iter = rec.host.iter().peekable();
@@ -219,52 +213,43 @@ pub fn write_timeline(
                 probe_records += 1;
             }
             let cost = model.annotate(&d.cost);
-            writeln!(
-                text,
-                "{{\"record\":\"device\",\"round\":{},\"wave\":{},\"unit\":{},\
-                 \"kind\":\"{}\",\"macs\":{},\"cells\":{},\"residual\":{},\"faults\":{},\
-                 \"ns\":{},\"j\":{},\"ops\":{}}}",
-                d.round,
-                d.wave,
-                d.unit,
-                d.kind,
-                d.macs,
-                d.cells,
-                d.residual.map_or_else(|| "null".to_string(), json_f64),
-                d.faults,
-                json_f64(cost.ns),
-                json_f64(cost.j),
-                d.cost.to_json(),
-            )
-            .expect("writing to a String cannot fail");
+            line(Json::obj([
+                ("record", "device".into()),
+                ("round", d.round.into()),
+                ("wave", d.wave.into()),
+                ("unit", d.unit.into()),
+                ("kind", d.kind.into()),
+                ("macs", d.macs.into()),
+                ("cells", d.cells.into()),
+                ("residual", d.residual.into()),
+                ("faults", d.faults.into()),
+                ("ns", cost.ns.into()),
+                ("j", cost.j.into()),
+                ("ops", d.cost.json()),
+            ]));
         } else {
             let h = host_iter.next().expect("peeked");
             let cost = model.annotate(&h.cost);
-            writeln!(
-                text,
-                "{{\"record\":\"host\",\"round\":{},\"stage\":\"{}\",\
-                 \"ns\":{},\"j\":{},\"ops\":{}}}",
-                h.round,
-                h.stage,
-                json_f64(cost.ns),
-                json_f64(cost.j),
-                h.cost.to_json(),
-            )
-            .expect("writing to a String cannot fail");
+            line(Json::obj([
+                ("record", "host".into()),
+                ("round", h.round.into()),
+                ("stage", h.stage.into()),
+                ("ns", cost.ns.into()),
+                ("j", cost.j.into()),
+                ("ops", h.cost.json()),
+            ]));
         }
     }
-    writeln!(
-        text,
-        "{{\"record\":\"total\",\"device_records\":{},\"host_records\":{},\
-         \"probe_records\":{probe_records},\"ns\":{},\"j\":{},\"best_cut\":{},\"ops\":{}}}",
-        rec.device.len(),
-        rec.host.len(),
-        json_f64(total.ns),
-        json_f64(total.j),
-        json_f64(report.best_cut),
-        report.ops.to_json(),
-    )
-    .expect("writing to a String cannot fail");
+    line(Json::obj([
+        ("record", "total".into()),
+        ("device_records", rec.device.len().into()),
+        ("host_records", rec.host.len().into()),
+        ("probe_records", probe_records.into()),
+        ("ns", total.ns.into()),
+        ("j", total.j.into()),
+        ("best_cut", report.best_cut.into()),
+        ("ops", report.ops.json()),
+    ]));
 
     write_atomic(out, text.as_bytes())?;
     Ok(TimelineSummary {

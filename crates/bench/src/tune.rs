@@ -55,109 +55,66 @@ pub fn run_tune() -> TuneOutcome {
     }
 }
 
-fn round1(ns: f64) -> Json {
-    Json::Num((ns * 10.0).round() / 10.0)
-}
-
-fn round3(x: f64) -> Json {
-    Json::Num((x * 1000.0).round() / 1000.0)
-}
-
 /// The `kernel_tune` block as a JSON value.
 #[must_use]
 pub fn kernel_tune_block(outcome: &TuneOutcome) -> Json {
+    let ns = |x: f64| Json::rounded(x, 1);
     let plans = outcome
         .reports
         .iter()
         .map(|r| {
-            Json::Obj(vec![
-                ("tile".to_string(), Json::Num(r.tile_size as f64)),
-                (
-                    "forward".to_string(),
-                    Json::Str(r.plan.forward.name().to_string()),
-                ),
-                (
-                    "transposed".to_string(),
-                    Json::Str(r.plan.transposed.name().to_string()),
-                ),
+            Json::obj([
+                ("tile", r.tile_size.into()),
+                ("forward", r.plan.forward.name().into()),
+                ("transposed", r.plan.transposed.name().into()),
             ])
         })
         .collect();
-    let r64 = &outcome.reports[0];
-    let table_64 = r64
+    let table_64 = outcome.reports[0]
         .table
         .iter()
         .map(|&(v, f_ns, t_ns)| {
-            Json::Obj(vec![
-                ("variant".to_string(), Json::Str(v.name().to_string())),
-                ("forward_ns".to_string(), round1(f_ns)),
-                ("transposed_ns".to_string(), round1(t_ns)),
+            Json::obj([
+                ("variant", v.name().into()),
+                ("forward_ns", ns(f_ns)),
+                ("transposed_ns", ns(t_ns)),
             ])
         })
         .collect();
     let machine = MachineConfig::sophie_default(1);
-    Json::Obj(vec![
+    Json::obj([
+        ("schema", "sophie-kernel-tune-v2".into()),
+        ("plans", plans),
+        ("table_64", table_64),
+        ("scalar_forward_64_ns", ns(outcome.scalar_forward_64_ns)),
+        ("tuned_forward_64_ns", ns(outcome.tuned_forward_64_ns)),
         (
-            "schema".to_string(),
-            Json::Str("sophie-kernel-tune-v2".to_string()),
-        ),
-        ("plans".to_string(), Json::Arr(plans)),
-        ("table_64".to_string(), Json::Arr(table_64)),
-        (
-            "scalar_forward_64_ns".to_string(),
-            round1(outcome.scalar_forward_64_ns),
-        ),
-        (
-            "tuned_forward_64_ns".to_string(),
-            round1(outcome.tuned_forward_64_ns),
+            "forward_64_speedup",
+            Json::rounded(outcome.forward_64_speedup, 3),
         ),
         (
-            "forward_64_speedup".to_string(),
-            round3(outcome.forward_64_speedup),
+            "device_mvm_8bit_ns",
+            Json::rounded(device_mvm_ns(&machine, 8, true), 3),
         ),
         (
-            "device_mvm_8bit_ns".to_string(),
-            round3(device_mvm_ns(&machine, 8, true)),
-        ),
-        (
-            "note".to_string(),
-            Json::Str(
-                "host-side simulation kernels; all variants are bit-identical, tuning picks \
-                 wall-clock only, per direction between axpy and b32u2 (scalar is the \
-                 baseline). device_mvm_8bit_ns is the modeled OPCM tile MVM latency for \
-                 context."
-                    .to_string(),
-            ),
+            "note",
+            "host-side simulation kernels; all variants are bit-identical, tuning picks \
+             wall-clock only, per direction between axpy and b32u2 (scalar is the \
+             baseline). device_mvm_8bit_ns is the modeled OPCM tile MVM latency for \
+             context."
+                .into(),
         ),
     ])
 }
 
-/// Upserts the `kernel_tune` block into the summary document at `path`.
-///
-/// Every other top-level block is preserved unchanged (same contract as
-/// [`crate::micro::merge_preserving_blocks`]); a missing or unparseable
-/// document is replaced by a minimal one holding only the block.
+/// Upserts the `kernel_tune` block into the summary document at `path`
+/// ([`crate::micro::upsert_block`]).
 ///
 /// # Errors
 ///
 /// Propagates the I/O error if `path` cannot be written.
 pub fn write_kernel_tune(path: &Path, outcome: &TuneOutcome) -> io::Result<()> {
-    let block = kernel_tune_block(outcome);
-    let mut entries = match std::fs::read_to_string(path).map(|old| Json::parse(&old)) {
-        Ok(Ok(Json::Obj(entries))) => entries,
-        _ => vec![(
-            "schema".to_string(),
-            Json::Str("sophie-bench-v1".to_string()),
-        )],
-    };
-    match entries.iter_mut().find(|(k, _)| k == "kernel_tune") {
-        Some((_, slot)) => *slot = block,
-        None => entries.push(("kernel_tune".to_string(), block)),
-    }
-    let mut out = String::new();
-    crate::micro::render_json(&Json::Obj(entries), 0, &mut out);
-    out.push('\n');
-    std::fs::write(path, out)
+    crate::micro::upsert_block(path, "kernel_tune", kernel_tune_block(outcome))
 }
 
 /// Prints the tuning table for humans (stderr, like the other repro

@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use sophie_graph::GraphError;
-use sophie_solve::SolveError;
+use sophie_solve::{JsonError, SolveError};
 
 /// Errors produced by the serve layer: configuration validation, protocol
 /// violations, and wrapped solver/graph/I/O failures.
@@ -70,6 +70,14 @@ impl Error for ServeError {
 impl From<GraphError> for ServeError {
     fn from(e: GraphError) -> Self {
         ServeError::Graph(e)
+    }
+}
+
+impl From<JsonError> for ServeError {
+    /// A syntax error in a client frame is a protocol violation; the
+    /// message text is kept as is.
+    fn from(e: JsonError) -> Self {
+        ServeError::Protocol { message: e.message }
     }
 }
 

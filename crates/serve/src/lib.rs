@@ -27,9 +27,12 @@
 //!   shutdown is a protocol command.
 //!
 //! Untrusted input is handled at every boundary: bounded line reads,
-//! depth-limited JSON parsing ([`json`]), and GSET uploads parsed under
-//! [`ParseLimits`](sophie_graph::io::ParseLimits) so a hostile header
-//! cannot size an allocation.
+//! depth-limited, linear-time JSON parsing ([`json`]), and GSET uploads
+//! parsed under [`ParseLimits`](sophie_graph::io::ParseLimits) so a
+//! hostile header cannot size an allocation. Every frame is built as a
+//! [`Json`] value and rendered by its one `Display`; the only JSON text
+//! passed through unrendered is a router's cached report bytes and a
+//! client's caller-supplied `config`/`problem` text.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,7 +43,6 @@ pub mod config;
 pub mod configs;
 mod conn;
 mod error;
-pub mod json;
 pub mod metrics;
 pub mod problems;
 pub mod protocol;
@@ -52,7 +54,6 @@ pub use client::{CancelSender, Client, JobOutcome, RawFrame, SubmitArgs};
 pub use cluster::LocalCluster;
 pub use config::ServeConfig;
 pub use error::{ClientError, ServeError};
-pub use json::Json;
 pub use metrics::Metrics;
 pub use protocol::{GraphSpec, Request, SubmitRequest, PROTOCOL_VERSION};
 pub use queue::AdmissionQueue;
@@ -60,3 +61,7 @@ pub use router::health::{HealthPolicy, ReplicaState};
 pub use router::retry::{AttemptPlan, RetryPolicy};
 pub use router::{Router, RouterConfig, RouterHandle};
 pub use server::{Server, ServerHandle};
+/// The workspace's JSON value type, parser and escaper, from
+/// `sophie-solve`: every frame this crate writes is rendered by it.
+pub use sophie_solve::json;
+pub use sophie_solve::Json;

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use sophie_solve::stats;
+use sophie_solve::{stats, Json};
 
 /// Lifetime counters plus per-solver latency samples for one daemon.
 ///
@@ -46,45 +46,43 @@ impl Metrics {
             .push(ms);
     }
 
-    /// Renders the `stats` response payload (without the frame `type`).
+    /// The `stats` response members (without the frame `type`): the
+    /// counters, then `latency_ms` per solver name in sorted name order,
+    /// rounded to microseconds.
     ///
     /// Latency quantiles reuse the workspace quantile convention
     /// ([`sophie_solve::stats::quantile_index`], ceil index on the sorted
-    /// sample) per solver name, in sorted name order.
+    /// sample).
     #[must_use]
-    pub fn snapshot_json(&self, queue_depth: usize) -> String {
-        let mut out = format!(
-            "\"queue_depth\":{},\"in_flight\":{},\"accepted\":{},\"completed\":{},\"rejected\":{},\"cancelled\":{},\"failed\":{}",
-            queue_depth,
-            self.in_flight.load(Ordering::Relaxed),
-            self.accepted.load(Ordering::Relaxed),
-            self.completed.load(Ordering::Relaxed),
-            self.rejected.load(Ordering::Relaxed),
-            self.cancelled.load(Ordering::Relaxed),
-            self.failed.load(Ordering::Relaxed),
-        );
-        out.push_str(",\"latency_ms\":{");
+    pub fn snapshot(&self, queue_depth: usize) -> Vec<(&'static str, Json)> {
+        let get = |c: &AtomicU64| Json::from(c.load(Ordering::Relaxed));
+        let ms = |x: f64| Json::rounded(x, 3);
         let latencies = self.latencies_ms.lock().expect("metrics lock");
-        let mut first = true;
-        for (solver, samples) in latencies.iter() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let mut sorted = samples.clone();
-            sorted.sort_by(f64::total_cmp);
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"mean\":{:.3},\"p50\":{:.3},\"p90\":{:.3},\"p99\":{:.3}}}",
-                crate::json::escape(solver),
-                sorted.len(),
-                stats::mean(sorted.iter().copied()),
-                quantile(&sorted, 0.50),
-                quantile(&sorted, 0.90),
-                quantile(&sorted, 0.99),
-            ));
-        }
-        out.push('}');
-        out
+        let per_solver = latencies
+            .iter()
+            .map(|(solver, samples)| {
+                let mut sorted = samples.clone();
+                sorted.sort_by(f64::total_cmp);
+                let summary = Json::obj([
+                    ("count", sorted.len().into()),
+                    ("mean", ms(stats::mean(sorted.iter().copied()))),
+                    ("p50", ms(quantile(&sorted, 0.50))),
+                    ("p90", ms(quantile(&sorted, 0.90))),
+                    ("p99", ms(quantile(&sorted, 0.99))),
+                ]);
+                (solver.clone(), summary)
+            })
+            .collect();
+        vec![
+            ("queue_depth", queue_depth.into()),
+            ("in_flight", get(&self.in_flight)),
+            ("accepted", get(&self.accepted)),
+            ("completed", get(&self.completed)),
+            ("rejected", get(&self.rejected)),
+            ("cancelled", get(&self.cancelled)),
+            ("failed", get(&self.failed)),
+            ("latency_ms", Json::Obj(per_solver)),
+        ]
     }
 }
 
@@ -109,8 +107,7 @@ mod tests {
             m.record_latency("sa", ms);
         }
         m.record_latency("sophie", 99.0);
-        let json = format!("{{{}}}", m.snapshot_json(2));
-        let parsed = crate::json::Json::parse(&json).unwrap();
+        let parsed = Json::parse(&Json::obj(m.snapshot(2)).to_string()).unwrap();
         assert_eq!(parsed.get("queue_depth").unwrap().as_u64(), Some(2));
         assert_eq!(parsed.get("accepted").unwrap().as_u64(), Some(5));
         let sa = parsed.get("latency_ms").unwrap().get("sa").unwrap();
@@ -126,7 +123,9 @@ mod tests {
     #[test]
     fn empty_metrics_render_valid_json() {
         let m = Metrics::new();
-        let json = format!("{{{}}}", m.snapshot_json(0));
-        assert!(crate::json::Json::parse(&json).is_ok());
+        assert_eq!(
+            Json::obj(m.snapshot(0)).to_string(),
+            r#"{"queue_depth":0,"in_flight":0,"accepted":0,"completed":0,"rejected":0,"cancelled":0,"failed":0,"latency_ms":{}}"#
+        );
     }
 }

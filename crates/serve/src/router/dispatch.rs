@@ -19,7 +19,7 @@ use crate::error::ClientError;
 use crate::json::Json;
 use crate::protocol::{failed_frame, rejected_frame, result_frame, SubmitRequest};
 
-use super::cache::{cacheable, job_key, placement_hash, report_slice};
+use super::cache::{cacheable, placement_hash, report_slice};
 use super::RouterShared;
 
 /// Upper bound on a single dispatcher wait when nothing else bounds it;
@@ -92,18 +92,20 @@ enum AttemptEnd {
 }
 
 /// Routes one submitted job to completion. The caller has already sent
-/// `accepted` and holds the in-flight slot; this function always emits
-/// exactly one terminal frame (result/rejected) unless the budget dies
-/// with attempts still pending, in which case it emits a failed result.
+/// `accepted`, holds the in-flight slot and computed the job's content
+/// `key` ([`job_key`](super::cache::job_key)) at admission; this function
+/// always emits exactly one terminal frame (result/rejected) unless the
+/// budget dies with attempts still pending, in which case it emits a
+/// failed result.
 pub(crate) fn dispatch(
     shared: &Arc<RouterShared>,
     conn: &Arc<Conn>,
     ctl: &Arc<DispatchCtl>,
     raw_line: &str,
     req: &SubmitRequest,
+    key: &str,
 ) {
     let start = Instant::now();
-    let key = job_key(req);
     let metrics = &shared.metrics;
 
     // Cache fast path: identical completed submissions replay in
@@ -113,16 +115,18 @@ pub(crate) fn dispatch(
     // every terminal path below: a client that has seen its result must
     // see the job reflected in `stats`, even when it asks immediately.
     if cacheable(req) {
-        if let Some(report) = shared.cache.lookup(&key) {
+        if let Some(report) = shared.cache.lookup(key) {
             let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
             metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
             metrics.done.fetch_add(1, Ordering::Relaxed);
-            conn.send(&result_frame(&req.id, "done", elapsed_ms, &report));
+            // The replica rendered these bytes; they replay verbatim.
+            let report = Json::Raw(report);
+            conn.send(&result_frame(&req.id, "done", elapsed_ms, report));
             return;
         }
     }
 
-    let hash = placement_hash(&key);
+    let hash = placement_hash(key);
     let n = shared.pool.replicas.len();
     let home = if n == 0 {
         0
@@ -167,7 +171,7 @@ pub(crate) fn dispatch(
             ctl,
             raw_line,
             req,
-            &key,
+            key,
             &candidates,
             &plan,
             deadline,

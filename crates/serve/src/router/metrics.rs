@@ -4,6 +4,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::json::Json;
+
 /// Router-wide counters. All relaxed — they are reporting, not
 /// synchronization.
 #[derive(Debug, Default)]
@@ -42,30 +44,32 @@ pub struct RouterMetrics {
 }
 
 impl RouterMetrics {
-    /// The counter block embedded in the router's `stats` frame.
+    /// The counter members of the router's `stats` frame.
     #[must_use]
-    pub fn snapshot_json(&self) -> String {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        format!(
-            "\"in_flight\":{},\"submitted\":{},\"done\":{},\"cancelled\":{},\"failed\":{},\
-             \"cache_hits\":{},\"retries\":{},\"failovers\":{},\"hedges\":{},\"hedge_wins\":{},\
-             \"rejected\":{{\"cluster_degraded\":{},\"router_busy\":{},\"shutting_down\":{},\"upstream\":{},\"duplicate_id\":{}}}",
-            get(&self.in_flight),
-            get(&self.submitted),
-            get(&self.done),
-            get(&self.cancelled),
-            get(&self.failed),
-            get(&self.cache_hits),
-            get(&self.retries),
-            get(&self.failovers),
-            get(&self.hedges),
-            get(&self.hedge_wins),
-            get(&self.rejected_cluster_degraded),
-            get(&self.rejected_router_busy),
-            get(&self.rejected_shutting_down),
-            get(&self.rejected_upstream),
-            get(&self.rejected_duplicate_id),
-        )
+    pub fn snapshot(&self) -> Vec<(&'static str, Json)> {
+        let get = |c: &AtomicU64| Json::from(c.load(Ordering::Relaxed));
+        vec![
+            ("in_flight", get(&self.in_flight)),
+            ("submitted", get(&self.submitted)),
+            ("done", get(&self.done)),
+            ("cancelled", get(&self.cancelled)),
+            ("failed", get(&self.failed)),
+            ("cache_hits", get(&self.cache_hits)),
+            ("retries", get(&self.retries)),
+            ("failovers", get(&self.failovers)),
+            ("hedges", get(&self.hedges)),
+            ("hedge_wins", get(&self.hedge_wins)),
+            (
+                "rejected",
+                Json::obj([
+                    ("cluster_degraded", get(&self.rejected_cluster_degraded)),
+                    ("router_busy", get(&self.rejected_router_busy)),
+                    ("shutting_down", get(&self.rejected_shutting_down)),
+                    ("upstream", get(&self.rejected_upstream)),
+                    ("duplicate_id", get(&self.rejected_duplicate_id)),
+                ]),
+            ),
+        ]
     }
 }
 
@@ -78,8 +82,7 @@ mod tests {
         let m = RouterMetrics::default();
         m.submitted.store(3, Ordering::Relaxed);
         m.rejected_router_busy.store(1, Ordering::Relaxed);
-        let frame = format!("{{{}}}", m.snapshot_json());
-        let doc = crate::json::Json::parse(&frame).unwrap();
+        let doc = Json::parse(&Json::obj(m.snapshot()).to_string()).unwrap();
         assert_eq!(doc.get("submitted").and_then(|v| v.as_u64()), Some(3));
         assert_eq!(
             doc.get("rejected")

@@ -47,9 +47,10 @@ use crate::client::Client;
 use crate::config::env_usize;
 use crate::conn::{Conn, ConnTracker};
 use crate::error::{Result, ServeError};
+use crate::json::Json;
 use crate::protocol::{
-    cancel_ok_frame, error_frame, hello_frame, parse_request, read_line_bounded, rejected_frame,
-    Request,
+    bare_command, bare_frame, cancel_ok_frame, error_frame, hello_frame, parse_request,
+    read_line_bounded, rejected_frame, Request,
 };
 
 use cache::ResultCache;
@@ -374,9 +375,9 @@ fn handle_conn(shared: &Arc<RouterShared>, stream: TcpStream) {
                 None => conn.send(&error_frame("", "no replica answered list-solvers")),
             },
             Ok(Request::Stats) => conn.send(&stats_frame(shared)),
-            Ok(Request::Ping) => conn.send("{\"type\":\"pong\"}"),
+            Ok(Request::Ping) => conn.send(&bare_frame("pong")),
             Ok(Request::Shutdown) => {
-                conn.send("{\"type\":\"shutdown_ack\"}");
+                conn.send(&bare_frame("shutdown_ack"));
                 shared.shutdown.store(true, Ordering::Release);
                 break;
             }
@@ -476,7 +477,7 @@ fn handle_submit(
     std::thread::Builder::new()
         .name("router-dispatch".into())
         .spawn(move || {
-            dispatch::dispatch(&shared, &conn, &ctl, &raw_line, &req);
+            dispatch::dispatch(&shared, &conn, &ctl, &raw_line, &req, &key);
             // Remove only our own entry: guards against ever dropping a
             // successor's ctl should the id be reused after this removal.
             let mut live = dispatches.lock().expect("dispatches lock");
@@ -499,7 +500,7 @@ fn forward_list_solvers(shared: &Arc<RouterShared>) -> Option<String> {
         };
         let ok = client
             .set_read_timeout(Some(shared.config.probe_timeout))
-            .and_then(|()| client.send_line("{\"cmd\":\"list-solvers\"}"));
+            .and_then(|()| client.send_line(&bare_command("list-solvers")));
         if ok.is_err() {
             continue;
         }
@@ -520,14 +521,16 @@ fn forward_list_solvers(shared: &Arc<RouterShared>) -> Option<String> {
 /// The router's own `stats` frame: cluster health, cache, and dispatch
 /// counters. `"router":true` distinguishes it from a daemon's.
 fn stats_frame(shared: &RouterShared) -> String {
-    format!(
-        "{{\"type\":\"stats\",\"router\":true,\"protocol\":{},\"shutting_down\":{},\"replicas\":{},\"cache\":{},{}}}",
-        crate::protocol::PROTOCOL_VERSION,
-        shared.shutdown.load(Ordering::Acquire),
-        shared.pool.stats_json(),
-        shared.cache.stats_json(),
-        shared.metrics.snapshot_json(),
-    )
+    let shutting_down = shared.shutdown.load(Ordering::Acquire);
+    let header = [
+        ("type", "stats".into()),
+        ("router", true.into()),
+        ("protocol", crate::protocol::PROTOCOL_VERSION.into()),
+        ("shutting_down", shutting_down.into()),
+        ("replicas", shared.pool.stats()),
+        ("cache", shared.cache.stats()),
+    ];
+    Json::obj(header.into_iter().chain(shared.metrics.snapshot())).to_string()
 }
 
 /// Health-probe loop: one persistent probe connection per replica, a ping

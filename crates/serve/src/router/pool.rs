@@ -7,7 +7,7 @@ use std::sync::Mutex;
 
 use crate::client::Client;
 use crate::error::ClientError;
-use crate::json::escape;
+use crate::json::Json;
 
 use super::health::{HealthPolicy, HealthTracker, ReplicaState};
 
@@ -88,27 +88,24 @@ impl Replica {
     }
 
     /// One replica's entry in the router `stats` frame.
-    pub(crate) fn stats_json(&self, index: usize) -> String {
+    pub(crate) fn stats(&self, index: usize) -> Json {
         let health = self.health.lock().expect("replica health lock");
-        let transitions: Vec<String> = health
-            .transitions()
-            .iter()
-            .map(|t| format!("\"{t}\""))
-            .collect();
-        format!(
-            "{{\"index\":{index},\"addr\":\"{}\",\"state\":\"{}\",\"dispatched\":{},\"ok\":{},\
-             \"failed\":{},\"probes_ok\":{},\"probes_failed\":{},\"quarantines\":{},\
-             \"transitions\":[{}]}}",
-            escape(&self.addr().to_string()),
-            health.state().as_str(),
-            self.dispatched.load(Ordering::Relaxed),
-            self.ok.load(Ordering::Relaxed),
-            self.failed.load(Ordering::Relaxed),
-            self.probes_ok.load(Ordering::Relaxed),
-            self.probes_failed.load(Ordering::Relaxed),
-            health.quarantines(),
-            transitions.join(","),
-        )
+        let get = |c: &AtomicU64| Json::from(c.load(Ordering::Relaxed));
+        Json::obj([
+            ("index", index.into()),
+            ("addr", self.addr().to_string().into()),
+            ("state", health.state().as_str().into()),
+            ("dispatched", get(&self.dispatched)),
+            ("ok", get(&self.ok)),
+            ("failed", get(&self.failed)),
+            ("probes_ok", get(&self.probes_ok)),
+            ("probes_failed", get(&self.probes_failed)),
+            ("quarantines", health.quarantines().into()),
+            (
+                "transitions",
+                health.transitions().iter().map(|&t| t.into()).collect(),
+            ),
+        ])
     }
 }
 
@@ -194,14 +191,12 @@ impl ReplicaPool {
     }
 
     /// The `replicas` array of the router `stats` frame.
-    pub(crate) fn stats_json(&self) -> String {
-        let entries: Vec<String> = self
-            .replicas
+    pub(crate) fn stats(&self) -> Json {
+        self.replicas
             .iter()
             .enumerate()
-            .map(|(i, r)| r.stats_json(i))
-            .collect();
-        format!("[{}]", entries.join(","))
+            .map(|(i, r)| r.stats(i))
+            .collect()
     }
 }
 
@@ -256,12 +251,12 @@ mod tests {
         let pool = pool(2);
         pool.record_dispatch(0, true);
         pool.record_dispatch(1, false);
-        let doc = crate::json::Json::parse(&pool.stats_json()).unwrap();
+        let doc = Json::parse(&pool.stats().to_string()).unwrap();
         match doc {
-            crate::json::Json::Arr(items) => {
+            Json::Arr(items) => {
                 assert_eq!(items.len(), 2);
                 assert_eq!(
-                    items[1].get("state").and_then(crate::json::Json::as_str),
+                    items[1].get("state").and_then(Json::as_str),
                     Some("degraded")
                 );
             }

@@ -15,7 +15,10 @@
 //!   plus provided sinks ([`NullObserver`], [`TraceRecorder`],
 //!   [`EventWriter`], [`Tee`]);
 //! * [`SolveReport`] — the uniform run summary a [`TraceRecorder`]
-//!   distills from any solver's event stream.
+//!   distills from any solver's event stream;
+//! * [`Json`] — the workspace's one JSON value type: every event, report
+//!   and wire frame is rendered by its `Display`, and untrusted input is
+//!   read by its depth-limited, linear-time parser.
 //!
 //! On top of the vocabulary sits the solver abstraction:
 //!
@@ -52,6 +55,7 @@
 
 mod error;
 mod job;
+pub mod json;
 pub mod observe;
 mod opcount;
 mod registry;
@@ -63,6 +67,7 @@ pub mod track;
 
 pub use error::SolveError;
 pub use job::{CancelToken, JobBudget, RunControl, SolveJob};
+pub use json::{Json, JsonError};
 pub use observe::{
     EventLog, EventWriter, FnObserver, NullObserver, SolveEvent, SolveObserver, Tee, TraceRecorder,
 };

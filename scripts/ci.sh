@@ -51,6 +51,16 @@ if grep -rnE "_observed\(|SophieOutcome" crates/ src/ tests/ examples/ \
     exit 1
 fi
 
+# One-JSON-module gate: every JSON text the workspace writes is a `Json`
+# value rendered by its one `Display` (crates/solve/src/json.rs), which
+# owns string escaping. Hand-escaped strings spliced into `format!`
+# templates may not come back anywhere in the code.
+echo "==> grep gate: no escape( outside crates/solve/src/json.rs"
+if grep -rn "escape(" crates/ src/ tests/ examples/ | grep -v "^crates/solve/src/json.rs:"; then
+    echo "build JSON as sophie_solve::Json values rendered by Display; escape() belongs to the json module alone" >&2
+    exit 1
+fi
+
 # Device-runtime gate: engine stage modules submit commands through the
 # queue; direct MvmUnit reads live only in the queue's executor
 # (crates/core/src/queue/exec.rs).
