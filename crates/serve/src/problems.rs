@@ -19,11 +19,16 @@
 //! {"kind":"coloring", "random": {"nodes":24, "edges":60, "colors":4, "seed":7}}
 //! {"kind":"ldpc",     "random": {"n":48, "wc":2, "wr":4, "flips":2, "seed":7}}
 //! ```
+//!
+//! A `random` block's sizes come off the wire, so they are checked
+//! against the same limits before anything is generated: each generator's
+//! instance would have at least the nodes and edges its block names.
 
 use sophie::problems::{
     ColoringProblem, IsingInstance, LdpcProblem, MaxCutProblem, ProblemSpec, QuboProblem,
 };
 use sophie_graph::io::ParseLimits;
+use sophie_graph::GraphError;
 
 use crate::error::{Result, ServeError};
 use crate::json::Json;
@@ -47,8 +52,8 @@ pub fn compile_problem(
     let spec = match kind {
         "qubo" => parse_qubo(payload, limits)?,
         "max-cut" => parse_maxcut(payload, limits)?,
-        "coloring" => parse_coloring(payload)?,
-        "ldpc" => parse_ldpc(payload)?,
+        "coloring" => parse_coloring(payload, limits)?,
+        "ldpc" => parse_ldpc(payload, limits)?,
         other => {
             return Err(protocol(&format!(
                 "unknown problem kind {other:?} (supported: {})",
@@ -60,21 +65,34 @@ pub fn compile_problem(
     let instance = spec
         .compile()
         .map_err(|e| protocol(&format!("problem failed to compile: {e}")))?;
-    if instance.graph().num_nodes() > limits.max_nodes {
-        return Err(ServeError::Graph(sophie_graph::GraphError::Oversized {
-            what: "nodes",
-            got: instance.graph().num_nodes(),
-            limit: limits.max_nodes,
-        }));
-    }
-    if instance.graph().num_edges() > limits.max_edges {
-        return Err(ServeError::Graph(sophie_graph::GraphError::Oversized {
-            what: "edges",
-            got: instance.graph().num_edges(),
-            limit: limits.max_edges,
-        }));
-    }
+    check_size(
+        limits,
+        instance.graph().num_nodes(),
+        instance.graph().num_edges(),
+    )?;
     Ok((spec, instance))
+}
+
+/// Rejects an instance of `nodes` nodes and `edges` edges past `limits`.
+///
+/// # Errors
+///
+/// [`ServeError::Graph`] with [`GraphError::Oversized`] naming the first
+/// count over its limit.
+pub(crate) fn check_size(limits: &ParseLimits, nodes: usize, edges: usize) -> Result<()> {
+    for (what, got, limit) in [
+        ("nodes", nodes, limits.max_nodes),
+        ("edges", edges, limits.max_edges),
+    ] {
+        if got > limit {
+            return Err(ServeError::Graph(GraphError::Oversized {
+                what,
+                got,
+                limit,
+            }));
+        }
+    }
+    Ok(())
 }
 
 fn protocol(message: &str) -> ServeError {
@@ -173,29 +191,44 @@ fn parse_maxcut(payload: &Json, limits: &ParseLimits) -> Result<ProblemSpec> {
     let n = random_u64(block, "max-cut", "n")? as usize;
     let m = random_u64(block, "max-cut", "m")? as usize;
     let seed = random_u64(block, "max-cut", "seed")?;
+    check_size(limits, n, m)?;
     let p =
         MaxCutProblem::random(n, m, seed).map_err(|e| protocol(&format!("max-cut random: {e}")))?;
     Ok(ProblemSpec::MaxCut(p))
 }
 
-fn parse_coloring(payload: &Json) -> Result<ProblemSpec> {
+fn parse_coloring(payload: &Json, limits: &ParseLimits) -> Result<ProblemSpec> {
     let block = random_block(payload, "coloring", &["nodes", "edges", "colors", "seed"])?;
     let nodes = random_u64(block, "coloring", "nodes")? as usize;
     let edges = random_u64(block, "coloring", "edges")? as usize;
     let colors = random_u64(block, "coloring", "colors")? as usize;
     let seed = random_u64(block, "coloring", "seed")?;
+    // One spin per node and color; each conflict edge couples its ends'
+    // spins color by color. Zero colors is invalid, but the generator
+    // still runs first, so it is held to the block's own sizes.
+    let per_color = colors.max(1);
+    let (spins, couplings) = (
+        nodes.saturating_mul(per_color),
+        edges.saturating_mul(per_color),
+    );
+    check_size(limits, spins, couplings)?;
     let p = ColoringProblem::random(nodes, edges, colors, seed)
         .map_err(|e| protocol(&format!("coloring random: {e}")))?;
     Ok(ProblemSpec::Coloring(p))
 }
 
-fn parse_ldpc(payload: &Json) -> Result<ProblemSpec> {
+fn parse_ldpc(payload: &Json, limits: &ParseLimits) -> Result<ProblemSpec> {
     let block = random_block(payload, "ldpc", &["n", "wc", "wr", "flips", "seed"])?;
     let n = random_u64(block, "ldpc", "n")? as usize;
     let wc = random_u64(block, "ldpc", "wc")? as usize;
     let wr = random_u64(block, "ldpc", "wr")? as usize;
     let flips = random_u64(block, "ldpc", "flips")? as usize;
     let seed = random_u64(block, "ldpc", "seed")?;
+    // `wc` bands of `n / wr` checks, each with `wr / 2` auxiliary spins
+    // coupled to its `wr` bits, couplings no other check shares.
+    let checks = wc.saturating_mul(n / wr.max(1));
+    let aux = checks.saturating_mul(wr / 2);
+    check_size(limits, n.saturating_add(aux), aux.saturating_mul(wr))?;
     let p = LdpcProblem::random(n, wc, wr, flips, seed)
         .map_err(|e| protocol(&format!("ldpc random: {e}")))?;
     Ok(ProblemSpec::Ldpc(p))
@@ -251,6 +284,25 @@ mod tests {
         let tight = ParseLimits::new(16, 1 << 16);
         let err = compile_problem(&Json::parse(payload).unwrap(), &tight).unwrap_err();
         assert!(matches!(err, ServeError::Graph(_)), "{err}");
+        // Generator sizes that would exhaust memory (or take seconds) are
+        // refused under the daemon's default limits before generating.
+        let config = crate::ServeConfig::default();
+        let limits = ParseLimits::new(config.max_instance_nodes, config.max_instance_edges);
+        for payload in [
+            r#"{"kind":"max-cut","random":{"n":100000000,"m":100000000000,"seed":1}}"#,
+            r#"{"kind":"coloring","random":{"nodes":100000000,"edges":100000000000,"colors":4,"seed":1}}"#,
+            r#"{"kind":"ldpc","random":{"n":1000000000,"wc":2,"wr":4,"flips":1,"seed":1}}"#,
+            r#"{"kind":"max-cut","random":{"n":5000,"m":2000000,"seed":1}}"#,
+        ] {
+            let start = std::time::Instant::now();
+            let err = compile_problem(&Json::parse(payload).unwrap(), &limits).unwrap_err();
+            assert!(matches!(err, ServeError::Graph(_)), "{payload}: {err}");
+            let elapsed = start.elapsed();
+            assert!(
+                elapsed < std::time::Duration::from_millis(100),
+                "{payload}: {elapsed:?}"
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::client::{CancelSender, Client};
-use crate::conn::Conn;
+use crate::conn::{Cancel, Conn};
 use crate::error::ClientError;
 use crate::json::Json;
 use crate::protocol::{failed_frame, rejected_frame, result_frame, SubmitRequest};
@@ -77,6 +77,36 @@ impl DispatchCtl {
     }
 }
 
+impl Cancel for Arc<DispatchCtl> {
+    fn cancel(&self) {
+        DispatchCtl::cancel(self);
+    }
+}
+
+/// A router client's connection, whose job map holds dispatch controls.
+pub(crate) type ClientConn = Conn<Arc<DispatchCtl>>;
+
+/// The client end of one routed job: the connection its frames go to and
+/// the client's job id.
+#[derive(Clone)]
+pub(crate) struct Reply {
+    pub(crate) conn: Arc<ClientConn>,
+    pub(crate) id: String,
+}
+
+impl Reply {
+    /// Settles the job, then writes its terminal frame. It leaves its
+    /// connection's map and gives back its in-flight slot first: a client
+    /// that has read this frame must not be told `duplicate_id` when it
+    /// reuses the id, nor see the job still in flight in `stats`. The
+    /// caller has already counted the outcome.
+    pub(crate) fn send_final(&self, shared: &RouterShared, frame: &str) {
+        self.conn.jobs.remove(&self.id);
+        shared.metrics.in_flight.fetch_sub(1, Ordering::AcqRel);
+        self.conn.send(frame);
+    }
+}
+
 /// How one attempt against one replica ended.
 enum AttemptEnd {
     /// The replica produced a terminal frame for this job; `raw_line` is
@@ -94,12 +124,12 @@ enum AttemptEnd {
 /// Routes one submitted job to completion. The caller has already sent
 /// `accepted`, holds the in-flight slot and computed the job's content
 /// `key` ([`job_key`](super::cache::job_key)) at admission; this function
-/// always emits exactly one terminal frame (result/rejected) unless the
-/// budget dies with attempts still pending, in which case it emits a
-/// failed result.
+/// always ends the job with exactly one terminal frame through
+/// [`Reply::send_final`] (result/rejected), or a failed result when the
+/// budget dies with attempts still pending.
 pub(crate) fn dispatch(
     shared: &Arc<RouterShared>,
-    conn: &Arc<Conn>,
+    reply: &Reply,
     ctl: &Arc<DispatchCtl>,
     raw_line: &str,
     req: &SubmitRequest,
@@ -121,7 +151,7 @@ pub(crate) fn dispatch(
             metrics.done.fetch_add(1, Ordering::Relaxed);
             // The replica rendered these bytes; they replay verbatim.
             let report = Json::Raw(report);
-            conn.send(&result_frame(&req.id, "done", elapsed_ms, report));
+            reply.send_final(shared, &result_frame(&req.id, "done", elapsed_ms, report));
             return;
         }
     }
@@ -140,7 +170,7 @@ pub(crate) fn dispatch(
         metrics
             .rejected_cluster_degraded
             .fetch_add(1, Ordering::Relaxed);
-        conn.send(&rejected_frame(&req.id, "cluster_degraded"));
+        reply.send_final(shared, &rejected_frame(&req.id, "cluster_degraded"));
         return;
     }
 
@@ -155,7 +185,7 @@ pub(crate) fn dispatch(
     if req.stream {
         dispatch_stream(
             shared,
-            conn,
+            reply,
             ctl,
             raw_line,
             req,
@@ -167,7 +197,7 @@ pub(crate) fn dispatch(
     } else {
         dispatch_unary(
             shared,
-            conn,
+            reply,
             ctl,
             raw_line,
             req,
@@ -187,7 +217,7 @@ pub(crate) fn dispatch(
 #[allow(clippy::too_many_arguments)]
 fn dispatch_unary(
     shared: &Arc<RouterShared>,
-    conn: &Arc<Conn>,
+    reply: &Reply,
     ctl: &Arc<DispatchCtl>,
     raw_line: &str,
     req: &SubmitRequest,
@@ -275,7 +305,7 @@ fn dispatch_unary(
                 if is_hedge {
                     metrics.hedge_wins.fetch_add(1, Ordering::Relaxed);
                 }
-                conn.send(&raw_line);
+                reply.send_final(shared, &raw_line);
                 if inflight > 0 {
                     // A hedge partner is still running the same job; stop it.
                     ctl.cancel();
@@ -294,7 +324,7 @@ fn dispatch_unary(
                 } else if inflight == 0 {
                     emit_unary_failure(
                         shared,
-                        conn,
+                        reply,
                         req,
                         launched,
                         start,
@@ -323,7 +353,7 @@ fn dispatch_unary(
                 } else if inflight == 0 {
                     emit_unary_failure(
                         shared,
-                        conn,
+                        reply,
                         req,
                         launched,
                         start,
@@ -348,7 +378,7 @@ fn dispatch_unary(
             .unwrap_or_default()
     );
     metrics.failed.fetch_add(1, Ordering::Relaxed);
-    conn.send(&failed_frame(&req.id, elapsed_ms, &message));
+    reply.send_final(shared, &failed_frame(&req.id, elapsed_ms, &message));
 }
 
 /// Terminal emission when a unary job's attempt budget is exhausted with
@@ -359,7 +389,7 @@ fn dispatch_unary(
 /// downgrade the frame the client sees.
 fn emit_unary_failure(
     shared: &Arc<RouterShared>,
-    conn: &Arc<Conn>,
+    reply: &Reply,
     req: &SubmitRequest,
     launched: usize,
     start: Instant,
@@ -369,7 +399,7 @@ fn emit_unary_failure(
     let metrics = &shared.metrics;
     if let Some(reason) = last_reject {
         metrics.rejected_upstream.fetch_add(1, Ordering::Relaxed);
-        conn.send(&rejected_frame(&req.id, reason));
+        reply.send_final(shared, &rejected_frame(&req.id, reason));
         return;
     }
     let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -378,7 +408,7 @@ fn emit_unary_failure(
         last_error.as_deref().unwrap_or("unknown transport error")
     );
     metrics.failed.fetch_add(1, Ordering::Relaxed);
-    conn.send(&failed_frame(&req.id, elapsed_ms, &message));
+    reply.send_final(shared, &failed_frame(&req.id, elapsed_ms, &message));
 }
 
 /// Streamed dispatch: attempts are strictly sequential (no hedge — two
@@ -388,7 +418,7 @@ fn emit_unary_failure(
 #[allow(clippy::too_many_arguments)]
 fn dispatch_stream(
     shared: &Arc<RouterShared>,
-    conn: &Arc<Conn>,
+    reply: &Reply,
     ctl: &Arc<DispatchCtl>,
     raw_line: &str,
     req: &SubmitRequest,
@@ -436,7 +466,7 @@ fn dispatch_stream(
             &req.id,
             deadline_at,
             ctl,
-            conn,
+            &reply.conn,
             &mut forwarded_events,
         );
         shared
@@ -445,7 +475,7 @@ fn dispatch_stream(
         match end {
             AttemptEnd::Completed { raw_line, status } => {
                 count_terminal(metrics, &status);
-                conn.send(&raw_line);
+                reply.send_final(shared, &raw_line);
                 return;
             }
             AttemptEnd::Rejected { reason } => {
@@ -462,7 +492,7 @@ fn dispatch_stream(
     match (&last_error, &last_reject) {
         (None, Some(reason)) => {
             metrics.rejected_upstream.fetch_add(1, Ordering::Relaxed);
-            conn.send(&rejected_frame(&req.id, reason));
+            reply.send_final(shared, &rejected_frame(&req.id, reason));
         }
         _ => {
             let message = format!(
@@ -470,7 +500,7 @@ fn dispatch_stream(
                 last_error.as_deref().unwrap_or("retry budget exhausted")
             );
             metrics.failed.fetch_add(1, Ordering::Relaxed);
-            conn.send(&failed_frame(&req.id, elapsed_ms, &message));
+            reply.send_final(shared, &failed_frame(&req.id, elapsed_ms, &message));
         }
     }
 }
@@ -527,7 +557,7 @@ fn run_stream_attempt(
     id: &str,
     deadline_at: Option<Instant>,
     ctl: &DispatchCtl,
-    conn: &Arc<Conn>,
+    conn: &Arc<ClientConn>,
     forwarded_events: &mut usize,
 ) -> AttemptEnd {
     let replica = &shared.pool.replicas[replica_idx];
@@ -597,7 +627,7 @@ fn attempt_on(
     id: &str,
     deadline_at: Option<Instant>,
     ctl: &DispatchCtl,
-    mut stream: Option<(&Arc<Conn>, &mut usize)>,
+    mut stream: Option<(&Arc<ClientConn>, &mut usize)>,
 ) -> Result<AttemptEnd, ClientError> {
     let timeout = deadline_at.map_or(shared.config.default_attempt_timeout, |at| {
         at.saturating_duration_since(Instant::now())
@@ -615,7 +645,7 @@ fn attempt_frames(
     client: &mut Client,
     id: &str,
     ctl: &DispatchCtl,
-    stream: &mut Option<(&Arc<Conn>, &mut usize)>,
+    stream: &mut Option<(&Arc<ClientConn>, &mut usize)>,
 ) -> Result<AttemptEnd, ClientError> {
     let mut seen_events = 0usize;
     loop {

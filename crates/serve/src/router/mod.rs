@@ -27,6 +27,14 @@
 //! and result frames byte-identical to single-daemon serving, because the
 //! router forwards the client's submit line and the replica's reply lines
 //! verbatim.
+//!
+//! Client connections go through the front end the daemon uses
+//! (the private `conn` module): a blocking accept woken at shutdown, the
+//! connection cap, the read loop and each connection's job map. The router
+//! adds its admission checks (shutdown, in-flight cap, degradation,
+//! duplicate id), one dispatch thread per admitted job, the health
+//! prober, which sleeps on the front end's shutdown signal between sweeps,
+//! and its own `stats` frame.
 
 pub mod cache;
 pub mod dispatch;
@@ -35,26 +43,24 @@ pub mod metrics;
 pub mod pool;
 pub mod retry;
 
-use std::collections::HashMap;
-use std::io::{BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::client::Client;
 use crate::config::env_usize;
-use crate::conn::{Conn, ConnTracker};
+use crate::conn::{self, FrontEnd, Service};
 use crate::error::{Result, ServeError};
 use crate::json::Json;
 use crate::protocol::{
-    bare_command, bare_frame, cancel_ok_frame, error_frame, hello_frame, parse_request,
-    read_line_bounded, rejected_frame, Request,
+    accepted_frame, bare_command, error_frame, failed_frame, hello_frame, rejected_frame,
+    SubmitRequest,
 };
 
 use cache::ResultCache;
-use dispatch::DispatchCtl;
+use dispatch::{ClientConn, DispatchCtl, Reply};
 use health::HealthPolicy;
 use metrics::RouterMetrics;
 use pool::ReplicaPool;
@@ -153,9 +159,115 @@ pub(crate) struct RouterShared {
     pub(crate) pool: ReplicaPool,
     pub(crate) cache: ResultCache,
     pub(crate) metrics: RouterMetrics,
-    pub(crate) shutdown: AtomicBool,
-    conn_count: AtomicUsize,
-    conns: ConnTracker,
+    front: FrontEnd<Arc<DispatchCtl>>,
+}
+
+impl Service for RouterShared {
+    type Job = Arc<DispatchCtl>;
+
+    fn front(&self) -> &FrontEnd<Arc<DispatchCtl>> {
+        &self.front
+    }
+
+    fn submit(shared: &Arc<Self>, conn: &Arc<ClientConn>, raw_line: String, req: SubmitRequest) {
+        let metrics = &shared.metrics;
+        let refuse = |counter: &AtomicU64, reason: &str| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            conn.send(&rejected_frame(&req.id, reason));
+        };
+        if shared.front.is_shutting_down() {
+            return refuse(&metrics.rejected_shutting_down, "shutting_down");
+        }
+        // Reserve the in-flight slot before checking the cap: fetch_add
+        // returns the prior value, so concurrent submits cannot both observe
+        // a below-limit load and race past `max_inflight` together.
+        let prior_inflight = metrics.in_flight.fetch_add(1, Ordering::AcqRel);
+        if prior_inflight >= shared.config.max_inflight as u64 {
+            // Typed backpressure instead of unbounded queueing.
+            metrics.in_flight.fetch_sub(1, Ordering::AcqRel);
+            return refuse(&metrics.rejected_router_busy, "router_busy");
+        }
+        // Graceful degradation, decided at admission: with every replica
+        // quarantined, only submissions the cache can replay (cacheable,
+        // key present) are worth accepting; everything else gets the typed
+        // rejection now rather than a post-acceptance failure. Dispatch
+        // re-checks, since health can change between admission and dispatch.
+        let key = cache::job_key(&req);
+        let home = (cache::placement_hash(&key) % shared.pool.replicas.len() as u64) as usize;
+        let cache_serveable = cache::cacheable(&req) && shared.cache.contains(&key);
+        if !cache_serveable && shared.pool.candidates(home).is_empty() {
+            metrics.in_flight.fetch_sub(1, Ordering::AcqRel);
+            return refuse(&metrics.rejected_cluster_degraded, "cluster_degraded");
+        }
+        let ctl = Arc::new(DispatchCtl::new(&req.id));
+        if !conn.jobs.insert(&req.id, Arc::clone(&ctl)) {
+            metrics.in_flight.fetch_sub(1, Ordering::AcqRel);
+            return refuse(&metrics.rejected_duplicate_id, "duplicate_id");
+        }
+        metrics.submitted.fetch_add(1, Ordering::Relaxed);
+        // `accepted` goes out before the dispatch thread exists, so it always
+        // precedes this job's result — same ordering guarantee as the daemon.
+        conn.send(&accepted_frame(&req.id, prior_inflight as usize + 1));
+
+        let reply = Reply {
+            conn: Arc::clone(conn),
+            id: req.id.clone(),
+        };
+        let (dispatcher, job_reply, start) = (Arc::clone(shared), reply.clone(), Instant::now());
+        let spawned = std::thread::Builder::new()
+            .name("router-dispatch".into())
+            .spawn(move || {
+                dispatch::dispatch(&dispatcher, &job_reply, &ctl, &raw_line, &req, &key)
+            });
+        if let Err(e) = spawned {
+            metrics.failed.fetch_add(1, Ordering::Relaxed);
+            let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
+            let message = format!("router could not start the job: {e}");
+            reply.send_final(shared, &failed_frame(&reply.id, elapsed_ms, &message));
+        }
+    }
+
+    /// Forwarded to the first replica that answers, and its frame relayed
+    /// verbatim.
+    fn solvers_frame(&self) -> String {
+        for index in self.pool.candidates(0) {
+            let replica = &self.pool.replicas[index];
+            let Ok((mut client, _)) = replica.checkout() else {
+                continue;
+            };
+            let ok = client
+                .set_read_timeout(Some(self.config.probe_timeout))
+                .and_then(|()| client.send_line(&bare_command("list-solvers")));
+            if ok.is_err() {
+                continue;
+            }
+            loop {
+                match client.read_frame() {
+                    Ok(frame) if frame.frame_type() == Some("solvers") => {
+                        replica.checkin(client);
+                        return frame.line;
+                    }
+                    Ok(_) => {}
+                    Err(_) => break,
+                }
+            }
+        }
+        error_frame("", "no replica answered list-solvers")
+    }
+
+    /// Cluster health, cache, and dispatch counters. `"router":true`
+    /// distinguishes it from a daemon's.
+    fn stats_frame(&self) -> String {
+        let header = [
+            ("type", "stats".into()),
+            ("router", true.into()),
+            ("protocol", crate::protocol::PROTOCOL_VERSION.into()),
+            ("shutting_down", self.front.is_shutting_down().into()),
+            ("replicas", self.pool.stats()),
+            ("cache", self.cache.stats()),
+        ];
+        Json::obj(header.into_iter().chain(self.metrics.snapshot())).to_string()
+    }
 }
 
 /// Entry point: binds and runs a router in background threads.
@@ -175,7 +287,8 @@ impl Router {
     /// # Errors
     ///
     /// [`ServeError::BadConfig`] for an invalid config or an empty replica
-    /// set, [`ServeError::Io`] if the bind fails.
+    /// set, [`ServeError::Io`] if the bind fails or the prober or
+    /// supervisor thread cannot be spawned (the prober is stopped first).
     pub fn start(
         config: RouterConfig,
         replicas: &[SocketAddr],
@@ -189,31 +302,28 @@ impl Router {
             });
         }
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        // The router's own greeting; solver inventory lives behind the
+        // `list-solvers` command, which is forwarded to a replica.
+        let front = FrontEnd::new(
+            "router",
+            &listener,
+            config.max_connections,
+            config.max_line_bytes,
+            hello_frame(&[]),
+        )?;
         let shared = Arc::new(RouterShared {
             pool: ReplicaPool::new(replicas, config.health),
             cache: ResultCache::new(config.cache_capacity),
             metrics: RouterMetrics::default(),
             config,
-            shutdown: AtomicBool::new(false),
-            conn_count: AtomicUsize::new(0),
-            conns: ConnTracker::default(),
+            front,
         });
-        let prober = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("router-prober".into())
-                .spawn(move || prober_loop(&shared))
-                .expect("spawn prober")
-        };
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("router-supervisor".into())
-                .spawn(move || supervise(&shared, &listener, prober))
-                .expect("spawn supervisor")
-        };
+        let prober = Arc::clone(&shared);
+        shared
+            .front
+            .spawn_helper("router-prober".into(), move || prober_loop(&prober))?;
+        let supervisor = conn::spawn_supervisor(&shared, listener)?;
         Ok(RouterHandle {
             addr,
             shared,
@@ -232,7 +342,7 @@ impl RouterHandle {
     /// Whether shutdown has been triggered (by either side).
     #[must_use]
     pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Acquire)
+        self.shared.front.is_shutting_down()
     }
 
     /// Re-points replica `index` at a new address — the cluster-level
@@ -261,7 +371,7 @@ impl RouterHandle {
     /// Triggers graceful shutdown and blocks until teardown completes.
     /// Replicas are left running — they belong to whoever started them.
     pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        conn::shut_down(&*self.shared);
         if let Some(t) = self.supervisor.take() {
             let _ = t.join();
         }
@@ -285,254 +395,6 @@ impl std::fmt::Debug for RouterHandle {
     }
 }
 
-/// Accept loop plus teardown: close client sockets, join connection
-/// threads and the prober. Dispatch threads are not joined — their frames
-/// land on dead `Conn`s and their replica connections drop, which cancels
-/// the replica-side jobs.
-fn supervise(shared: &Arc<RouterShared>, listener: &TcpListener, prober: JoinHandle<()>) {
-    while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => accept_conn(shared, stream),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-    shared.conns.close_all();
-    let _ = prober.join();
-}
-
-fn accept_conn(shared: &Arc<RouterShared>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_nonblocking(false);
-    shared.conns.reap_finished();
-    // Claim-then-check: the returned prior value decides, so two accepts
-    // racing at the cap cannot both slip under it.
-    let prior = shared.conn_count.fetch_add(1, Ordering::AcqRel);
-    if prior >= shared.config.max_connections {
-        shared.conn_count.fetch_sub(1, Ordering::AcqRel);
-        let mut stream = stream;
-        let _ = writeln!(stream, "{}", rejected_frame("", "too_many_connections"));
-        let _ = stream.shutdown(Shutdown::Both);
-        return;
-    }
-    let shared2 = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name("router-conn".into())
-        .spawn(move || {
-            handle_conn(&shared2, stream);
-            shared2.conn_count.fetch_sub(1, Ordering::AcqRel);
-        })
-        .expect("spawn router connection thread");
-    shared.conns.add_thread(handle);
-}
-
-fn handle_conn(shared: &Arc<RouterShared>, stream: TcpStream) {
-    let writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let conn = Arc::new(Conn::new(writer));
-    shared.conns.add_conn(&conn);
-    // The router's own greeting; solver inventory lives behind the
-    // `list-solvers` command, which is forwarded to a replica.
-    conn.send(&hello_frame(&[]));
-    let mut reader = BufReader::new(stream);
-    // Live dispatches this connection owns, for cancel and connection-drop
-    // cleanup. Shared with the dispatch threads, which remove themselves.
-    let dispatches: Arc<Mutex<HashMap<String, Arc<DispatchCtl>>>> =
-        Arc::new(Mutex::new(HashMap::new()));
-    loop {
-        let line = match read_line_bounded(&mut reader, shared.config.max_line_bytes) {
-            Ok(Some(line)) => line,
-            Ok(None) => break,
-            Err(e) => {
-                conn.send(&error_frame("", &e.to_string()));
-                break;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_request(&line) {
-            Err(e) => conn.send(&error_frame("", &e.to_string())),
-            Ok(Request::Submit(req)) => handle_submit(shared, &conn, &dispatches, line, *req),
-            Ok(Request::Cancel { id }) => {
-                let ctl = dispatches
-                    .lock()
-                    .expect("dispatches lock")
-                    .get(&id)
-                    .cloned();
-                let found = ctl.is_some();
-                if let Some(ctl) = ctl {
-                    ctl.cancel();
-                }
-                conn.send(&cancel_ok_frame(&id, found));
-            }
-            Ok(Request::ListSolvers) => match forward_list_solvers(shared) {
-                Some(raw) => conn.send(&raw),
-                None => conn.send(&error_frame("", "no replica answered list-solvers")),
-            },
-            Ok(Request::Stats) => conn.send(&stats_frame(shared)),
-            Ok(Request::Ping) => conn.send(&bare_frame("pong")),
-            Ok(Request::Shutdown) => {
-                conn.send(&bare_frame("shutdown_ack"));
-                shared.shutdown.store(true, Ordering::Release);
-                break;
-            }
-        }
-        if !conn.is_alive() {
-            break;
-        }
-    }
-    // Connection gone: cancel every dispatch it still owns.
-    let ctls: Vec<_> = dispatches
-        .lock()
-        .expect("dispatches lock")
-        .values()
-        .cloned()
-        .collect();
-    for ctl in ctls {
-        ctl.cancel();
-    }
-    conn.mark_dead();
-}
-
-fn handle_submit(
-    shared: &Arc<RouterShared>,
-    conn: &Arc<Conn>,
-    dispatches: &Arc<Mutex<HashMap<String, Arc<DispatchCtl>>>>,
-    raw_line: String,
-    req: crate::protocol::SubmitRequest,
-) {
-    if shared.shutdown.load(Ordering::Acquire) {
-        shared
-            .metrics
-            .rejected_shutting_down
-            .fetch_add(1, Ordering::Relaxed);
-        conn.send(&rejected_frame(&req.id, "shutting_down"));
-        return;
-    }
-    // Reserve the in-flight slot before checking the cap: fetch_add
-    // returns the prior value, so concurrent submits cannot both observe
-    // a below-limit load and race past `max_inflight` together.
-    let prior_inflight = shared.metrics.in_flight.fetch_add(1, Ordering::AcqRel);
-    if prior_inflight >= shared.config.max_inflight as u64 {
-        // Typed backpressure instead of unbounded queueing.
-        shared.metrics.in_flight.fetch_sub(1, Ordering::AcqRel);
-        shared
-            .metrics
-            .rejected_router_busy
-            .fetch_add(1, Ordering::Relaxed);
-        conn.send(&rejected_frame(&req.id, "router_busy"));
-        return;
-    }
-    // Graceful degradation, decided at admission: with every replica
-    // quarantined, only submissions the cache can replay (cacheable,
-    // key present) are worth accepting; everything else gets the typed
-    // rejection now rather than a post-acceptance failure. Dispatch
-    // re-checks, since health can change between admission and dispatch.
-    let key = cache::job_key(&req);
-    let home = (cache::placement_hash(&key) % shared.pool.replicas.len() as u64) as usize;
-    let cache_serveable = cache::cacheable(&req) && shared.cache.contains(&key);
-    if !cache_serveable && shared.pool.candidates(home).is_empty() {
-        shared.metrics.in_flight.fetch_sub(1, Ordering::AcqRel);
-        shared
-            .metrics
-            .rejected_cluster_degraded
-            .fetch_add(1, Ordering::Relaxed);
-        conn.send(&rejected_frame(&req.id, "cluster_degraded"));
-        return;
-    }
-    let ctl = Arc::new(DispatchCtl::new(&req.id));
-    {
-        // A submit reusing an id still in flight on this connection would
-        // otherwise overwrite the first job's ctl — orphaning whichever
-        // dispatch loses the race from cancel and connection-drop cleanup.
-        let mut live = dispatches.lock().expect("dispatches lock");
-        if live.contains_key(&req.id) {
-            drop(live);
-            shared.metrics.in_flight.fetch_sub(1, Ordering::AcqRel);
-            shared
-                .metrics
-                .rejected_duplicate_id
-                .fetch_add(1, Ordering::Relaxed);
-            conn.send(&rejected_frame(&req.id, "duplicate_id"));
-            return;
-        }
-        live.insert(req.id.clone(), Arc::clone(&ctl));
-    }
-    shared.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-    // `accepted` goes out before the dispatch thread exists, so it always
-    // precedes this job's result — same ordering guarantee as the daemon.
-    conn.send(&crate::protocol::accepted_frame(
-        &req.id,
-        prior_inflight as usize + 1,
-    ));
-
-    let shared = Arc::clone(shared);
-    let conn = Arc::clone(conn);
-    let dispatches = Arc::clone(dispatches);
-    std::thread::Builder::new()
-        .name("router-dispatch".into())
-        .spawn(move || {
-            dispatch::dispatch(&shared, &conn, &ctl, &raw_line, &req, &key);
-            // Remove only our own entry: guards against ever dropping a
-            // successor's ctl should the id be reused after this removal.
-            let mut live = dispatches.lock().expect("dispatches lock");
-            if live.get(&req.id).is_some_and(|cur| Arc::ptr_eq(cur, &ctl)) {
-                live.remove(&req.id);
-            }
-            drop(live);
-            shared.metrics.in_flight.fetch_sub(1, Ordering::AcqRel);
-        })
-        .expect("spawn dispatch thread");
-}
-
-/// Forwards `list-solvers` to the first replica that answers, returning
-/// the raw frame for verbatim relay.
-fn forward_list_solvers(shared: &Arc<RouterShared>) -> Option<String> {
-    for index in shared.pool.candidates(0) {
-        let replica = &shared.pool.replicas[index];
-        let Ok((mut client, _)) = replica.checkout() else {
-            continue;
-        };
-        let ok = client
-            .set_read_timeout(Some(shared.config.probe_timeout))
-            .and_then(|()| client.send_line(&bare_command("list-solvers")));
-        if ok.is_err() {
-            continue;
-        }
-        loop {
-            match client.read_frame() {
-                Ok(frame) if frame.frame_type() == Some("solvers") => {
-                    replica.checkin(client);
-                    return Some(frame.line);
-                }
-                Ok(_) => {}
-                Err(_) => break,
-            }
-        }
-    }
-    None
-}
-
-/// The router's own `stats` frame: cluster health, cache, and dispatch
-/// counters. `"router":true` distinguishes it from a daemon's.
-fn stats_frame(shared: &RouterShared) -> String {
-    let shutting_down = shared.shutdown.load(Ordering::Acquire);
-    let header = [
-        ("type", "stats".into()),
-        ("router", true.into()),
-        ("protocol", crate::protocol::PROTOCOL_VERSION.into()),
-        ("shutting_down", shutting_down.into()),
-        ("replicas", shared.pool.stats()),
-        ("cache", shared.cache.stats()),
-    ];
-    Json::obj(header.into_iter().chain(shared.metrics.snapshot())).to_string()
-}
-
 /// Health-probe loop: one persistent probe connection per replica, a ping
 /// per sweep, reconnect-in-place on transport failure (the same machinery
 /// dispatch uses), results fed into the health state machine. Quarantined
@@ -540,17 +402,11 @@ fn stats_frame(shared: &RouterShared) -> String {
 fn prober_loop(shared: &Arc<RouterShared>) {
     let n = shared.pool.replicas.len();
     let mut probes: Vec<Option<Client>> = (0..n).map(|_| None).collect();
-    while !shared.shutdown.load(Ordering::Acquire) {
+    while !shared.front.is_shutting_down() {
         for (index, slot) in probes.iter_mut().enumerate() {
             probe_one(shared, index, slot);
         }
-        // Shutdown-aware sleep in small slices.
-        let mut remaining = shared.config.probe_interval;
-        while !remaining.is_zero() && !shared.shutdown.load(Ordering::Acquire) {
-            let slice = remaining.min(Duration::from_millis(20));
-            std::thread::sleep(slice);
-            remaining -= slice;
-        }
+        shared.front.wait_for_shutdown(shared.config.probe_interval);
     }
 }
 

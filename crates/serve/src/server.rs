@@ -1,12 +1,14 @@
-//! The solve daemon: acceptor, connection threads, and job workers.
+//! The solve daemon: admission, job workers, and the `solvers` and
+//! `stats` frames, behind the connection front end it shares with the
+//! router (the private `conn` module).
 //!
 //! # Thread model
 //!
 //! All concurrency is hand-rolled on `std` threads and channels — the
 //! build environment vendors no async runtime, and none is needed:
 //!
-//! * one **supervisor** thread owns the (non-blocking) listener, accepts
-//!   connections, and performs the teardown sequence on shutdown;
+//! * one **supervisor** thread blocks in `accept` on the listener and
+//!   performs the teardown sequence on shutdown;
 //! * one **connection thread** per client reads request lines, performs
 //!   admission (graph resolution, solver construction, queue push), and
 //!   answers control commands; writes to the shared socket writer are
@@ -18,22 +20,25 @@
 //!
 //! The admitted-frame guarantee: the connection thread holds the writer
 //! lock across queue push *and* `accepted` write, so a worker can never
-//! emit this job's `result` before the client saw `accepted`.
+//! emit this job's `result` before the client saw `accepted`. A job
+//! settles before its final frame is written: it leaves its connection's
+//! job map and gives back its `in_flight` count, so a client that has read
+//! its result can reuse the id, and sees the job finished in `stats`.
 //!
 //! # Shutdown
 //!
 //! `shutdown` (the protocol command, or [`ServerHandle::shutdown`])
 //! closes the admission queue — queued jobs get `cancelled` results
 //! without running — cancels every in-flight job's token (solvers wind
-//! down within one iteration), joins the workers, then shuts every client
-//! socket down and joins the connection threads. The build environment
-//! has no signal-handling crate, so SIGINT is *not* trapped; the protocol
+//! down within one iteration), and wakes the supervisor's `accept`. The
+//! supervisor joins the workers, then shuts every client socket down and
+//! joins the connection threads. The build environment has no
+//! signal-handling crate, so SIGINT is *not* trapped; the protocol
 //! command is the one graceful path.
 
-use std::collections::{BTreeMap, HashMap};
-use std::io::{BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::{HashMap, VecDeque};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -50,16 +55,19 @@ use sophie::problems::{IsingInstance, ProblemSpec};
 
 use crate::config::ServeConfig;
 use crate::configs::build_solver;
-use crate::conn::{Conn, ConnTracker};
+use crate::conn::{self, Conn, FrontEnd, Service};
 use crate::error::{Result, ServeError};
 use crate::metrics::Metrics;
-use crate::problems::compile_problem;
+use crate::problems::{check_size, compile_problem};
 use crate::protocol::{
-    accepted_frame, bare_frame, cancel_ok_frame, error_frame, event_frame, failed_frame,
-    hello_frame, parse_request, read_line_bounded, rejected_frame, result_frame, GraphSpec,
-    Request, SubmitRequest,
+    accepted_frame, error_frame, event_frame, failed_frame, hello_frame, rejected_frame,
+    result_frame, GraphSpec, SubmitRequest,
 };
 use crate::queue::{AdmissionQueue, PushError};
+
+/// Byte budget of a daemon's named graphs, the transform cache's: the
+/// largest `K<n>` under the default edge cap (K1448, ≈ 59 MB) fits.
+const NAMED_GRAPH_BYTES: usize = 64 << 20;
 
 /// A job admitted to the queue, carrying everything a worker needs.
 struct QueuedJob {
@@ -70,57 +78,57 @@ struct QueuedJob {
     problem: Option<(ProblemSpec, IsingInstance)>,
     solver: Arc<dyn Solver>,
     cancel: CancelToken,
-    conn: Arc<Conn>,
-    /// The submitting connection's in-flight jobs, which this one leaves
-    /// when it ends.
-    conn_jobs: Arc<ConnJobs>,
+    /// The submitting connection, whose job map this job leaves when it
+    /// ends.
+    conn: Arc<Conn<CancelToken>>,
     submitted_at: Instant,
 }
 
 impl QueuedJob {
-    /// Writes the job's final frame, after taking the job out of its
-    /// connection's map: a client that reuses the id once it has read this
-    /// frame must not be told `duplicate_id`.
-    fn send_final(&self, frame: &str) {
-        self.conn_jobs.finish(&self.request.id);
+    /// Settles the job, then writes its final frame. It leaves its
+    /// connection's map and, if it ran, gives back its in-flight count
+    /// first: a client that has read this frame must not be told
+    /// `duplicate_id` when it reuses the id, nor see the job still in
+    /// flight in `stats`.
+    fn send_final(&self, shared: &Shared, ran: bool, frame: &str) {
+        self.conn.jobs.remove(&self.request.id);
+        if ran {
+            shared.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
+        }
         self.conn.send(frame);
     }
 }
 
-/// One connection's in-flight jobs by client id. `cancel` finds a job
-/// here and dropping the connection cancels every job still here. A job
-/// enters before it is queued and leaves before its final frame is
-/// written, so the map holds only live jobs and an id is free again once
-/// its result has been sent.
+/// Named instances, each generated once while it stays here. Graphs are
+/// evicted first in, first out once their `Graph::heap_bytes` and names
+/// would pass [`NAMED_GRAPH_BYTES`]; a larger graph serves its job and is
+/// not kept.
+/// A kept graph is shared by `Arc`, which lets the registry's transform
+/// cache confirm hits by identity instead of comparing edges.
 #[derive(Default)]
-struct ConnJobs(Mutex<HashMap<String, CancelToken>>);
+struct NamedGraphs {
+    graphs: HashMap<String, Arc<Graph>>,
+    /// Names in insertion order.
+    order: VecDeque<String>,
+    bytes: usize,
+}
 
-impl ConnJobs {
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, CancelToken>> {
-        self.0.lock().expect("conn jobs lock")
-    }
-
-    fn contains(&self, id: &str) -> bool {
-        self.lock().contains_key(id)
-    }
-
-    fn insert(&self, id: &str, token: CancelToken) {
-        self.lock().insert(id.to_string(), token);
-    }
-
-    fn finish(&self, id: &str) {
-        self.lock().remove(id);
-    }
-
-    /// Cancels job `id`; returns whether it was in flight.
-    fn cancel(&self, id: &str) -> bool {
-        self.lock().get(id).map(CancelToken::cancel).is_some()
-    }
-
-    fn cancel_all(&self) {
-        for token in self.lock().values() {
-            token.cancel();
+impl NamedGraphs {
+    fn insert(&mut self, name: &str, graph: &Arc<Graph>) {
+        // Names count too: `K<n>` parses leading zeros, so one graph can
+        // come under any number of names of any length.
+        let bytes = graph.heap_bytes() + name.len();
+        if bytes > NAMED_GRAPH_BYTES || self.graphs.contains_key(name) {
+            return;
         }
+        while self.bytes + bytes > NAMED_GRAPH_BYTES {
+            let oldest = self.order.pop_front().expect("bytes are held by graphs");
+            let evicted = self.graphs.remove(&oldest).expect("ordered graph exists");
+            self.bytes -= evicted.heap_bytes() + oldest.len();
+        }
+        self.order.push_back(name.to_string());
+        self.bytes += bytes;
+        self.graphs.insert(name.to_string(), Arc::clone(graph));
     }
 }
 
@@ -130,18 +138,130 @@ struct Shared {
     registry: SolverRegistry,
     metrics: Metrics,
     queue: AdmissionQueue<QueuedJob>,
-    shutdown: AtomicBool,
-    conn_count: AtomicUsize,
-    job_serial: AtomicU64,
-    /// Cancel tokens of jobs currently executing, keyed by a worker-side
-    /// serial; shutdown cancels them all.
-    active: Mutex<HashMap<u64, CancelToken>>,
-    /// Named-instance cache: each name is generated once per daemon, and
-    /// its shared `Arc` lets the registry's transform cache confirm hits
-    /// by identity instead of comparing edges.
-    graphs: Mutex<BTreeMap<String, Arc<Graph>>>,
-    /// Live connections, swept and joined by the supervisor at teardown.
-    conns: ConnTracker,
+    front: FrontEnd<CancelToken>,
+    graphs: Mutex<NamedGraphs>,
+}
+
+impl Service for Shared {
+    type Job = CancelToken;
+
+    fn front(&self) -> &FrontEnd<CancelToken> {
+        &self.front
+    }
+
+    fn submit(
+        shared: &Arc<Self>,
+        conn: &Arc<Conn<CancelToken>>,
+        _: String,
+        request: SubmitRequest,
+    ) {
+        let cancel = CancelToken::new();
+        if !conn.jobs.insert(&request.id, cancel.clone()) {
+            shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+            conn.send(&rejected_frame(&request.id, "duplicate_id"));
+            return;
+        }
+        let id = request.id.clone();
+        // Exactly one of `graph` / `problem` is set (parse-time invariant):
+        // direct submits resolve their instance, problem submits compile one.
+        let resolved = match (&request.graph, &request.problem) {
+            (Some(spec), None) => resolve_graph(shared, spec).map(|g| (g, None)),
+            (None, Some(payload)) => {
+                let limits = ParseLimits::new(
+                    shared.config.max_instance_nodes,
+                    shared.config.max_instance_edges,
+                );
+                compile_problem(payload, &limits)
+                    .map(|(spec, instance)| (Arc::clone(instance.graph()), Some((spec, instance))))
+            }
+            _ => Err(ServeError::Protocol {
+                message: "submit requires exactly one of `graph` and `problem`".into(),
+            }),
+        };
+        let prepared = resolved.and_then(|(graph, problem)| {
+            let solver = build_solver(&shared.registry, &request.solver, request.config.as_ref())?;
+            Ok((graph, problem, solver))
+        });
+        let (graph, problem, solver) = match prepared {
+            Ok(prepared) => prepared,
+            Err(e) => {
+                conn.jobs.remove(&id);
+                conn.send(&error_frame(&id, &e.to_string()));
+                return;
+            }
+        };
+        let job = QueuedJob {
+            request,
+            graph,
+            problem,
+            solver,
+            cancel,
+            conn: Arc::clone(conn),
+            submitted_at: Instant::now(),
+        };
+        // Hold the writer lock across push + ack: the worker that picks the
+        // job up cannot write its frames before the client sees `accepted`.
+        conn.send_locked(|| {
+            let reason = match shared.queue.try_push(job) {
+                Ok(depth) => {
+                    shared.metrics.accepted.fetch_add(1, Ordering::Relaxed);
+                    return accepted_frame(&id, depth);
+                }
+                Err(PushError::Full) => "queue_full",
+                Err(PushError::Closed) => "shutting_down",
+            };
+            conn.jobs.remove(&id);
+            shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+            rejected_frame(&id, reason)
+        });
+    }
+
+    fn solvers_frame(&self) -> String {
+        let registry = &self.registry;
+        let solvers = registry
+            .names()
+            .into_iter()
+            .map(|name| {
+                Json::obj([
+                    ("name", name.into()),
+                    ("summary", registry.summary(name).unwrap_or("").into()),
+                    ("config", registry.config_type(name).unwrap_or("").into()),
+                ])
+            })
+            .collect();
+        let problems = sophie::problems::KINDS.iter().map(|&k| k.into()).collect();
+        Json::obj([
+            ("type", "solvers".into()),
+            ("solvers", solvers),
+            ("problems", problems),
+        ])
+        .to_string()
+    }
+
+    fn stats_frame(&self) -> String {
+        let header = [
+            ("type", "stats".into()),
+            ("protocol", crate::protocol::PROTOCOL_VERSION.into()),
+            ("shutting_down", self.front.is_shutting_down().into()),
+        ];
+        let counters = self.metrics.snapshot(self.queue.depth());
+        Json::obj(header.into_iter().chain(counters)).to_string()
+    }
+
+    /// Closes the queue, answering every parked job `cancelled`; running
+    /// jobs are cancelled through their connections' job maps next.
+    fn drain(&self) {
+        for job in self.queue.close() {
+            self.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
+            let latency = job.submitted_at.elapsed().as_secs_f64() * 1e3;
+            let frame = result_frame(&job.request.id, "cancelled", latency, Json::Null);
+            job.send_final(self, false, &frame);
+        }
+    }
+
+    fn refused(&self) {
+        self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Entry point: binds and runs a daemon in background threads.
@@ -163,7 +283,9 @@ impl Server {
     /// # Errors
     ///
     /// [`ServeError::BadConfig`] if `config` fails validation,
-    /// [`ServeError::Io`] if the bind fails.
+    /// [`ServeError::Io`] if the bind fails or a worker or supervisor
+    /// thread cannot be spawned (the threads already started are stopped
+    /// first).
     pub fn start(
         config: ServeConfig,
         registry: SolverRegistry,
@@ -171,36 +293,31 @@ impl Server {
     ) -> Result<ServerHandle> {
         config.validate()?;
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let front = FrontEnd::new(
+            "serve",
+            &listener,
+            config.max_connections,
+            config.max_line_bytes,
+            hello_frame(&registry.names()),
+        )?;
         let shared = Arc::new(Shared {
             queue: AdmissionQueue::new(config.queue_capacity),
             config,
             registry,
             metrics: Metrics::new(),
-            shutdown: AtomicBool::new(false),
-            conn_count: AtomicUsize::new(0),
-            job_serial: AtomicU64::new(0),
-            active: Mutex::new(HashMap::new()),
-            graphs: Mutex::new(BTreeMap::new()),
-            conns: ConnTracker::default(),
+            front,
+            graphs: Mutex::default(),
         });
-        let workers: Vec<JoinHandle<()>> = (0..config.workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker")
-            })
-            .collect();
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("serve-supervisor".into())
-                .spawn(move || supervise(&shared, &listener, workers))
-                .expect("spawn supervisor")
-        };
+        for i in 0..config.workers {
+            let worker = Arc::clone(&shared);
+            let run = move || worker_loop(&worker);
+            if let Err(e) = shared.front.spawn_helper(format!("serve-worker-{i}"), run) {
+                conn::abort(&*shared);
+                return Err(e.into());
+            }
+        }
+        let supervisor = conn::spawn_supervisor(&shared, listener)?;
         Ok(ServerHandle {
             addr,
             shared,
@@ -219,12 +336,12 @@ impl ServerHandle {
     /// Whether shutdown has been triggered (by either side).
     #[must_use]
     pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Acquire)
+        self.shared.front.is_shutting_down()
     }
 
     /// Triggers graceful shutdown and blocks until teardown completes.
     pub fn shutdown(mut self) {
-        trigger_shutdown(&self.shared);
+        conn::shut_down(&*self.shared);
         if let Some(t) = self.supervisor.take() {
             let _ = t.join();
         }
@@ -247,190 +364,6 @@ impl std::fmt::Debug for ServerHandle {
     }
 }
 
-/// Flips the shutdown flag once: closes the queue (failing queued jobs as
-/// `cancelled`) and cancels every in-flight token.
-fn trigger_shutdown(shared: &Shared) {
-    if shared.shutdown.swap(true, Ordering::AcqRel) {
-        return;
-    }
-    for job in shared.queue.close() {
-        shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-        let latency = job.submitted_at.elapsed().as_secs_f64() * 1e3;
-        let frame = result_frame(&job.request.id, "cancelled", latency, Json::Null);
-        job.send_final(&frame);
-    }
-    for token in shared.active.lock().expect("active lock").values() {
-        token.cancel();
-    }
-}
-
-/// Accept loop plus the ordered teardown sequence.
-fn supervise(shared: &Arc<Shared>, listener: &TcpListener, workers: Vec<JoinHandle<()>>) {
-    while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => accept_conn(shared, stream),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-    // Queue is closed; workers finish their current job and exit. Joining
-    // them *before* closing sockets lets final result frames flush.
-    for w in workers {
-        let _ = w.join();
-    }
-    shared.conns.close_all();
-}
-
-fn accept_conn(shared: &Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    // Reads must not block forever once shutdown closes the socket; a
-    // blocking read on a shut-down socket returns promptly, so plain
-    // blocking mode is fine here (the listener alone is non-blocking).
-    let _ = stream.set_nonblocking(false);
-    shared.conns.reap_finished();
-    if shared.conn_count.load(Ordering::Acquire) >= shared.config.max_connections {
-        shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-        let mut stream = stream;
-        let _ = writeln!(stream, "{}", rejected_frame("", "too_many_connections"));
-        let _ = stream.shutdown(Shutdown::Both);
-        return;
-    }
-    shared.conn_count.fetch_add(1, Ordering::AcqRel);
-    let shared2 = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name("serve-conn".into())
-        .spawn(move || {
-            handle_conn(&shared2, stream, &Arc::default());
-            shared2.conn_count.fetch_sub(1, Ordering::AcqRel);
-        })
-        .expect("spawn connection thread");
-    shared.conns.add_thread(handle);
-}
-
-/// Serves one connection; `jobs` starts empty and tracks the jobs it
-/// submits.
-fn handle_conn(shared: &Arc<Shared>, stream: TcpStream, jobs: &Arc<ConnJobs>) {
-    let writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let conn = Arc::new(Conn::new(writer));
-    shared.conns.add_conn(&conn);
-    conn.send(&hello_frame(&shared.registry.names()));
-    let mut reader = BufReader::new(stream);
-    loop {
-        let line = match read_line_bounded(&mut reader, shared.config.max_line_bytes) {
-            Ok(Some(line)) => line,
-            Ok(None) => break,
-            Err(e) => {
-                conn.send(&error_frame("", &e.to_string()));
-                break;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_request(&line) {
-            Err(e) => conn.send(&error_frame("", &e.to_string())),
-            Ok(Request::Submit(req)) => handle_submit(shared, &conn, jobs, *req),
-            Ok(Request::Cancel { id }) => conn.send(&cancel_ok_frame(&id, jobs.cancel(&id))),
-            Ok(Request::ListSolvers) => conn.send(&solvers_frame(shared)),
-            Ok(Request::Stats) => conn.send(&stats_frame(shared)),
-            Ok(Request::Ping) => conn.send(&bare_frame("pong")),
-            Ok(Request::Shutdown) => {
-                conn.send(&bare_frame("shutdown_ack"));
-                trigger_shutdown(shared);
-                break;
-            }
-        }
-        if !conn.is_alive() {
-            break;
-        }
-    }
-    // Connection gone (or shutting down): cancel everything it submitted.
-    jobs.cancel_all();
-    conn.mark_dead();
-}
-
-fn handle_submit(
-    shared: &Arc<Shared>,
-    conn: &Arc<Conn>,
-    jobs: &Arc<ConnJobs>,
-    request: SubmitRequest,
-) {
-    // A reused id still in flight on this connection would overwrite the
-    // first job's cancel token, leaving it uncancellable by id or by a
-    // connection drop. Only this thread inserts, so the check holds until
-    // the insert below.
-    if jobs.contains(&request.id) {
-        shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-        conn.send(&rejected_frame(&request.id, "duplicate_id"));
-        return;
-    }
-    // Exactly one of `graph` / `problem` is set (parse-time invariant):
-    // direct submits resolve their instance, problem submits compile one.
-    let resolved = match (&request.graph, &request.problem) {
-        (Some(spec), None) => resolve_graph(shared, spec).map(|g| (g, None)),
-        (None, Some(payload)) => {
-            let limits = ParseLimits::new(
-                shared.config.max_instance_nodes,
-                shared.config.max_instance_edges,
-            );
-            compile_problem(payload, &limits)
-                .map(|(spec, instance)| (Arc::clone(instance.graph()), Some((spec, instance))))
-        }
-        _ => Err(ServeError::Protocol {
-            message: "submit requires exactly one of `graph` and `problem`".into(),
-        }),
-    };
-    let (graph, problem) = match resolved {
-        Ok(r) => r,
-        Err(e) => {
-            conn.send(&error_frame(&request.id, &e.to_string()));
-            return;
-        }
-    };
-    let solver = match build_solver(&shared.registry, &request.solver, request.config.as_ref()) {
-        Ok(s) => s,
-        Err(e) => {
-            conn.send(&error_frame(&request.id, &e.to_string()));
-            return;
-        }
-    };
-    let cancel = CancelToken::new();
-    let id = request.id.clone();
-    // The job enters the map before a worker can see it, so its
-    // `finish` always follows this insert.
-    jobs.insert(&id, cancel.clone());
-    let job = QueuedJob {
-        request,
-        graph,
-        problem,
-        solver,
-        cancel,
-        conn: Arc::clone(conn),
-        conn_jobs: Arc::clone(jobs),
-        submitted_at: Instant::now(),
-    };
-    // Hold the writer lock across push + ack: the worker that picks the
-    // job up cannot write its frames before the client sees `accepted`.
-    conn.send_locked(|| {
-        let reason = match shared.queue.try_push(job) {
-            Ok(depth) => {
-                shared.metrics.accepted.fetch_add(1, Ordering::Relaxed);
-                return accepted_frame(&id, depth);
-            }
-            Err(PushError::Full) => "queue_full",
-            Err(PushError::Closed) => "shutting_down",
-        };
-        jobs.finish(&id);
-        shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-        rejected_frame(&id, reason)
-    });
-}
-
 /// Resolves a submit's instance: a cached named benchmark graph, or an
 /// inline GSET document parsed under the configured size limits.
 fn resolve_graph(shared: &Shared, spec: &GraphSpec) -> Result<Arc<Graph>> {
@@ -444,8 +377,8 @@ fn resolve_graph(shared: &Shared, spec: &GraphSpec) -> Result<Arc<Graph>> {
             Ok(Arc::new(graph))
         }
         GraphSpec::Named(name) => {
-            if let Some(g) = shared.graphs.lock().expect("graphs lock").get(name) {
-                return Ok(Arc::clone(g));
+            if let Some(graph) = shared.graphs.lock().expect("graphs lock").graphs.get(name) {
+                return Ok(Arc::clone(graph));
             }
             // Benchmark-harness instances, generated with its seed (1).
             let graph = match name.as_str() {
@@ -456,7 +389,9 @@ fn resolve_graph(shared: &Shared, spec: &GraphSpec) -> Result<Arc<Graph>> {
                     let n: usize = k[1..].parse().map_err(|_| ServeError::Protocol {
                         message: format!("unknown named instance {name:?}"),
                     })?;
-                    check_complete_size(&shared.config, n)?;
+                    // Past the limits inline graphs obey: rejected before
+                    // anything is generated.
+                    check_size(&limits, n, n.saturating_mul(n.saturating_sub(1)) / 2)?;
                     presets::k_graph(n, 1)?
                 }
                 _ => {
@@ -470,62 +405,10 @@ fn resolve_graph(shared: &Shared, spec: &GraphSpec) -> Result<Arc<Graph>> {
                 .graphs
                 .lock()
                 .expect("graphs lock")
-                .insert(name.clone(), Arc::clone(&graph));
+                .insert(name, &graph);
             Ok(graph)
         }
     }
-}
-
-/// Rejects a named `K<n>` past the node or edge limits inline graphs
-/// obey, before anything is generated.
-fn check_complete_size(config: &ServeConfig, n: usize) -> Result<()> {
-    let edges = n.saturating_mul(n.saturating_sub(1)) / 2;
-    for (what, got, limit) in [
-        ("nodes", n, config.max_instance_nodes),
-        ("edges", edges, config.max_instance_edges),
-    ] {
-        if got > limit {
-            return Err(ServeError::Graph(sophie_graph::GraphError::Oversized {
-                what,
-                got,
-                limit,
-            }));
-        }
-    }
-    Ok(())
-}
-
-fn solvers_frame(shared: &Shared) -> String {
-    let registry = &shared.registry;
-    let solvers = registry
-        .names()
-        .into_iter()
-        .map(|name| {
-            Json::obj([
-                ("name", name.into()),
-                ("summary", registry.summary(name).unwrap_or("").into()),
-                ("config", registry.config_type(name).unwrap_or("").into()),
-            ])
-        })
-        .collect();
-    let problems = sophie::problems::KINDS.iter().map(|&k| k.into()).collect();
-    Json::obj([
-        ("type", "solvers".into()),
-        ("solvers", solvers),
-        ("problems", problems),
-    ])
-    .to_string()
-}
-
-fn stats_frame(shared: &Shared) -> String {
-    let shutting_down = shared.shutdown.load(Ordering::Acquire);
-    let header = [
-        ("type", "stats".into()),
-        ("protocol", crate::protocol::PROTOCOL_VERSION.into()),
-        ("shutting_down", shutting_down.into()),
-    ];
-    let counters = shared.metrics.snapshot(shared.queue.depth());
-    Json::obj(header.into_iter().chain(counters)).to_string()
 }
 
 /// The `report` payload of a result frame: the solver's report and, for a
@@ -557,15 +440,13 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         // Cancelled while queued (explicit cancel or connection drop).
         shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
         let latency = job.submitted_at.elapsed().as_secs_f64() * 1e3;
-        job.send_final(&result_frame(&id, "cancelled", latency, Json::Null));
+        job.send_final(
+            shared,
+            false,
+            &result_frame(&id, "cancelled", latency, Json::Null),
+        );
         return;
     }
-    let serial = shared.job_serial.fetch_add(1, Ordering::Relaxed);
-    shared
-        .active
-        .lock()
-        .expect("active lock")
-        .insert(serial, job.cancel.clone());
     shared.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
 
     let budget = JobBudget {
@@ -601,7 +482,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
     };
 
     let latency_ms = job.submitted_at.elapsed().as_secs_f64() * 1e3;
-    match outcome {
+    let frame = match outcome {
         Ok(report) => {
             let status = if job.cancel.is_cancelled() {
                 shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
@@ -614,20 +495,20 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                 "done"
             };
             let report = report_json(&report, job.problem.as_ref());
-            job.send_final(&result_frame(&id, status, latency_ms, report));
+            result_frame(&id, status, latency_ms, report)
         }
         Err(e) => {
             shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-            job.send_final(&failed_frame(&id, latency_ms, &e.to_string()));
+            failed_frame(&id, latency_ms, &e.to_string())
         }
-    }
-    shared.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
-    shared.active.lock().expect("active lock").remove(&serial);
+    };
+    job.send_final(shared, true, &frame);
 }
 
 #[cfg(test)]
 mod tests {
-    use std::io::BufRead;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
 
     use super::*;
     use crate::client::{Client, SubmitArgs};
@@ -740,11 +621,13 @@ mod tests {
         // Let the last connection thread see its EOF, so the next accept
         // finds every earlier connection finished.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while handle.shared.conn_count.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
+        while handle.shared.front.conn_count.load(Ordering::Acquire) > 0
+            && Instant::now() < deadline
+        {
             std::thread::sleep(Duration::from_millis(5));
         }
         hello_round_trip(addr);
-        let (threads, conns) = handle.shared.conns.tracked();
+        let (threads, conns) = handle.shared.front.tracked();
         assert!(
             threads <= 2 && conns <= 2,
             "41 connections served, {threads} threads and {conns} write halves still tracked"
@@ -763,16 +646,18 @@ mod tests {
         // Serve one connection by hand so the test can watch its map.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let jobs = Arc::new(ConnJobs::default());
+        let (conn_tx, conn_rx) = std::sync::mpsc::channel();
         let serving = {
             let shared = Arc::clone(&handle.shared);
-            let jobs = Arc::clone(&jobs);
             std::thread::spawn(move || {
                 let (stream, _) = listener.accept().unwrap();
-                handle_conn(&shared, stream, &jobs);
+                let conn = Arc::new(Conn::new(stream.try_clone().unwrap()));
+                conn_tx.send(Arc::clone(&conn)).unwrap();
+                conn::read_loop(&shared, &conn, stream);
             })
         };
         let mut client = Client::connect(addr).unwrap();
+        let jobs = &conn_rx.recv().unwrap().jobs;
         let mut job = SubmitArgs::new("sa", GraphSpec::Named("K20".into()));
         job.config_json = Some(r#"{"sweeps": 5}"#.into());
         for i in 0..100 {
@@ -782,13 +667,36 @@ mod tests {
             assert_eq!(client.wait_result(&id).unwrap().status, "done");
         }
         // Each job left the map before its result frame was written.
-        assert_eq!(
-            jobs.lock().len(),
-            0,
-            "100 finished jobs left entries behind"
-        );
+        assert_eq!(jobs.len(), 0, "100 finished jobs left entries behind");
         drop(client);
         serving.join().unwrap();
+        handle.shutdown();
+    }
+
+    #[test]
+    fn named_graphs_stay_within_their_byte_budget() {
+        let handle = Server::start(
+            ServeConfig::default(),
+            sophie::default_registry(),
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        // K2…K200: 1,333,300 edges, ≈ 75 MB of graphs.
+        let mut generated = 0;
+        let mut last = None;
+        for n in 2..=200 {
+            let graph = resolve_graph(&handle.shared, &GraphSpec::Named(format!("K{n}"))).unwrap();
+            generated += graph.heap_bytes();
+            last = Some(graph);
+        }
+        assert!(generated > NAMED_GRAPH_BYTES, "{generated} bytes generated");
+        let held = handle.shared.graphs.lock().unwrap().bytes;
+        assert!(
+            held <= NAMED_GRAPH_BYTES,
+            "{held} bytes of named graphs held, budget {NAMED_GRAPH_BYTES}"
+        );
+        let again = resolve_graph(&handle.shared, &GraphSpec::Named("K200".into())).unwrap();
+        assert!(Arc::ptr_eq(&again, &last.unwrap()), "K200 was regenerated");
         handle.shutdown();
     }
 }

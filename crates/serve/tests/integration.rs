@@ -5,10 +5,12 @@
 //! the worker, a submit rejected by the full admission queue, a streaming
 //! SOPHIE job whose event frames arrive before its result, and a
 //! graceful shutdown whose final stats counters account for every job.
+//! Also: counters settled before each result, the connection cap, and a
+//! prompt shutdown on an unspecified bind address.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use sophie_serve::{Client, GraphSpec, Json, ServeConfig, Server, SubmitArgs};
+use sophie_serve::{Client, ClientError, GraphSpec, Json, ServeConfig, Server, SubmitArgs};
 
 fn start_server(queue_capacity: usize, workers: usize) -> sophie_serve::ServerHandle {
     let config = ServeConfig {
@@ -407,4 +409,78 @@ fn duplicate_in_flight_id_is_rejected_and_free_again_after_its_result() {
     assert_eq!(client.wait_result("dup").expect("result").status, "done");
 
     server.shutdown();
+}
+
+#[test]
+fn counters_settle_before_each_result_frame() {
+    let server = start_server(4, 1);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut watcher = Client::connect(server.local_addr()).expect("watcher connects");
+    let mut job = SubmitArgs::new("sa", GraphSpec::Named("K4".into()));
+    job.config_json = Some(r#"{"sweeps": 2}"#.into());
+    for i in 0..200 {
+        let admission = client.submit("job", &job).expect("submit");
+        assert_eq!(admission.frame_type(), Some("accepted"), "job {i}");
+        assert_eq!(client.wait_result("job").expect("result").status, "done");
+        // The job gave back its in-flight count before its result frame.
+        let stats = watcher.stats().expect("stats");
+        assert_eq!(counter(&stats, "in_flight"), 0, "job {i}: {stats}");
+        assert_eq!(counter(&stats, "queue_depth"), 0, "job {i}: {stats}");
+        assert_eq!(
+            counter(&stats, "accepted"),
+            counter(&stats, "completed") + counter(&stats, "cancelled") + counter(&stats, "failed"),
+            "job {i}: {stats}"
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_third_connection_past_a_cap_of_two_is_refused_and_counted() {
+    let config = ServeConfig {
+        max_connections: 2,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(config, sophie::default_registry(), "127.0.0.1:0").expect("starts");
+    let addr = server.local_addr();
+    let first = Client::connect(addr).expect("first connects");
+    let mut second = Client::connect(addr).expect("second connects");
+    match Client::connect(addr) {
+        Err(ClientError::Rejected { reason }) => assert_eq!(reason, "too_many_connections"),
+        other => panic!("third connection: {:?}", other.map(|_| "accepted")),
+    }
+    assert_eq!(counter(&second.stats().expect("stats"), "rejected"), 1);
+
+    // Once one of the two closes, its slot is free again. The server
+    // notices the close asynchronously, so a refusal may come first.
+    drop(first);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut third = loop {
+        match Client::connect(addr) {
+            Ok(client) => break client,
+            Err(ClientError::Rejected { .. }) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => panic!("no slot freed: {e}"),
+        }
+    };
+    third.ping().expect("ping");
+    server.shutdown();
+}
+
+#[test]
+fn a_daemon_on_an_unspecified_address_shuts_down_within_a_second() {
+    let server = Server::start(
+        ServeConfig::default(),
+        sophie::default_registry(),
+        "0.0.0.0:0",
+    )
+    .expect("starts");
+    let port = server.local_addr().port();
+    let mut client = Client::connect(("127.0.0.1", port)).expect("connect");
+    client.ping().expect("ping");
+    let start = Instant::now();
+    server.shutdown();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
 }

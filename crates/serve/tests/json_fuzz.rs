@@ -1,13 +1,17 @@
 //! Untrusted-input properties of the wire parser: `Json::parse` and
 //! `parse_request` answer every string — random text over JSON's alphabet
 //! and mutated valid submit lines — with a value or a typed error, never a
-//! panic; and every value the renderer writes parses back to the same
-//! text.
+//! panic; every value the renderer writes parses back to the same text;
+//! and `problem` payloads' `random` blocks of any size compile or get a
+//! typed error under the daemon's default limits, never a panic or an
+//! allocation failure.
 
 use proptest::prelude::*;
 use proptest::strategy::TestRng;
+use sophie_graph::io::ParseLimits;
+use sophie_serve::problems::compile_problem;
 use sophie_serve::protocol::parse_request;
-use sophie_serve::{Json, ServeError};
+use sophie_serve::{Json, ServeConfig, ServeError};
 
 /// Structural characters, escape letters, digits, whitespace, control
 /// bytes and multi-byte text: what a parser must get through.
@@ -171,6 +175,36 @@ impl Strategy for Values {
     }
 }
 
+/// A generator size: small enough to build, or any `u64`, log-uniform so
+/// that every magnitude up to the allocation-sized ones turns up.
+fn any_size() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..64,
+        (1u32..=64, 0u64..=u64::MAX).prop_map(|(bits, r)| r >> (64 - bits)),
+    ]
+}
+
+/// A `problem` payload with a `random` block of kind `kind` (0..4), taking
+/// its sizes from `sizes` in order.
+fn random_problem(kind: usize, sizes: &[u64], seed: u64, density: f64) -> Json {
+    let (name, keys): (&str, &[&str]) = match kind {
+        0 => ("qubo", &["n"]),
+        1 => ("max-cut", &["n", "m"]),
+        2 => ("coloring", &["nodes", "edges", "colors"]),
+        _ => ("ldpc", &["n", "wc", "wr", "flips"]),
+    };
+    let mut block: Vec<(&str, Json)> = keys
+        .iter()
+        .zip(sizes)
+        .map(|(&k, &v)| (k, v.into()))
+        .collect();
+    block.push(("seed", seed.into()));
+    if name == "qubo" {
+        block.push(("density", density.into()));
+    }
+    Json::obj([("kind", name.into()), ("random", Json::obj(block))])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -193,6 +227,28 @@ proptest! {
         prop_assert!(!text.contains('\n'), "one line: {text}");
         let parsed = Json::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
         prop_assert_eq!(parsed.to_string(), text);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn random_problem_blocks_compile_or_get_a_typed_error(
+        kind in 0usize..4,
+        sizes in proptest::collection::vec(any_size(), 4),
+        seed in 0u64..1 << 53,
+        density in 0.0f64..=1.0,
+    ) {
+        let config = ServeConfig::default();
+        let limits = ParseLimits::new(config.max_instance_nodes, config.max_instance_edges);
+        let text = random_problem(kind, &sizes, seed, density).to_string();
+        if let Err(e) = compile_problem(&Json::parse(&text).unwrap(), &limits) {
+            prop_assert!(
+                matches!(e, ServeError::Protocol { .. } | ServeError::Graph(_)),
+                "{text}: untyped error {e}"
+            );
+        }
     }
 }
 

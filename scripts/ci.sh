@@ -99,6 +99,17 @@ if grep -rn "TcpStream::connect" crates/serve/src/router/; then
     exit 1
 fi
 
+# Connection front-end gate: the daemon and the router run one front end
+# (crates/serve/src/conn.rs) whose accept blocks until a connection or the
+# shutdown wake-up arrives, so no listener is polled; and a thread that
+# cannot be spawned is a typed start error, a refused connection or a
+# failed job, never a panic.
+echo "==> grep gate: no set_nonblocking(true) or .expect(\"spawn under crates/serve/src/"
+if grep -rn 'set_nonblocking(true)\|\.expect("spawn' crates/serve/src/; then
+    echo "serving code must block in accept (woken at shutdown) and handle thread-spawn errors, never poll a listener or panic on spawn" >&2
+    exit 1
+fi
+
 if [[ "$quick" -eq 0 ]]; then
     run cargo test -q --workspace
     # Fault-aware runtime: injection/recovery behavior and the

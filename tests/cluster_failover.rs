@@ -5,15 +5,17 @@
 //! serving when every replica is down, and deadline'd jobs bypassing the
 //! cache — their reports are wall-clock-dependent), duplicate in-flight
 //! job ids, hedged requests, and router/direct byte-identity for streamed
-//! jobs.
+//! jobs. Also: the router's counters settled before each result, its
+//! connection cap, and a prompt shutdown on an unspecified bind address.
 
+use std::net::SocketAddr;
 use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sophie_serve::router::cache::{job_key, placement_hash};
 use sophie_serve::{
-    Client, GraphSpec, HealthPolicy, Json, LocalCluster, RetryPolicy, RouterConfig, ServeConfig,
-    SubmitArgs,
+    Client, ClientError, GraphSpec, HealthPolicy, Json, LocalCluster, RetryPolicy, Router,
+    RouterConfig, ServeConfig, Server, SubmitArgs,
 };
 
 /// Serializes the tests in this file. Each spins up a full cluster and
@@ -320,7 +322,93 @@ fn duplicate_in_flight_id_is_rejected_and_the_first_job_stays_cancellable() {
     let outcome = client.wait_result("dup").expect("result");
     assert_eq!(outcome.status, "cancelled");
 
+    // Once a result is out, the id is free again and the router's
+    // counters have settled: the job left its connection's map and gave
+    // back its in-flight slot before the frame was written.
+    let mut watcher = connect(cluster.router_addr());
+    let mut quick = SubmitArgs::new("sa", GraphSpec::Named("K4".into()));
+    quick.config_json = Some(r#"{"sweeps": 2}"#.into());
+    for i in 0..200 {
+        let admission = client.submit("dup", &quick).expect("reuse");
+        assert_eq!(admission.frame_type(), Some("accepted"), "job {i}");
+        let outcome = client.wait_result("dup").expect("result");
+        assert_eq!(outcome.status, "done", "job {i}");
+        let stats = watcher.stats().expect("stats");
+        assert_eq!(counter(&stats, "in_flight"), 0, "job {i}: {stats}");
+        assert_eq!(
+            counter(&stats, "submitted"),
+            counter(&stats, "done") + counter(&stats, "cancelled") + counter(&stats, "failed"),
+            "job {i}: {stats}"
+        );
+    }
+
     cluster.shutdown();
+}
+
+#[test]
+fn router_refuses_a_third_connection_past_a_cap_of_two() {
+    let _serial = serial();
+    let config = RouterConfig {
+        max_connections: 2,
+        ..router_config(0)
+    };
+    let cluster = LocalCluster::start(1, serve_config(1), config).expect("cluster");
+    let addr = cluster.router_addr();
+    let first = connect(addr);
+    let mut second = connect(addr);
+    match Client::connect(addr) {
+        Err(ClientError::Rejected { reason }) => assert_eq!(reason, "too_many_connections"),
+        other => panic!("third connection: {:?}", other.map(|_| "accepted")),
+    }
+    second.ping().expect("ping");
+
+    // Once one of the two closes, its slot is free again. The router
+    // notices the close asynchronously, so a refusal may come first.
+    drop(first);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut third = loop {
+        match Client::connect(addr) {
+            Ok(client) => break client,
+            Err(ClientError::Rejected { .. }) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => panic!("no slot freed: {e}"),
+        }
+    };
+    third.ping().expect("ping");
+    cluster.shutdown();
+}
+
+#[test]
+fn router_and_cluster_on_an_unspecified_address_shut_down_within_a_second() {
+    let _serial = serial();
+    let loopback = |addr: SocketAddr| SocketAddr::from(([127, 0, 0, 1], addr.port()));
+    let replica =
+        Server::start(serve_config(1), sophie::default_registry(), "127.0.0.1:0").expect("replica");
+    let router =
+        Router::start(router_config(0), &[replica.local_addr()], "0.0.0.0:0").expect("router");
+    connect(loopback(router.local_addr())).ping().expect("ping");
+    let start = Instant::now();
+    router.shutdown();
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "router shutdown took {took:?}"
+    );
+    replica.shutdown();
+
+    let cluster =
+        LocalCluster::start_at(1, serve_config(1), router_config(0), "0.0.0.0:0").expect("cluster");
+    connect(loopback(cluster.router_addr()))
+        .ping()
+        .expect("ping");
+    let start = Instant::now();
+    cluster.shutdown();
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "cluster shutdown took {took:?}"
+    );
 }
 
 #[test]
