@@ -261,13 +261,14 @@ fn main() -> ExitCode {
     }
 
     if command == "tune" {
-        // Host kernel autotuning record: measures every variant at the
-        // acceptance tile sizes and upserts the `kernel_tune` block of
-        // BENCH_sophie.json (next to the repo, or in --out DIR).
+        // Host kernel timing record: times every variant on distinct 0/1
+        // inputs at the acceptance tile sizes, next to each size's fixed
+        // plan, and upserts the `kernel_tune` block of BENCH_sophie.json
+        // (next to the repo, or in --out DIR).
         let path = out_dir
             .map(|d| d.join("BENCH_sophie.json"))
             .unwrap_or_else(|| PathBuf::from("BENCH_sophie.json"));
-        eprintln!("\n### running kernel autotune ###");
+        eprintln!("\n### timing the tile kernels ###");
         let start = std::time::Instant::now();
         let outcome = sophie_bench::tune::run_tune();
         sophie_bench::tune::print_report(&outcome);

@@ -79,7 +79,7 @@ pub struct SophieConfig {
     /// Density-crossover threshold θ for [`ComputeMode::Auto`]: an MVM takes
     /// the incremental sparse path while the estimated touched CSR work is
     /// below `θ × tile_size²` scalar multiply-accumulates, dense otherwise.
-    /// `None` → calibrated automatically from a one-time kernel timing probe.
+    /// `None` → the fixed default, [`crate::sparse::DEFAULT_CROSSOVER`].
     pub sparse_crossover: Option<f64>,
 }
 
@@ -220,7 +220,7 @@ mod tests {
     }
 
     #[test]
-    fn default_compute_is_auto_with_calibrated_crossover() {
+    fn default_compute_is_auto_with_the_default_crossover() {
         let c = SophieConfig::default();
         assert_eq!(c.compute, ComputeMode::Auto);
         assert!(c.sparse_crossover.is_none());

@@ -10,11 +10,13 @@
 //! executor. The stage modules themselves never call unit methods
 //! (enforced by a CI grep gate).
 
+use sophie_linalg::KernelPlan;
+
 use super::state::{MachineState, PairState};
 use super::SophieSolver;
 use crate::backend::{FaultReport, MvmBackend, MvmUnit};
 use crate::queue::{
-    CommandKind, CommandQueue, Completion, DeviceQueue, ExecCtx, Lane, MvmDir, Src, TimelineSink,
+    CommandKind, CommandQueue, Completion, ExecCtx, Lane, MvmDir, Src, TimelineSink,
 };
 
 /// What a round's flush produced beyond machine-state mutation: the
@@ -42,12 +44,13 @@ impl RoundArtifacts {
     }
 }
 
-/// Builds the flush context from the solver's frozen tables and the
-/// machine's shared vectors.
+/// Builds the flush context from the solver's frozen tables, the
+/// machine's shared vectors and the kernel plan resolved at run start.
 fn exec_ctx<'a>(
     solver: &'a SophieSolver,
     global: &'a [f32],
     offsets: &'a [f32],
+    plan: KernelPlan,
     seed: u64,
     probe_seed: u64,
 ) -> ExecCtx<'a> {
@@ -62,7 +65,7 @@ fn exec_ctx<'a>(
         seed,
         probe_seed,
         phi: solver.config.phi as f32,
-        plan: sophie_linalg::KernelPlan::resolve(solver.grid.tile()),
+        plan,
     }
 }
 
@@ -104,9 +107,10 @@ pub(super) fn flush_all<U: MvmUnit>(
         offsets,
         pool,
         queue,
+        plan,
         ..
     } = ms;
-    let ctx = exec_ctx(solver, global, offsets, seed, probe_seed);
+    let ctx = exec_ctx(solver, global, offsets, *plan, seed, probe_seed);
     let completions = {
         let mut lanes: Vec<Lane<'_, U>> = states
             .iter_mut()
@@ -139,9 +143,10 @@ pub(super) fn flush_all_serial<B: MvmBackend>(
         offsets,
         pool,
         queue,
+        plan,
         ..
     } = ms;
-    let ctx = exec_ctx(solver, global, offsets, seed, probe_seed);
+    let ctx = exec_ctx(solver, global, offsets, *plan, seed, probe_seed);
     let completions = {
         let mut lanes: Vec<Lane<'_, B::Unit>> = states
             .iter_mut()
@@ -173,9 +178,10 @@ pub(super) fn flush_unit_serial<B: MvmBackend>(
         offsets,
         pool,
         queue,
+        plan,
         ..
     } = ms;
-    let ctx = exec_ctx(solver, global, offsets, seed, probe_seed);
+    let ctx = exec_ctx(solver, global, offsets, *plan, seed, probe_seed);
     let st = &mut states[pair];
     let completions = {
         let mut lanes = [Lane {

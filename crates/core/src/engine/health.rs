@@ -29,7 +29,7 @@ use super::state::MachineState;
 use super::{sync, SophieSolver};
 use crate::backend::MvmBackend;
 use crate::health::{HealthConfig, RecoveryPolicy};
-use crate::queue::{CommandKind, DeviceQueue, TimelineSink};
+use crate::queue::{CommandKind, TimelineSink};
 
 /// Per-run health-monitor state: the configuration and the spare-array
 /// budget consumed so far.

@@ -73,7 +73,7 @@ use crate::backend::MvmBackend;
 use crate::config::SophieConfig;
 use crate::error::{Result, SophieError};
 use crate::health::HealthConfig;
-use crate::queue::{DeviceQueue, TimelineSink};
+use crate::queue::TimelineSink;
 use crate::schedule::Schedule;
 
 /// The SOPHIE solver: a tiled transformation matrix plus everything needed

@@ -8,12 +8,13 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use sophie_linalg::KernelPlan;
 
 use super::dispatch::{self, RoundArtifacts};
 use super::state::{MachineState, PairState};
 use super::{sync, SophieSolver};
 use crate::backend::MvmBackend;
-use crate::queue::{BufferPool, CommandKind, CommandQueue, DeviceQueue, TimelineSink};
+use crate::queue::{BufferPool, CommandKind, CommandQueue, TimelineSink};
 
 /// Builds the programmed machine for one run.
 ///
@@ -74,6 +75,7 @@ pub(super) fn program<B: MvmBackend>(
         ops: sophie_solve::OpCounts::new(),
         pool,
         queue,
+        plan: KernelPlan::resolve(t),
     };
 
     // Program every tile (serial flush: the OPCM write order is part of

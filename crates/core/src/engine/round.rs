@@ -13,7 +13,7 @@
 use sophie_linalg::TilePair;
 
 use super::state::PairState;
-use crate::queue::{CommandKind, CommandQueue, DeviceQueue, MvmDir, Src, ThresholdSpec};
+use crate::queue::{CommandKind, CommandQueue, MvmDir, Src, ThresholdSpec};
 
 /// Submits one selected pair's full round chain: the local iterations
 /// (each MVM carrying its threshold epilogue; the last in 8-bit capture

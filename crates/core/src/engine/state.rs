@@ -10,7 +10,7 @@
 //! it; device work flows exclusively through the queue (see
 //! [`super::dispatch`]).
 
-use sophie_linalg::TilePair;
+use sophie_linalg::{KernelPlan, TilePair};
 use sophie_solve::OpCounts;
 
 use crate::queue::{BufferHandle, BufferPool, CommandQueue};
@@ -38,6 +38,9 @@ pub(super) struct MachineState<U> {
     pub pool: BufferPool,
     /// The device command queue all stages submit to.
     pub queue: CommandQueue,
+    /// Kernel plan of the run's reference computations (probe
+    /// expectations), resolved once when the run starts.
+    pub plan: KernelPlan,
 }
 
 impl<U> MachineState<U> {

@@ -1,5 +1,5 @@
-//! Typed device commands, completion records, and the [`DeviceQueue`]
-//! contract.
+//! Typed device commands, completion records, and the [`CommandQueue`]
+//! that executes them.
 //!
 //! The engine never calls [`MvmUnit`](crate::backend::MvmUnit) methods
 //! directly (enforced by a CI grep gate over the stage modules); it
@@ -165,79 +165,21 @@ pub struct Lane<'a, U> {
     pub unit: &'a mut U,
 }
 
-/// Asynchronous command-queue contract: submission accumulates typed
-/// commands; flush executes everything pending against a set of unit
-/// lanes and returns the completions sorted by [`CmdKey`].
+/// The engine's asynchronous device command queue: submission accumulates
+/// typed commands; flush executes everything pending against a set of
+/// unit lanes and returns the completions sorted by [`CmdKey`].
 ///
 /// Determinism rules:
 ///
 /// * commands execute in submission order per unit, each unit's chain on
 ///   one worker (a unit is never touched by two threads in one flush);
-/// * a parallel [`DeviceQueue::flush`] may interleave units arbitrarily
+/// * a parallel [`CommandQueue::flush`] may interleave units arbitrarily
 ///   in time, but returned completions are sorted by `(round, wave,
 ///   unit)`, so the observable stream is schedule-independent;
-/// * [`DeviceQueue::flush_serial`] executes lanes in ascending unit order
+/// * [`CommandQueue::flush_serial`] executes lanes in ascending unit order
 ///   on the calling thread — required for `Remap` (which draws spare
 ///   units from the backend) and for setup programming, where backends
 ///   may hand out unit identity from shared counters.
-pub trait DeviceQueue {
-    /// Enqueues a command for `unit`, assigning its wave ordinal; returns
-    /// the completion-ordering key.
-    fn submit(&mut self, unit: usize, starts_round: bool, kind: CommandKind) -> CmdKey;
-
-    /// Number of commands pending execution.
-    fn pending(&self) -> usize;
-
-    /// Starts a new round: subsequent submissions are keyed to `round`
-    /// with wave ordinals restarting at 0.
-    fn begin_round(&mut self, round: u64);
-
-    /// Executes every pending command, fanning independent unit chains
-    /// across the worker pool. Buffers named by the commands are checked
-    /// out of `pool` for the flush and restored afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pending command targets a unit with no lane, or
-    /// contains a `Remap` (serial-only).
-    fn flush<U: MvmUnit>(
-        &mut self,
-        lanes: &mut [Lane<'_, U>],
-        pool: &mut BufferPool,
-        ctx: &ExecCtx<'_>,
-    ) -> Vec<Completion>;
-
-    /// Executes every pending command serially, in ascending unit order,
-    /// on the calling thread. Supports the full command vocabulary
-    /// including `Remap` (spare units drawn from `backend`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pending command targets a unit with no lane.
-    fn flush_serial<B: MvmBackend>(
-        &mut self,
-        backend: &B,
-        lanes: &mut [Lane<'_, B::Unit>],
-        pool: &mut BufferPool,
-        ctx: &ExecCtx<'_>,
-    ) -> Vec<Completion>;
-
-    /// Flush-and-drain barrier: executes everything pending and asserts
-    /// the queue is empty afterwards.
-    fn sync<U: MvmUnit>(
-        &mut self,
-        lanes: &mut [Lane<'_, U>],
-        pool: &mut BufferPool,
-        ctx: &ExecCtx<'_>,
-    ) -> Vec<Completion> {
-        let done = self.flush(lanes, pool, ctx);
-        assert_eq!(self.pending(), 0, "sync left commands pending");
-        done
-    }
-}
-
-/// The engine's [`DeviceQueue`] implementation: a pending-command vector
-/// plus per-unit wave counters.
 #[derive(Debug)]
 pub struct CommandQueue {
     pending: Vec<Command>,
@@ -269,10 +211,10 @@ impl CommandQueue {
     pub(super) fn unit_count(&self) -> usize {
         self.waves.len()
     }
-}
 
-impl DeviceQueue for CommandQueue {
-    fn submit(&mut self, unit: usize, starts_round: bool, kind: CommandKind) -> CmdKey {
+    /// Enqueues a command for `unit`, assigning its wave ordinal; returns
+    /// the completion-ordering key.
+    pub fn submit(&mut self, unit: usize, starts_round: bool, kind: CommandKind) -> CmdKey {
         let wave = self.waves[unit];
         self.waves[unit] = wave.checked_add(1).expect("per-unit wave counter overflow");
         let cmd = Command {
@@ -287,11 +229,19 @@ impl DeviceQueue for CommandQueue {
         key
     }
 
-    fn pending(&self) -> usize {
+    /// Number of commands pending execution.
+    #[must_use]
+    pub fn pending(&self) -> usize {
         self.pending.len()
     }
 
-    fn begin_round(&mut self, round: u64) {
+    /// Starts a new round: subsequent submissions are keyed to `round`
+    /// with wave ordinals restarting at 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if commands are still pending.
+    pub fn begin_round(&mut self, round: u64) {
         assert!(
             self.pending.is_empty(),
             "begin_round with commands still pending"
@@ -300,7 +250,15 @@ impl DeviceQueue for CommandQueue {
         self.waves.fill(0);
     }
 
-    fn flush<U: MvmUnit>(
+    /// Executes every pending command, fanning independent unit chains
+    /// across the worker pool. Buffers named by the commands are checked
+    /// out of `pool` for the flush and restored afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pending command targets a unit with no lane, or
+    /// contains a `Remap` (serial-only).
+    pub fn flush<U: MvmUnit>(
         &mut self,
         lanes: &mut [Lane<'_, U>],
         pool: &mut BufferPool,
@@ -309,7 +267,14 @@ impl DeviceQueue for CommandQueue {
         super::exec::flush_parallel(self, lanes, pool, ctx)
     }
 
-    fn flush_serial<B: MvmBackend>(
+    /// Executes every pending command serially, in ascending unit order,
+    /// on the calling thread. Supports the full command vocabulary
+    /// including `Remap` (spare units drawn from `backend`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pending command targets a unit with no lane.
+    pub fn flush_serial<B: MvmBackend>(
         &mut self,
         backend: &B,
         lanes: &mut [Lane<'_, B::Unit>],

@@ -3,7 +3,7 @@
 //! The engine's stage modules drive every backend — ideal, OPCM,
 //! fault-injected, and the delta-driven sparse backend — through this one
 //! seam: they *submit* typed commands ([`CommandKind`]) against unit
-//! indices and [`BufferHandle`]s, and a [`DeviceQueue`] executes the
+//! indices and [`BufferHandle`]s, and the [`CommandQueue`] executes the
 //! pending batch at explicit flush points. This decouples round
 //! scheduling from device latency (probe traffic rides in the same flush
 //! as solve MVMs instead of serializing after it) and gives every
@@ -29,8 +29,7 @@ mod timeline;
 
 pub use buffer::{BufferHandle, BufferPool};
 pub use command::{
-    CmdKey, Command, CommandKind, CommandQueue, Completion, DeviceQueue, Lane, MvmDir, Src,
-    ThresholdSpec,
+    CmdKey, Command, CommandKind, CommandQueue, Completion, Lane, MvmDir, Src, ThresholdSpec,
 };
 pub use exec::ExecCtx;
 pub use timeline::{NullTimeline, TimelineSink};

@@ -31,11 +31,9 @@
 //! would force a recompute via `NaN != NaN` but are outside the contract).
 //!
 //! The crossover threshold affects *which kernel computes* a result, never
-//! the result itself, so θ (and the auto-calibration that picks it) is
-//! free to vary across hosts without perturbing science outputs.
-
-use std::sync::OnceLock;
-use std::time::Instant;
+//! the result itself. Its default, [`DEFAULT_CROSSOVER`], is a constant,
+//! so a run's kernel choices are as reproducible as its results;
+//! `SophieConfig::sparse_crossover` overrides it.
 
 use sophie_linalg::{KernelPlan, SparseCsr, Tile};
 
@@ -45,6 +43,16 @@ use crate::config::{ComputeMode, SophieConfig};
 #[cfg(doc)]
 use crate::backend::IdealBackend;
 
+/// The crossover threshold θ of [`SparseBackend::auto`], which
+/// [`ComputeMode::Auto`] uses unless `sparse_crossover` names one.
+///
+/// On a 2-vCPU x86-64 host, 20 fresh processes of the earlier per-process
+/// timing probe drew θ in 0.154–0.176 (12 of them) or 0.209–0.281 (8),
+/// and a default-config K512 solve ran faster at θ = 0.16 than at
+/// θ = 0.25 in 4 of 4 alternating runs. 0.16 is also the θ the
+/// benchmark's K512 requests name.
+pub const DEFAULT_CROSSOVER: f64 = 0.16;
+
 /// Sparse incremental MVM backend; see the [module docs](self) for the
 /// strategy and the bit-compatibility contract.
 #[derive(Debug, Clone, Copy)]
@@ -53,13 +61,12 @@ pub struct SparseBackend {
 }
 
 impl SparseBackend {
-    /// Backend with an auto-calibrated crossover threshold (a one-time,
-    /// process-wide timing probe of the dense and sparse kernels; see
-    /// [`calibrated_crossover`]).
+    /// Backend with the default crossover threshold,
+    /// [`DEFAULT_CROSSOVER`].
     #[must_use]
     pub fn auto() -> Self {
         SparseBackend {
-            crossover: calibrated_crossover(),
+            crossover: DEFAULT_CROSSOVER,
         }
     }
 
@@ -91,7 +98,7 @@ impl SparseBackend {
 
     /// Backend matching a configuration's `compute` / `sparse_crossover`
     /// knobs. [`ComputeMode::Sparse`] pins θ = ∞; otherwise an explicit
-    /// `sparse_crossover` wins over auto-calibration.
+    /// `sparse_crossover` wins over [`DEFAULT_CROSSOVER`].
     /// ([`ComputeMode::Dense`] is dispatched to the dense backend *before*
     /// this is called; passing such a config here yields the same backend
     /// as [`ComputeMode::Auto`].)
@@ -317,68 +324,6 @@ impl MvmUnit for SparseUnit {
     }
 }
 
-/// Auto-calibrated density-crossover threshold θ for this host.
-///
-/// Measured once per process (and cached): times a fully dense size-64
-/// dense-kernel MVM against the equivalent CSR multiply and returns the
-/// per-MAC throughput ratio `c_dense / c_sparse` — the touched-work
-/// fraction at which the incremental path stops paying. Clamped to
-/// `[0.05, 1.0]`; degenerate measurements (non-finite or non-positive
-/// timings on very fast hosts) fall back to `0.5`.
-#[must_use]
-pub fn calibrated_crossover() -> f64 {
-    static THETA: OnceLock<f64> = OnceLock::new();
-    *THETA.get_or_init(measure_crossover)
-}
-
-fn time_probe(mut kernel: impl FnMut(&[f32], &mut [f32]), x: &[f32], y: &mut [f32]) -> f64 {
-    const WARMUP: usize = 16;
-    const REPS: usize = 64;
-    for _ in 0..WARMUP {
-        kernel(std::hint::black_box(x), y);
-        std::hint::black_box(&y);
-    }
-    let start = Instant::now();
-    for _ in 0..REPS {
-        kernel(std::hint::black_box(x), y);
-        std::hint::black_box(&y);
-    }
-    start.elapsed().as_secs_f64() / REPS as f64
-}
-
-fn measure_crossover() -> f64 {
-    const SIZE: usize = 64;
-    // Deterministic pseudo-random dense operand (LCG), so the probe does
-    // not depend on any process-global RNG state.
-    let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut next = move || -> f32 {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        ((state >> 40) as f32) / ((1u64 << 24) as f32) - 0.5
-    };
-    let data: Vec<f32> = (0..SIZE * SIZE).map(|_| next()).collect();
-    let tile = Tile::from_vec(SIZE, data).expect("probe tile");
-    let csr = SparseCsr::from_tile(&tile).expect("probe csr");
-    let x: Vec<f32> = (0..SIZE).map(|_| next()).collect();
-    let mut y = vec![0.0_f32; SIZE];
-
-    // Probe the same plan the runtime units will use, so θ reflects the
-    // actual (autotuned) dense-kernel throughput on this host.
-    let plan = KernelPlan::for_size(SIZE);
-    let dense_t = time_probe(|x, y| plan.forward(&tile, x, y), &x, &mut y);
-    let sparse_t = time_probe(|x, y| csr.matvec(x, y), &x, &mut y);
-
-    let c_dense = dense_t / (SIZE * SIZE) as f64;
-    let c_sparse = sparse_t / csr.nnz() as f64;
-    let theta = c_dense / c_sparse;
-    if theta.is_finite() && theta > 0.0 {
-        theta.clamp(0.05, 1.0)
-    } else {
-        0.5
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,10 +501,11 @@ mod tests {
     }
 
     #[test]
-    fn calibration_is_clamped_and_cached() {
-        let a = calibrated_crossover();
-        assert!((0.05..=1.0).contains(&a));
-        assert_eq!(a.to_bits(), calibrated_crossover().to_bits());
+    fn auto_uses_the_fixed_default_crossover() {
+        assert_eq!(
+            SparseBackend::auto().crossover().to_bits(),
+            DEFAULT_CROSSOVER.to_bits()
+        );
     }
 
     #[test]
@@ -579,6 +525,6 @@ mod tests {
         };
         assert_eq!(SparseBackend::from_config(&auto_override).crossover(), 0.2);
         let auto = SparseBackend::from_config(&SophieConfig::default());
-        assert!((0.05..=1.0).contains(&auto.crossover()));
+        assert_eq!(auto.crossover(), DEFAULT_CROSSOVER);
     }
 }

@@ -132,8 +132,8 @@ pub fn batch_time(
 /// Modeled latency of one device tile MVM, in nanoseconds.
 ///
 /// A 1-bit read resolves in one cycle; an 8-bit read pays the bit-serial
-/// SAR conversion (`adc_cycles` per sample, §III-C). The host kernel
-/// autotuner records this next to its measured host-side kernel timings
+/// SAR conversion (`adc_cycles` per sample, §III-C). `repro tune`
+/// records this next to its measured host-side kernel timings
 /// (the `kernel_tune` block of `BENCH_sophie.json`) so simulation
 /// throughput can be put in context against the device it emulates.
 #[must_use]

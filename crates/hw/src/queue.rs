@@ -14,7 +14,7 @@
 
 pub use sophie_core::queue::{
     noise_rng, noise_stream_seed, vec_at, BufferHandle, BufferPool, CmdKey, Command, CommandKind,
-    CommandQueue, Completion, DeviceQueue, ExecCtx, Lane, MvmDir, NullTimeline, Src, ThresholdSpec,
+    CommandQueue, Completion, ExecCtx, Lane, MvmDir, NullTimeline, Src, ThresholdSpec,
     TimelineSink,
 };
 use sophie_solve::OpCounts;

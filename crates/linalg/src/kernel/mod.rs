@@ -9,12 +9,11 @@
 //!   `vector`, `tile`, and `sparse` all delegate to;
 //! * [`blocked`] — the cache-blocked, explicitly unrolled
 //!   register-blocking sweep (`L` output lanes × `U`-way k-unroll);
-//! * [`tune`] — a startup autotuner that micro-benchmarks the candidate
-//!   variants per tile size once per process; `SOPHIE_KERNEL` overrides
-//!   it for determinism tests;
 //! * [`KernelPlan`] — the dispatch layer: everything above `sophie-linalg`
 //!   (the engine's queue executor, the ideal/sparse backends) calls tile
-//!   kernels only through a plan.
+//!   kernels only through a plan. [`KernelPlan::for_size`] is a fixed
+//!   rule of the tile size ([`B32U2_MAX_TILE`]); nothing here times
+//!   itself, and `SOPHIE_KERNEL` pins a variant for determinism tests.
 //!
 //! # Bit-identity contract
 //!
@@ -34,7 +33,6 @@
 
 pub mod blocked;
 pub mod scalar;
-pub mod tune;
 
 use crate::tile::Tile;
 
@@ -60,11 +58,6 @@ impl KernelVariant {
         KernelVariant::B32U2,
     ];
 
-    /// The variants the autotuner chooses between, per direction: `axpy`
-    /// wins at large tiles, `b32u2` at small ones, and the two split in
-    /// between. `scalar` is the reference and the baseline, never a pick.
-    pub const TUNED: [KernelVariant; 2] = [KernelVariant::Axpy, KernelVariant::B32U2];
-
     /// Canonical lowercase name (`"scalar"`, `"axpy"`, `"b32u2"`).
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -82,16 +75,30 @@ impl KernelVariant {
     }
 }
 
-/// A resolved kernel selection for one tile size on this host: which
-/// variant runs each direction. This is the only type through which
-/// engine and backend code reach the tile kernels (CI grep-gates direct
-/// `Tile::mvm` calls).
+/// Largest tile edge length whose plan is [`KernelVariant::B32U2`];
+/// larger tiles run [`KernelVariant::Axpy`].
+///
+/// The engine's tile inputs are thresholded spins, `1.0` or `0.0`, so
+/// `axpy` skips about half of its k-steps, while `b32u2` pays for every
+/// k-step and wins on register blocking at small tiles. Timed with
+/// `repro tune`'s harness on 1,024 distinct random 0/1 inputs per size,
+/// the variants taking turns (x86-64, 2 vCPUs, 6 processes per size),
+/// `b32u2` over `axpy` took 0.78–1.06× the time at 128, 0.74–1.08× at
+/// 160, 0.83–1.10× at 192, 1.01–1.16× at 224 and 1.04–1.24× at 256.
+/// Between those sizes `b32u2` runs its outputs past the last full block
+/// of 32 as strided scalar chains and took 1.2–2.6× the time of `axpy`
+/// (136, 144, 152, 176; 5 processes each), so the rule switches right
+/// after 128. Both directions run the same sweep over mirrored k-major
+/// buffers, so one rule serves both.
+pub const B32U2_MAX_TILE: usize = 128;
+
+/// The kernel selection for one tile size: the variant that runs both
+/// directions. This is the only type through which engine and backend
+/// code reach the tile kernels (CI grep-gates direct `Tile::mvm` calls).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KernelPlan {
-    /// Variant executing `y = T·x`.
-    pub forward: KernelVariant,
-    /// Variant executing `y = Tᵀ·x`.
-    pub transposed: KernelVariant,
+    /// Variant executing `y = T·x` and `y = Tᵀ·x`.
+    pub variant: KernelVariant,
 }
 
 /// A direction resolved to the generic sweep layout: both directions are
@@ -152,24 +159,26 @@ impl KernelPlan {
     /// One fixed variant for both directions.
     #[must_use]
     pub fn pinned(variant: KernelVariant) -> Self {
-        KernelPlan {
-            forward: variant,
-            transposed: variant,
-        }
+        KernelPlan { variant }
     }
 
-    /// The autotuned plan for tiles of edge length `t` on this host
-    /// (measures once per process per size; see [`tune`]).
+    /// The plan for tiles of edge length `t`: [`KernelVariant::B32U2`]
+    /// up to [`B32U2_MAX_TILE`], [`KernelVariant::Axpy`] above. A pure
+    /// function of `t`, the same on every host and in every process.
     #[must_use]
     pub fn for_size(t: usize) -> Self {
-        tune::tuned_plan(t)
+        KernelPlan::pinned(if t <= B32U2_MAX_TILE {
+            KernelVariant::B32U2
+        } else {
+            KernelVariant::Axpy
+        })
     }
 
     /// The plan a run uses for tiles of edge length `t`: a variant named
-    /// by the `SOPHIE_KERNEL` environment variable pinned for both
-    /// directions, else the tuned plan (`"auto"`, unset, and unknown
-    /// names alike). Read at run / unit-creation time, so determinism
-    /// tests can flip kernels between runs without rebuilding anything.
+    /// by the `SOPHIE_KERNEL` environment variable, else [`Self::for_size`]
+    /// (`"auto"`, unset, and unknown names alike). Read once when a run
+    /// or unit starts, so determinism tests can flip kernels between runs
+    /// without rebuilding anything.
     #[must_use]
     pub fn resolve(t: usize) -> Self {
         std::env::var("SOPHIE_KERNEL")
@@ -178,28 +187,30 @@ impl KernelPlan {
             .map_or_else(|| Self::for_size(t), Self::pinned)
     }
 
-    /// `y = T·x` through the plan's forward variant.
+    /// `y = T·x` through the plan's variant.
     ///
     /// # Panics
     ///
     /// Panics on length mismatch.
     pub fn forward(&self, tile: &Tile, x: &[f32], y: &mut [f32]) {
-        run_sweep(self.forward, &Sweep::forward(tile), x, y);
+        run_sweep(self.variant, &Sweep::forward(tile), x, y);
     }
 
-    /// `y = Tᵀ·x` through the plan's transposed variant.
+    /// `y = Tᵀ·x` through the plan's variant.
     ///
     /// # Panics
     ///
     /// Panics on length mismatch.
     pub fn transposed(&self, tile: &Tile, x: &[f32], y: &mut [f32]) {
-        run_sweep(self.transposed, &Sweep::transposed(tile), x, y);
+        run_sweep(self.variant, &Sweep::transposed(tile), x, y);
     }
 
-    /// Human-readable plan description, e.g. `"fwd=b32u2 trn=axpy"`.
+    /// Human-readable plan description, per direction as the benchmark
+    /// notes and `repro tune` record it, e.g. `"fwd=b32u2 trn=b32u2"`.
     #[must_use]
     pub fn describe(&self) -> String {
-        format!("fwd={} trn={}", self.forward.name(), self.transposed.name())
+        let name = self.variant.name();
+        format!("fwd={name} trn={name}")
     }
 }
 
@@ -302,6 +313,30 @@ mod tests {
     #[test]
     fn describe_is_readable() {
         assert_eq!(KernelPlan::scalar().describe(), "fwd=scalar trn=scalar");
+    }
+
+    /// The plan is a fixed rule of the tile size: `b32u2` at the engine's
+    /// default tile, `axpy` at 500, one variant for both directions.
+    #[test]
+    fn plan_is_a_fixed_rule_of_the_tile_size() {
+        assert_eq!(
+            KernelPlan::for_size(64),
+            KernelPlan::pinned(KernelVariant::B32U2)
+        );
+        assert_eq!(
+            KernelPlan::for_size(500),
+            KernelPlan::pinned(KernelVariant::Axpy)
+        );
+        assert_eq!(KernelPlan::for_size(64).describe(), "fwd=b32u2 trn=b32u2");
+        assert_eq!(KernelPlan::for_size(500).describe(), "fwd=axpy trn=axpy");
+        assert_eq!(
+            KernelPlan::for_size(B32U2_MAX_TILE).variant,
+            KernelVariant::B32U2
+        );
+        assert_eq!(
+            KernelPlan::for_size(B32U2_MAX_TILE + 1).variant,
+            KernelVariant::Axpy
+        );
     }
 
     proptest! {

@@ -18,9 +18,9 @@
 //!   engine's delta-driven sparse compute strategy;
 //! * [`kernel`] — the tile-MVM kernel component stack: a scalar reference
 //!   kernel, an `axpy` sweep and a cache-blocked register-blocking
-//!   variant, a per-process autotuner, and the [`KernelPlan`] dispatch
-//!   layer everything above this crate calls through — every variant
-//!   bit-identical to the reference;
+//!   variant, and the [`KernelPlan`] dispatch layer everything above this
+//!   crate calls through, whose plan is a fixed rule of the tile size —
+//!   every variant bit-identical to the reference;
 //! * [`vector`] / [`par`] — slice kernels and the persistent-worker-pool
 //!   parallel helpers shared by the simulators.
 //!

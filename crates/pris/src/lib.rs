@@ -13,7 +13,8 @@
 //! 1. [`dropout`] — eigenvalue dropout `C = U·Sq_α(D)·Uᵀ` (Eq. 2–4), and
 //!    the [`TransformCache`] that solvers share across jobs;
 //! 2. [`sampler`] — the recurrence `X = C·S + η`, `S' = [X ≥ θ]` (Eq. 5–7);
-//! 3. [`runner`] — end-to-end max-cut runs with [`convergence`] tracking.
+//! 3. [`runner`] — end-to-end max-cut runs with best-cut and
+//!    time-to-target tracking (`sophie_solve::SolutionTracker`).
 //!
 //! # Example
 //!
@@ -37,7 +38,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod convergence;
 pub mod dropout;
 mod error;
 pub mod noise;
@@ -46,7 +46,6 @@ pub mod sampler;
 mod solver;
 pub mod tuning;
 
-pub use convergence::CutTracker;
 pub use dropout::{CacheStats, DeltaVariant, Preprocessor, TransformCache};
 pub use error::{PrisError, Result};
 pub use runner::{RunConfig, RunOutcome};

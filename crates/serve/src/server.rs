@@ -699,4 +699,65 @@ mod tests {
         assert!(Arc::ptr_eq(&again, &last.unwrap()), "K200 was regenerated");
         handle.shutdown();
     }
+
+    /// After `shutdown` returns, no thread of the daemon holds its shared
+    /// state: plain, streamed and named-graph jobs have run, one job was
+    /// still running and two clients were still connected.
+    #[test]
+    fn shutdown_releases_the_shared_state() {
+        let handle = Server::start(
+            ServeConfig::default(),
+            sophie::default_registry(),
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let addr = handle.local_addr();
+        let mut alice = Client::connect(addr).unwrap();
+        let mut bob = Client::connect(addr).unwrap();
+
+        let mut plain = SubmitArgs::new("sa", GraphSpec::Inline("3 2\n1 2 1\n2 3 1\n".into()));
+        plain.config_json = Some(r#"{"sweeps": 20}"#.into());
+        let mut streamed = SubmitArgs::new("sophie", GraphSpec::Named("K20".into()));
+        streamed.stream = true;
+        streamed.config_json =
+            Some(r#"{"global_iters": 2, "tile_size": 10, "local_iters": 2}"#.into());
+        let mut named = SubmitArgs::new("sa", GraphSpec::Named("K30".into()));
+        named.config_json = Some(r#"{"sweeps": 20}"#.into());
+        for (id, job) in [
+            ("plain", &plain),
+            ("streamed", &streamed),
+            ("named", &named),
+        ] {
+            assert_eq!(
+                alice.submit(id, job).unwrap().frame_type(),
+                Some("accepted")
+            );
+            let outcome = alice.wait_result(id).unwrap();
+            assert_eq!(outcome.status, "done", "{id}");
+            assert_eq!(outcome.events.is_empty(), id != "streamed", "{id}");
+        }
+
+        // A job far too long to finish, left running; the deadline is a
+        // backstop so a cancellation bug cannot hang the test.
+        let mut long_job = SubmitArgs::new("sa", GraphSpec::Named("K60".into()));
+        long_job.config_json = Some(r#"{"sweeps": 100000000}"#.into());
+        long_job.deadline_ms = Some(30_000);
+        assert_eq!(
+            bob.submit("long", &long_job).unwrap().frame_type(),
+            Some("accepted")
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handle.shared.metrics.in_flight.load(Ordering::Acquire) == 0 {
+            assert!(Instant::now() < deadline, "the long job never started");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+
+        let shared = Arc::downgrade(&handle.shared);
+        handle.shutdown();
+        assert!(
+            shared.upgrade().is_none(),
+            "a thread of the stopped daemon still holds its shared state"
+        );
+        drop((alice, bob));
+    }
 }

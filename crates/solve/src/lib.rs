@@ -9,8 +9,8 @@
 //! * [`OpCounts`] — the operation tally that feeds the power/performance
 //!   models in `sophie-hw` (§IV-A: the functional simulator "counts the
 //!   total number of each type of operation");
-//! * [`CutTracker`] / [`SolutionTracker`] — streaming best-cut,
-//!   time-to-target, and trace bookkeeping (Fig. 6–8 statistics);
+//! * [`SolutionTracker`] — streaming best-cut, best-state and
+//!   time-to-target bookkeeping (Fig. 6–8 statistics);
 //! * [`observe`] — the [`SolveObserver`] trait with typed [`SolveEvent`]s
 //!   plus provided sinks ([`NullObserver`], [`TraceRecorder`],
 //!   [`EventWriter`], [`Tee`]);
@@ -74,7 +74,7 @@ pub use observe::{
 pub use opcount::OpCounts;
 pub use registry::SolverRegistry;
 pub use report::SolveReport;
-pub use scheduler::{run_batch, run_seeds, BatchJob, BatchOptions, BatchReport, SolverAggregate};
+pub use scheduler::{run_batch, run_seeds, BatchJob, BatchOptions, BatchReport};
 pub use solver::{Capabilities, Solver};
 pub use stats::StatsError;
-pub use track::{CutTracker, SolutionTracker};
+pub use track::SolutionTracker;

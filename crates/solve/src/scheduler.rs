@@ -70,27 +70,6 @@ pub struct BatchOptions {
     pub cancel_on_target: bool,
 }
 
-/// Aggregate statistics for the jobs of one solver within a batch.
-///
-/// Produced by [`BatchReport::per_solver`], always in ascending solver-name
-/// order so listings built from heterogeneous batches are deterministic
-/// regardless of submission order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SolverAggregate {
-    /// Solver identifier (the `solver` field of the jobs' reports).
-    pub solver: String,
-    /// Jobs this solver ran in the batch.
-    pub jobs: usize,
-    /// Mean best cut across this solver's jobs.
-    pub mean_cut: f64,
-    /// Best cut across this solver's jobs.
-    pub best_cut: f64,
-    /// This solver's jobs that reached their target.
-    pub converged: usize,
-    /// Operation totals summed over this solver's jobs.
-    pub ops: OpCounts,
-}
-
 /// Aggregate result of one batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
@@ -127,43 +106,6 @@ impl BatchReport {
             converged,
             ops,
         }
-    }
-
-    /// Fraction of jobs that reached their target.
-    #[must_use]
-    pub fn convergence_rate(&self) -> f64 {
-        self.converged as f64 / self.reports.len().max(1) as f64
-    }
-
-    /// Per-solver aggregates over a (possibly heterogeneous) batch, sorted
-    /// by solver name — never by submission or completion order, so CLI
-    /// and service output built from them is deterministic.
-    #[must_use]
-    pub fn per_solver(&self) -> Vec<SolverAggregate> {
-        let mut by_name: std::collections::BTreeMap<&str, Vec<&SolveReport>> =
-            std::collections::BTreeMap::new();
-        for r in &self.reports {
-            by_name.entry(r.solver.as_str()).or_default().push(r);
-        }
-        by_name
-            .into_iter()
-            .map(|(solver, reports)| SolverAggregate {
-                solver: solver.to_string(),
-                jobs: reports.len(),
-                mean_cut: stats::mean(reports.iter().map(|r| r.best_cut)),
-                best_cut: reports
-                    .iter()
-                    .map(|r| r.best_cut)
-                    .fold(f64::NEG_INFINITY, f64::max),
-                converged: reports
-                    .iter()
-                    .filter(|r| r.iterations_to_target.is_some())
-                    .count(),
-                ops: reports
-                    .iter()
-                    .fold(OpCounts::default(), |acc, r| acc.combined(&r.ops)),
-            })
-            .collect()
     }
 
     /// The `q`-quantile of iterations-to-target across the batch, with
@@ -357,45 +299,10 @@ mod tests {
         ];
         let out = run_batch(&jobs, &BatchOptions::default()).unwrap();
         assert_eq!(out.converged, 1);
-        assert_eq!(out.convergence_rate(), 0.5);
         assert_eq!(out.reports[0].iterations_to_target, Some(5));
         assert_eq!(out.reports[1].iterations_to_target, None);
         assert_eq!(out.iters_to_target_quantile(1.0, 10).unwrap(), 10);
         assert_eq!(out.iters_to_target_quantile(0.0, 10).unwrap(), 5);
-    }
-
-    #[test]
-    fn per_solver_aggregates_sort_by_name_not_submission_order() {
-        // Regression test: listings derived from heterogeneous batches must
-        // not depend on the order jobs were submitted (or completed) in.
-        let mk = |solver: &str, best_cut: f64, converged: bool| SolveReport {
-            solver: solver.to_string(),
-            best_cut,
-            iterations_to_target: converged.then_some(1),
-            ..SolveReport::default()
-        };
-        let batch = BatchReport::from_reports(vec![
-            mk("sb", 10.0, false),
-            mk("sa", 4.0, true),
-            mk("sophie", 20.0, true),
-            mk("sa", 6.0, false),
-        ]);
-        let agg = batch.per_solver();
-        let names: Vec<&str> = agg.iter().map(|a| a.solver.as_str()).collect();
-        assert_eq!(names, vec!["sa", "sb", "sophie"]);
-        assert_eq!(agg[0].jobs, 2);
-        assert_eq!(agg[0].mean_cut, 5.0);
-        assert_eq!(agg[0].best_cut, 6.0);
-        assert_eq!(agg[0].converged, 1);
-        assert_eq!(agg[2].jobs, 1);
-        // Reversed submission order produces the identical aggregate list.
-        let reversed = BatchReport::from_reports(vec![
-            mk("sa", 6.0, false),
-            mk("sophie", 20.0, true),
-            mk("sa", 4.0, true),
-            mk("sb", 10.0, false),
-        ]);
-        assert_eq!(reversed.per_solver(), agg);
     }
 
     #[test]

@@ -3,21 +3,20 @@
 //! The paper's figures report two derived quantities: the best cut found
 //! within an iteration budget (Fig. 6, 7) and the first iteration at which a
 //! run reaches a quality target such as 95 % of the best-known cut
-//! (Fig. 8, 10, and the `T_x` columns of Table II). [`CutTracker`] records
-//! both in a single pass; [`SolutionTracker`] layers best-state capture and
-//! per-observation activity on top — the one implementation behind both
-//! the SOPHIE engine's per-sync tracking and the PRIS runner's per-step
-//! tracking. Cut and activity traces are kept only by
-//! [`crate::TraceRecorder`], from the event stream.
+//! (Fig. 8, 10, and the `T_x` columns of Table II). The crate-private
+//! `CutTracker` records both in a single pass; [`SolutionTracker`] layers
+//! best-state capture and per-observation activity on top — the one
+//! implementation behind both the SOPHIE engine's per-sync tracking and
+//! the PRIS runner's per-step tracking. Cut and activity traces are kept
+//! only by [`crate::TraceRecorder`], from the event stream.
 
 /// Streaming tracker for cut-value observations over iterations.
 #[derive(Debug, Clone)]
-pub struct CutTracker {
+pub(crate) struct CutTracker {
     target: Option<f64>,
     best_cut: f64,
     best_iteration: usize,
     first_hit: Option<usize>,
-    observations: usize,
 }
 
 impl CutTracker {
@@ -31,13 +30,11 @@ impl CutTracker {
             best_cut: f64::NEG_INFINITY,
             best_iteration: 0,
             first_hit: None,
-            observations: 0,
         }
     }
 
     /// Records the cut value observed at `iteration`.
     pub fn observe(&mut self, iteration: usize, cut: f64) {
-        self.observations += 1;
         if cut > self.best_cut {
             self.best_cut = cut;
             self.best_iteration = iteration;
@@ -68,18 +65,6 @@ impl CutTracker {
     pub fn first_hit(&self) -> Option<usize> {
         self.first_hit
     }
-
-    /// Total number of observations recorded.
-    #[must_use]
-    pub fn observations(&self) -> usize {
-        self.observations
-    }
-
-    /// The configured target, if any.
-    #[must_use]
-    pub fn target(&self) -> Option<f64> {
-        self.target
-    }
 }
 
 /// What one [`SolutionTracker::observe`] call found — the raw material for
@@ -97,7 +82,7 @@ pub struct Observation {
 
 /// Best-state and activity bookkeeping over binary states.
 ///
-/// Wraps a [`CutTracker`] and additionally keeps the best binary
+/// Wraps a `CutTracker` and additionally keeps the best binary
 /// configuration seen (updated only on strict improvement, matching the
 /// historical engine/runner semantics) and the last observed state, from
 /// which each observation's activity (Hamming distance to the previous
@@ -201,7 +186,6 @@ mod tests {
         t.observe(2, 7.0);
         assert_eq!(t.best_cut(), 9.0);
         assert_eq!(t.best_iteration(), 1);
-        assert_eq!(t.observations(), 3);
         assert_eq!(t.first_hit(), None);
     }
 
@@ -236,7 +220,6 @@ mod tests {
     fn empty_tracker_reports_neg_infinity() {
         let t = CutTracker::new(Some(1.0));
         assert_eq!(t.best_cut(), f64::NEG_INFINITY);
-        assert_eq!(t.target(), Some(1.0));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 # with a cold in-process solve), builds the examples, denies rustdoc
 # warnings, and smoke-runs the
 # `repro` binary (the solver-registry listing, bench-summary with a
-# sparse-suite/speedup gate, the kernel autotune smoke with its 1.3x
+# sparse-suite/speedup gate, the kernel timing smoke with its 1.3x
 # forward-speedup gate, the problem-compiler sweep with a feasible-decode
 # gate on every annealer row, the sparse dense-vs-delta equivalence sweep,
 # a JSONL event trace, a JSONL command timeline with an exact-cost-sum and
@@ -72,11 +72,22 @@ fi
 
 # Kernel-stack gate: engine and sparse code reach the MVM kernels only
 # through a KernelPlan (KernelPlan::resolve: the SOPHIE_KERNEL override,
-# else the per-process tuned plan); raw Tile::mvm/mvm_transposed calls
-# would bypass both.
+# else the fixed per-size rule KernelPlan::for_size); raw
+# Tile::mvm/mvm_transposed calls would bypass both.
 echo "==> grep gate: no direct Tile::mvm calls under crates/core/src/"
 if grep -rn "\.mvm(\|\.mvm_transposed(" crates/core/src/; then
     echo "core code must dispatch MVMs through KernelPlan, never Tile::mvm/mvm_transposed directly" >&2
+    exit 1
+fi
+
+# Clock gate: the library crates make no decision by timing themselves
+# (kernel plans and the sparse crossover are fixed rules), so none of
+# them reads the wall clock. Job deadlines in sophie-solve, and the
+# bench, serve and benchmark timing harnesses, are outside these crates.
+echo "==> grep gate: no Instant or SystemTime under the library crates' src/"
+if grep -rnE "\bInstant\b|\bSystemTime\b" \
+    crates/{linalg,core,graph,hw,pris,problems,baselines}/src/; then
+    echo "library crates must not read the clock; time kernels in crates/bench (repro tune)" >&2
     exit 1
 fi
 
@@ -156,10 +167,11 @@ sp = doc["sparse_speedup"]["speedup"]
 assert sp >= 2.0, f"sparse polish speedup regressed to {sp}x (quick-mode floor: 2.0)"
 print(f"bench gate: sparse suites present, warm-polish speedup {sp:.1f}x")
 PY
-    # Kernel autotune smoke: measures the three variants (scalar, axpy,
-    # b32u2) at the acceptance tile sizes, records the kernel_tune block,
-    # and --check enforces the speedup claim inside the binary (tuned
-    # forward 64^2 >= 1.3x scalar).
+    # Kernel timing smoke: times the three variants (scalar, axpy, b32u2)
+    # on distinct 0/1 inputs at the acceptance tile sizes, records the
+    # kernel_tune block with each size's fixed plan, and --check enforces
+    # the speedup claim inside the binary (the plan's forward 64^2 >= 1.3x
+    # scalar).
     run cargo run --release -q -p sophie-bench --bin repro -- tune --check --out "$smoke_dir"
     python3 - "$smoke_dir/BENCH_sophie.json" <<'PY'
 import json, sys

@@ -3,13 +3,14 @@
 //! The kernel stack's determinism contract (see `sophie-linalg`'s
 //! `kernel` module docs) promises that every kernel variant accumulates
 //! in the same canonical order, so picking a different variant — by the
-//! `SOPHIE_KERNEL` override or the autotuner — can never change a single
-//! bit of solver output. This golden test pins that promise at the level
-//! users observe it: the *entire* solve-event stream must be
+//! `SOPHIE_KERNEL` override or the fixed per-size rule — can never change
+//! a single bit of solver output. This golden test pins that promise at
+//! the level users observe it: the *entire* solve-event stream must be
 //! byte-identical under `SOPHIE_KERNEL=scalar`, every other variant, and
-//! the tuned plan, at every `SOPHIE_THREADS` value, in both compute
-//! modes. Each run also checks that the override really resolved to the
-//! plan it names, so a stale variant name cannot silently test `auto`.
+//! the `KernelPlan::for_size` rule, at every `SOPHIE_THREADS` value, in
+//! both compute modes. Each run also checks that the override really
+//! resolved to the plan it names, so a stale variant name cannot silently
+//! test `auto`.
 
 use std::sync::{Arc, Mutex};
 
@@ -55,7 +56,8 @@ fn test_instance(compute: ComputeMode) -> (Arc<Graph>, SophieSolver) {
 /// # Panics
 ///
 /// Panics unless the plan the run resolves is the one `kernel` names: the
-/// variant pinned for both directions, or the tuned plan for `"auto"`.
+/// variant pinned for both directions, or `KernelPlan::for_size` for
+/// `"auto"`.
 fn run_stream(solver: &SophieSolver, g: &Arc<Graph>, kernel: &str, threads: &str) -> (String, f64) {
     with_env(kernel, threads, || {
         let tile = solver.config().tile_size;
