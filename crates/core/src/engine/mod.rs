@@ -544,7 +544,8 @@ impl SophieSolver {
 /// sync (`sparse_spin_flips`), every field adjacent to at least one
 /// flipped spin (`sparse_field_updates`, deduplicated via generation
 /// stamps), and one MAC per (flipped spin, adjacent field) pair
-/// (`sparse_delta_macs`).
+/// (`sparse_delta_macs`). Once every field is stamped, later flipped rows
+/// add only their lengths: on a dense `C` the first flip saturates it.
 ///
 /// Deliberately **strategy- and thread-independent**: derived solely from
 /// the synchronized global state and the static pattern of `C`, never from
@@ -564,6 +565,7 @@ fn tally_reuse(
         stamp.fill(0);
         *gen = 1;
     }
+    let fields = stamp.len() as u64;
     let mut flips = 0_u64;
     let mut touched = 0_u64;
     let mut macs = 0_u64;
@@ -572,6 +574,9 @@ fn tally_reuse(
             flips += 1;
             let (rows, _) = adjacency.row(j);
             macs += rows.len() as u64;
+            if touched == fields {
+                continue;
+            }
             for &i in rows {
                 if stamp[i as usize] != *gen {
                     stamp[i as usize] = *gen;

@@ -490,3 +490,82 @@ mod warm_start_tests {
         assert_eq!(capped.cut_trace[..], full.cut_trace[..8]);
     }
 }
+
+mod reuse_tally {
+    use sophie_linalg::SparseCsr;
+    use sophie_solve::OpCounts;
+
+    use super::super::tally_reuse;
+
+    /// The tally without the saturation exit: every flipped row scanned.
+    fn full_scan(adjacency: &SparseCsr, prev: &[bool], now: &[bool]) -> (u64, u64, u64) {
+        let mut seen = vec![false; prev.len()];
+        let (mut flips, mut touched, mut macs) = (0, 0, 0);
+        for (j, (&a, &b)) in prev.iter().zip(now).enumerate() {
+            if a != b {
+                flips += 1;
+                let (rows, _) = adjacency.row(j);
+                macs += rows.len() as u64;
+                for &i in rows {
+                    if !seen[i as usize] {
+                        seen[i as usize] = true;
+                        touched += 1;
+                    }
+                }
+            }
+        }
+        (flips, touched, macs)
+    }
+
+    /// Drives the tally over a random walk of spin states with a few to
+    /// all spins flipping per step, and checks every step's counters
+    /// against the full scan.
+    fn assert_matches_full_scan(n: usize, density_permille: u64, seed: u64) {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        let data: Vec<f32> = (0..n * n)
+            .map(|k| {
+                let (r, c) = (k / n, k % n);
+                f32::from(u8::from(r != c && next() % 1000 < density_permille))
+            })
+            .collect();
+        let adjacency = SparseCsr::from_dense(n, n, &data).unwrap();
+        let mut stamp = vec![0_u32; n];
+        let mut gen = 0_u32;
+        let mut prev: Vec<bool> = (0..n).map(|_| next() % 2 == 1).collect();
+        for step in 0..200 {
+            let flip_permille = [5, 50, 300, 1000][step % 4];
+            let now: Vec<bool> = prev
+                .iter()
+                .map(|&b| b ^ (next() % 1000 < flip_permille))
+                .collect();
+            let mut ops = OpCounts::new();
+            tally_reuse(&adjacency, &prev, &now, &mut stamp, &mut gen, &mut ops);
+            assert_eq!(
+                (
+                    ops.sparse_spin_flips,
+                    ops.sparse_field_updates,
+                    ops.sparse_delta_macs
+                ),
+                full_scan(&adjacency, &prev, &now),
+                "n={n} density={density_permille}‰ step {step}"
+            );
+            prev = now;
+        }
+    }
+
+    #[test]
+    fn saturating_tally_matches_a_full_scan_on_a_dense_pattern() {
+        assert_matches_full_scan(96, 1000, 3);
+    }
+
+    #[test]
+    fn saturating_tally_matches_a_full_scan_on_a_sparse_pattern() {
+        assert_matches_full_scan(200, 20, 5);
+    }
+}

@@ -22,7 +22,7 @@ use super::command::{
 };
 use super::{noise_rng, noise_stream_seed, vec_at};
 use crate::backend::{MvmBackend, MvmUnit};
-use crate::gaussian::GaussianSource;
+use crate::gaussian::GaussianBlock;
 
 /// Floor on the probe-residual denominator, guarding all-zero tiles
 /// (whose exact product is identically zero).
@@ -139,11 +139,12 @@ fn chain_handles(cmds: &[Command]) -> Vec<BufferHandle> {
 
 /// Per-`(round, unit)` threshold-noise state, created at first use within
 /// a chain (creation draws nothing, so lazy creation matches the legacy
-/// once-per-round construction exactly).
+/// once-per-round construction exactly). Its block sampler carries the
+/// samples one threshold leaves over to the chain's next threshold.
 struct NoiseState {
     round: u64,
     rng: SmallRng,
-    gauss: GaussianSource,
+    gauss: GaussianBlock,
 }
 
 /// Executes one unit's command chain in submission order, appending one
@@ -306,26 +307,24 @@ fn run_mvm<U: MvmUnit>(
         let st = noise.get_or_insert_with(|| NoiseState {
             round,
             rng: noise_rng(ctx.seed, round, unit_index as u64),
-            gauss: GaussianSource::new(),
+            gauss: GaussianBlock::default(),
         });
         assert_eq!(st.round, round, "threshold chain spans rounds");
         let theta = &ctx.thresholds[spec.out_block * t..(spec.out_block + 1) * t];
         let scale = &ctx.noise_scale[spec.out_block * t..(spec.out_block + 1) * t];
         let offset = &ctx.offsets[vec_at(ctx.b, t, spec.tile_row, spec.tile_col)];
         let mut dest = ws.take(spec.dest);
+        // Branch-free: the spin is `(y + offset) + (φ·scale)·z >= θ` as 0/1.
+        let outs = dest.iter_mut().zip(theta);
         if ctx.phi > 0.0 {
-            for i in 0..t {
-                let noisy =
-                    y[i] + offset[i] + ctx.phi * scale[i] * st.gauss.sample(&mut st.rng) as f32;
-                dest[i] = if noisy >= theta[i] { 1.0 } else { 0.0 };
+            let z = st.gauss.take(&mut st.rng, t);
+            let ins = y.iter().zip(offset).zip(scale.iter().zip(z));
+            for ((d, &th), ((&yi, &oi), (&si, &zi))) in outs.zip(ins) {
+                *d = f32::from(u8::from((yi + oi) + (ctx.phi * si) * zi >= th));
             }
         } else {
-            for i in 0..t {
-                dest[i] = if y[i] + offset[i] >= theta[i] {
-                    1.0
-                } else {
-                    0.0
-                };
+            for ((d, &th), (&yi, &oi)) in outs.zip(y.iter().zip(offset)) {
+                *d = f32::from(u8::from(yi + oi >= th));
             }
         }
         ws.put(spec.dest, dest);

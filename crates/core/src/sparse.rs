@@ -14,7 +14,10 @@
 //! * when the estimated touched work exceeds a density-crossover threshold
 //!   θ (in units of `tile_size²` scalar MACs), the unit falls back to the
 //!   dense tile kernel for that call — so dense-ish tiles and high-activity
-//!   phases never run slower than [`IdealBackend`].
+//!   phases never run slower than [`IdealBackend`]. The estimate stops
+//!   scanning the input at the changed element that passes the budget,
+//!   and only the incremental path walks the changed inputs to mark
+//!   rows, so a fallback builds no list of changed inputs.
 //!
 //! # Bit-compatibility contract
 //!
@@ -168,8 +171,6 @@ pub struct SparseUnit {
     /// clearing).
     stamp: Vec<u32>,
     stamp_gen: u32,
-    /// Scratch: indices of changed inputs this call.
-    diff: Vec<u32>,
     /// Scratch: deduplicated touched output rows this call.
     touched: Vec<u32>,
     incremental_calls: u64,
@@ -190,7 +191,6 @@ impl SparseUnit {
             trn: DirCache::new(tile_size),
             stamp: vec![0; tile_size],
             stamp_gen: 0,
-            diff: Vec::new(),
             touched: Vec::new(),
             incremental_calls: 0,
             full_sparse_calls: 0,
@@ -252,28 +252,31 @@ impl SparseUnit {
             return;
         }
 
-        // Diff the input against the cache (value compare: ±0.0 aliasing is
-        // bitwise harmless per the module contract, NaN forces recompute).
-        self.diff.clear();
+        // Estimate the recompute as (changed input → fed output) pairs, a
+        // cheap proxy for the touched-row cost that needs no dedup pass.
+        // The count only grows, so it stops at the first changed input
+        // that takes it past the budget: that call goes dense without
+        // reading the rest of the input. Inputs compare by value: ±0.0
+        // aliasing is bitwise harmless per the module contract, NaN
+        // forces a recompute.
         let mut est: u64 = 0;
+        let mut changed = false;
         for (j, (&new, &old)) in x.iter().zip(&cache.x).enumerate() {
             if new != old {
-                self.diff.push(j as u32);
+                changed = true;
                 est += adj.row_nnz(j) as u64;
+                if (est as f64) > budget {
+                    Self::dense_kernel(&self.plan, tile, forward, x, y);
+                    cache.x.copy_from_slice(x);
+                    cache.y.copy_from_slice(y);
+                    self.dense_calls += 1;
+                    return;
+                }
             }
         }
-        if self.diff.is_empty() {
+        if !changed {
             y.copy_from_slice(&cache.y);
             self.incremental_calls += 1;
-            return;
-        }
-        // `est` counts (changed input → fed output) pairs — a cheap proxy
-        // for the touched-row recompute cost that needs no dedup pass.
-        if (est as f64) > budget {
-            Self::dense_kernel(&self.plan, tile, forward, x, y);
-            cache.x.copy_from_slice(x);
-            cache.y.copy_from_slice(y);
-            self.dense_calls += 1;
             return;
         }
 
@@ -286,12 +289,14 @@ impl SparseUnit {
             self.stamp_gen = 1;
         }
         self.touched.clear();
-        for &j in &self.diff {
-            let (rows, _) = adj.row(j as usize);
-            for &i in rows {
-                if self.stamp[i as usize] != self.stamp_gen {
-                    self.stamp[i as usize] = self.stamp_gen;
-                    self.touched.push(i);
+        for (j, (&new, &old)) in x.iter().zip(&cache.x).enumerate() {
+            if new != old {
+                let (rows, _) = adj.row(j);
+                for &i in rows {
+                    if self.stamp[i as usize] != self.stamp_gen {
+                        self.stamp[i as usize] = self.stamp_gen;
+                        self.touched.push(i);
+                    }
                 }
             }
         }

@@ -9,9 +9,11 @@
 //! strip can take a whole batch of rotations while it sits in cache, and
 //! strips are independent. Every element still sees the same rotations in
 //! the same order, so the result is bit-identical for any thread count.
+//! Each strip task runs the replay's AVX2 build where the host has it
+//! (`crate::isa`), which is bit-identical to the baseline build.
 
 use crate::error::{LinalgError, Result};
-use crate::par;
+use crate::{isa, par};
 
 /// Maximum QL iterations per eigenvalue before reporting failure.
 const MAX_ITERS: usize = 64;
@@ -73,15 +75,24 @@ impl Strips {
         let (n, w) = (self.n, self.width);
         let strips = self.data.len() / (n * w);
         par::for_each_row_chunk_mut(&mut self.data, n * w, strips, |_, strip| {
-            for &(i, c, s) in rotations {
-                let (row_i, row_i1) = strip[i * w..(i + 2) * w].split_at_mut(w);
-                for (zi, zi1) in row_i.iter_mut().zip(row_i1.iter_mut()) {
-                    let f = *zi1;
-                    *zi1 = s * *zi + c * f;
-                    *zi = c * *zi - s * f;
-                }
-            }
+            isa::run(
+                #[inline(always)]
+                || rotate_strip(strip, w, rotations),
+            );
         });
+    }
+}
+
+/// Applies `rotations` in order to one strip of rows `width` wide.
+#[inline(always)]
+fn rotate_strip(strip: &mut [f64], width: usize, rotations: &[(usize, f64, f64)]) {
+    for &(i, c, s) in rotations {
+        let (row_i, row_i1) = strip[i * width..(i + 2) * width].split_at_mut(width);
+        for (zi, zi1) in row_i.iter_mut().zip(row_i1.iter_mut()) {
+            let f = *zi1;
+            *zi1 = s * *zi + c * f;
+            *zi = c * *zi - s * f;
+        }
     }
 }
 
@@ -226,6 +237,46 @@ mod tests {
         let trace: f64 = diag.iter().sum();
         let sum: f64 = d.iter().sum();
         assert!((trace - sum).abs() < 1e-8);
+    }
+
+    /// The AVX2 build of the strip replay matches its baseline build bit
+    /// for bit on a strip whose width is not a multiple of the vector
+    /// width. Skipped on hosts without AVX2.
+    #[test]
+    fn avx2_replay_matches_the_baseline_build_bitwise() {
+        let (rows, width) = (23, 37);
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1_u64 << 53) as f64
+        };
+        let strip: Vec<f64> = (0..rows * width).map(|_| next() * 2.0 - 1.0).collect();
+        let rotations: Vec<(usize, f64, f64)> = (0..500)
+            .map(|_| {
+                let angle = next() * std::f64::consts::TAU;
+                (
+                    (next() * (rows - 1) as f64) as usize,
+                    angle.cos(),
+                    angle.sin(),
+                )
+            })
+            .collect();
+        let mut base = strip.clone();
+        rotate_strip(&mut base, width, &rotations);
+        let mut wide = strip;
+        if isa::run_avx2(
+            #[inline(always)]
+            || rotate_strip(&mut wide, width, &rotations),
+        )
+        .is_none()
+        {
+            eprintln!("host has no AVX2; skipping");
+            return;
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&wide), bits(&base));
     }
 
     #[test]

@@ -24,8 +24,13 @@
 //! up to twice as slow when the host was busy. The accumulation phase runs
 //! inline below [`MIN_PAR_WORK`] element updates (n ≈ 185), where waking
 //! the pool costs more than the phase.
+//!
+//! The rank-2 update and each accumulation row block run their AVX2
+//! build where the host has it (`crate::isa`), bit-identical to the
+//! baseline build. `A·w` measured no faster under AVX2 and stays as
+//! built.
 
-use crate::par;
+use crate::{isa, par};
 
 /// Element updates below which the accumulation phase runs inline.
 const MIN_PAR_WORK: usize = 1 << 21;
@@ -101,18 +106,12 @@ pub(crate) fn tridiagonalize(z: &mut [f64], n: usize) -> (Vec<f64>, Vec<f64>) {
                 for j in 0..=l {
                     e[j] -= hh * z[i * n + j];
                 }
-                // ---- Rank-2 update of the lower triangle:
-                // A[j][k] -= w_j·e_k + g_j·w_k. ----
                 let (lower, wrow) = z.split_at_mut(i * n);
-                let w = &wrow[..=l];
-                let ev = &e[..=l];
-                for (j, row) in lower.chunks_mut(n).enumerate() {
-                    let fj = w[j];
-                    let gj = ev[j];
-                    for (k, a) in row[..=j].iter_mut().enumerate() {
-                        *a -= fj * ev[k] + gj * w[k];
-                    }
-                }
+                let (w, ev) = (&wrow[..=l], &e[..=l]);
+                isa::run(
+                    #[inline(always)]
+                    || rank2_update(lower, n, w, ev),
+                );
             }
         } else {
             e[i] = z[i * n + l];
@@ -149,23 +148,47 @@ pub(crate) fn tridiagonalize(z: &mut [f64], n: usize) -> (Vec<f64>, Vec<f64>) {
         n.div_ceil(BLOCK)
     };
     par::for_each_row_chunk_mut(z, n, blocks, |row0, chunk| {
-        for (g, group) in chunk.chunks_mut(CHAINS * n).enumerate() {
-            let j0 = row0 + g * CHAINS;
-            if group.len() == CHAINS * n {
-                apply_reflectors::<CHAINS>(group, n, j0, &reflectors, &steps);
-            } else {
-                for (r, row) in group.chunks_mut(n).enumerate() {
-                    apply_reflectors::<1>(row, n, j0 + r, &reflectors, &steps);
-                }
-            }
-        }
+        isa::run(
+            #[inline(always)]
+            || accumulate(chunk, n, row0, &reflectors, &steps),
+        );
     });
     (d, e)
+}
+
+/// Rank-2 update of the lower triangle held in `lower` (row stride `n`):
+/// `A[j][k] -= w_j·e_k + g_j·w_k` for `k ≤ j < w.len()`, with `g = ev`.
+#[inline(always)]
+fn rank2_update(lower: &mut [f64], n: usize, w: &[f64], ev: &[f64]) {
+    for (j, row) in lower.chunks_mut(n).enumerate() {
+        let fj = w[j];
+        let gj = ev[j];
+        for (k, a) in row[..=j].iter_mut().enumerate() {
+            *a -= fj * ev[k] + gj * w[k];
+        }
+    }
+}
+
+/// The accumulation phase on the rows `row0..` of `Qᵀ` held in `chunk`:
+/// groups of [`CHAINS`] rows side by side, a short last group row by row.
+#[inline(always)]
+fn accumulate(chunk: &mut [f64], n: usize, row0: usize, reflectors: &[f64], steps: &[bool]) {
+    for (g, group) in chunk.chunks_mut(CHAINS * n).enumerate() {
+        let j0 = row0 + g * CHAINS;
+        if group.len() == CHAINS * n {
+            apply_reflectors::<CHAINS>(group, n, j0, reflectors, steps);
+        } else {
+            for (r, row) in group.chunks_mut(n).enumerate() {
+                apply_reflectors::<1>(row, n, j0 + r, reflectors, steps);
+            }
+        }
+    }
 }
 
 /// Applies every reflector step `i > j0` to the `R` rows `j0..j0+R` of
 /// `Qᵀ` held in `rows`. Row `j` joins at step `j + 1`, so steps that reach
 /// only part of the group go row by row.
+#[inline(always)]
 fn apply_reflectors<const R: usize>(
     rows: &mut [f64],
     n: usize,
@@ -194,6 +217,7 @@ fn apply_reflectors<const R: usize>(
 /// One reflector step on `R` rows of `Qᵀ`: `g = Σ_k w_k·y_k` from `+0.0`
 /// in ascending `k` (zero `w_k` skipped), then `y_k -= v_k·g` (zero `v_k`
 /// skipped), for `k < w.len()`. The `R` dot chains run side by side.
+#[inline(always)]
 fn reflect<const R: usize>(rows: &mut [f64], n: usize, w: &[f64], v: &[f64]) {
     let i = w.len();
     let mut g = [0.0; R];
@@ -324,6 +348,65 @@ mod tests {
         let mut g = vec![f64::NAN; m];
         lower_symmetric_matvec(&lower, n, &w, &mut g);
         assert_eq!(bits(&g), bits(&serial_matvec(&lower, n, &w)));
+    }
+
+    /// Pseudo-random values in [-2, 2), about one in eight exactly zero so
+    /// the skip branches run.
+    fn random_values(len: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                if state >> 61 == 0 {
+                    0.0
+                } else {
+                    (state >> 11) as f64 / (1_u64 << 53) as f64 * 4.0 - 2.0
+                }
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The AVX2 build of the rank-2 update and of the accumulation phase
+    /// matches their baseline build bit for bit, at lengths that are not
+    /// multiples of the vector width. Skipped on hosts without AVX2.
+    #[test]
+    fn avx2_builds_match_the_baseline_builds_bitwise() {
+        let (n, m) = (45, 41);
+        let w = random_values(m, 1);
+        let ev = random_values(m, 2);
+        let lower = random_values(n * m, 3);
+        let mut base = lower.clone();
+        rank2_update(&mut base, n, &w, &ev);
+        let mut wide = lower;
+        if isa::run_avx2(
+            #[inline(always)]
+            || rank2_update(&mut wide, n, &w, &ev),
+        )
+        .is_none()
+        {
+            eprintln!("host has no AVX2; skipping");
+            return;
+        }
+        assert_eq!(bits(&wide), bits(&base), "rank-2 update");
+
+        let (n, rows, row0) = (37, 21, 3);
+        let reflectors = random_values(n * (n - 1), 4);
+        let steps: Vec<bool> = random_values(n, 5).iter().map(|&x| x != 0.0).collect();
+        let qt = random_values(rows * n, 6);
+        let mut base = qt.clone();
+        accumulate(&mut base, n, row0, &reflectors, &steps);
+        let mut wide = qt;
+        isa::run_avx2(
+            #[inline(always)]
+            || accumulate(&mut wide, n, row0, &reflectors, &steps),
+        );
+        assert_eq!(bits(&wide), bits(&base), "accumulation");
     }
 
     #[test]

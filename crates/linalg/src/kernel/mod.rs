@@ -29,11 +29,14 @@
 //! [`KernelVariant::Axpy`] and the zero-weight-skipping sparse kernels
 //! agree with the no-skip variants bit for bit. Kernel choice is therefore
 //! a pure wall-clock choice: solver outcomes and event streams are
-//! byte-identical under every plan.
+//! byte-identical under every plan. The same argument covers the AVX2
+//! builds of `axpy` and `b32u2`, which run where the host has AVX2
+//! (`crate::isa`): wider lanes, the same chains.
 
 pub mod blocked;
 pub mod scalar;
 
+use crate::isa;
 use crate::tile::Tile;
 
 /// One MVM micro-kernel implementation.
@@ -84,12 +87,11 @@ impl KernelVariant {
 /// `repro tune`'s harness on 1,024 distinct random 0/1 inputs per size,
 /// the variants taking turns (x86-64, 2 vCPUs, 6 processes per size),
 /// `b32u2` over `axpy` took 0.78–1.06× the time at 128, 0.74–1.08× at
-/// 160, 0.83–1.10× at 192, 1.01–1.16× at 224 and 1.04–1.24× at 256.
-/// Between those sizes `b32u2` runs its outputs past the last full block
-/// of 32 as strided scalar chains and took 1.2–2.6× the time of `axpy`
-/// (136, 144, 152, 176; 5 processes each), so the rule switches right
-/// after 128. Both directions run the same sweep over mirrored k-major
-/// buffers, so one rule serves both.
+/// 160, 0.83–1.10× at 192, 1.01–1.16× at 224 and 1.04–1.24× at 256, so
+/// the rule switches right after 128. These timings predate `b32u2`'s
+/// 8-lane tail blocks and the AVX2 builds (`crate::isa`). Both directions
+/// run the same sweep over mirrored k-major buffers, so one rule serves
+/// both.
 pub const B32U2_MAX_TILE: usize = 128;
 
 /// The kernel selection for one tile size: the variant that runs both
@@ -138,14 +140,24 @@ impl<'a> Sweep<'a> {
     }
 }
 
-/// Runs one variant over a resolved sweep.
+/// Runs one variant over a resolved sweep. `axpy` and `b32u2` run their
+/// AVX2 build where the host has it (`crate::isa`), which is
+/// bit-identical to the baseline build; the scalar reference runs as
+/// built.
 fn run_sweep(variant: KernelVariant, s: &Sweep<'_>, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), s.t, "kernel: input length mismatch");
     assert_eq!(y.len(), s.t, "kernel: output length mismatch");
+    let (km, t, k_used, out_used) = (s.km, s.t, s.k_used, s.out_used);
     match variant {
-        KernelVariant::Scalar => scalar::scalar_sweep(s.om, s.t, s.k_used, s.out_used, x, y),
-        KernelVariant::Axpy => scalar::axpy_sweep(s.km, s.t, s.k_used, s.out_used, x, y),
-        KernelVariant::B32U2 => blocked::sweep::<32, 2>(s.km, s.t, s.k_used, s.out_used, x, y),
+        KernelVariant::Scalar => scalar::scalar_sweep(s.om, t, k_used, out_used, x, y),
+        KernelVariant::Axpy => isa::run(
+            #[inline(always)]
+            || scalar::axpy_sweep(km, t, k_used, out_used, x, y),
+        ),
+        KernelVariant::B32U2 => isa::run(
+            #[inline(always)]
+            || blocked::sweep::<32, 2>(km, t, k_used, out_used, x, y),
+        ),
     }
 }
 
@@ -270,12 +282,13 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Satellite acceptance sweep: every variant × tile size ∈
-    /// {7, 64, 256, 500} × direction is bit-identical to the scalar
-    /// reference, with and without fringe trims.
+    /// Acceptance sweep: every variant × tile size ∈ {7, 48, 64, 72, 120,
+    /// 256, 500} × direction is bit-identical to the scalar reference,
+    /// with and without fringe trims. 48, 72 and 120 leave `b32u2` a tail
+    /// past its last block of 32 that runs in 8-lane blocks.
     #[test]
     fn every_variant_matches_reference_bitwise_at_acceptance_sizes() {
-        for &t in &[7usize, 64, 256, 500] {
+        for &t in &[7usize, 48, 64, 72, 120, 256, 500] {
             for &used in &[t, t - t / 3] {
                 let tile = trimmed_tile(t, used, 0xBEEF ^ t as u64);
                 let mut x = vec![0.0_f32; t];
@@ -297,6 +310,43 @@ mod tests {
                             v.name()
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// The AVX2 builds of `axpy` and `b32u2` match their baseline builds
+    /// bit for bit at tile sizes that are not multiples of 4, with and
+    /// without trims, on 0/1 spins and on arbitrary inputs. Skipped on
+    /// hosts without AVX2.
+    #[test]
+    fn avx2_builds_match_the_baseline_builds_bitwise() {
+        for t in [45_usize, 75] {
+            let mut km = vec![0.0_f32; t * t];
+            lcg_fill(t as u64, &mut km, 7);
+            let mut x = vec![0.0_f32; t];
+            lcg_fill(t as u64 + 1, &mut x, 3);
+            let spins: Vec<f32> = x.iter().map(|&v| f32::from(u8::from(v > 0.0))).collect();
+            for input in [&x, &spins] {
+                for used in [t, t - t / 3] {
+                    let mut base = vec![f32::NAN; t];
+                    let mut wide = vec![f32::NAN; t];
+                    blocked::sweep::<32, 2>(&km, t, used, used, input, &mut base);
+                    let ran = isa::run_avx2(
+                        #[inline(always)]
+                        || blocked::sweep::<32, 2>(&km, t, used, used, input, &mut wide),
+                    );
+                    if ran.is_none() {
+                        eprintln!("host has no AVX2; skipping");
+                        return;
+                    }
+                    assert_eq!(bits(&wide), bits(&base), "b32u2 t={t} used={used}");
+                    scalar::axpy_sweep(&km, t, used, used, input, &mut base);
+                    isa::run_avx2(
+                        #[inline(always)]
+                        || scalar::axpy_sweep(&km, t, used, used, input, &mut wide),
+                    );
+                    assert_eq!(bits(&wide), bits(&base), "axpy t={t} used={used}");
                 }
             }
         }

@@ -7,7 +7,7 @@
 
 /// `y[i] += alpha * x[i]` — the sequential axpy every kernel and the
 /// public [`crate::vector::axpy_f32`] delegate to.
-#[inline]
+#[inline(always)]
 pub fn seq_axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
@@ -71,6 +71,7 @@ pub fn scalar_sweep(
 /// skipping exact-zero inputs. Zero terms are bitwise invisible to a
 /// `+0.0`-seeded ascending sum, so the skip cannot change any output
 /// bit — only wall-clock on sparse inputs.
+#[inline(always)]
 pub fn axpy_sweep(
     mat_km: &[f32],
     t: usize,

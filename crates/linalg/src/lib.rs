@@ -41,12 +41,14 @@
 #![warn(missing_docs)]
 // Unsafe is denied crate-wide and re-allowed only inside `par`, which needs
 // two narrow idioms for its persistent worker pool (closure lifetime
-// erasure and disjoint-region pointer sharing); every block there carries a
+// erasure and disjoint-region pointer sharing), and `isa`, which calls
+// AVX2-compiled code after checking the host; every block there carries a
 // SAFETY comment. All other modules remain unsafe-free.
 #![deny(unsafe_code)]
 
 pub mod eigen;
 mod error;
+mod isa;
 pub mod kernel;
 mod matrix;
 pub mod par;

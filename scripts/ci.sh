@@ -121,6 +121,27 @@ if grep -rn 'set_nonblocking(true)\|\.expect("spawn' crates/serve/src/; then
     exit 1
 fi
 
+# ISA gate: instruction-set dispatch lives in one module,
+# crates/linalg/src/isa.rs, which checks the host before it calls
+# AVX2-compiled code; target features or intrinsics anywhere else would
+# escape that check (and no global target-cpu or RUSTFLAGS is set).
+echo "==> grep gate: #[target_feature, is_x86_feature_detected! and std::arch only in crates/linalg/src/isa.rs"
+if grep -rnE '#\[target_feature|is_x86_feature_detected!|std::arch' crates/ src/ tests/ examples/ \
+    | grep -v "^crates/linalg/src/isa.rs:"; then
+    echo "instruction-set dispatch belongs to sophie-linalg's isa module alone" >&2
+    exit 1
+fi
+
+# Block-noise gate: the executor draws threshold noise through the block
+# sampler (gaussian::GaussianBlock), whose samples are bit-equal to
+# GaussianSource's; a per-sample GaussianSource draw in the queue would
+# bring back the branchy one-at-a-time loop.
+echo "==> grep gate: no per-sample GaussianSource draw under crates/core/src/queue/"
+if grep -rnE 'GaussianSource|\.sample\(' crates/core/src/queue/; then
+    echo "the queue executor draws threshold noise in blocks (GaussianBlock::take), never one GaussianSource sample at a time" >&2
+    exit 1
+fi
+
 if [[ "$quick" -eq 0 ]]; then
     run cargo test -q --workspace
     # Fault-aware runtime: injection/recovery behavior and the
