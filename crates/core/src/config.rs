@@ -13,12 +13,12 @@ use crate::error::{Result, SophieError};
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ComputeMode {
     /// Always execute dense tile kernels ([`crate::backend::IdealBackend`]).
+    #[default]
     Dense,
     /// Always take the incremental sparse path, regardless of activity.
     Sparse,
     /// Per-MVM choice: incremental sparse while the estimated touched work
     /// stays below the density-crossover threshold, dense otherwise.
-    #[default]
     Auto,
 }
 
@@ -93,7 +93,7 @@ impl Default for SophieConfig {
             phi: 0.1,
             alpha: 0.0,
             stochastic_spin_update: true,
-            compute: ComputeMode::Auto,
+            compute: ComputeMode::Dense,
             sparse_crossover: None,
         }
     }
@@ -220,9 +220,9 @@ mod tests {
     }
 
     #[test]
-    fn default_compute_is_auto_with_the_default_crossover() {
+    fn default_compute_is_dense_with_the_default_crossover() {
         let c = SophieConfig::default();
-        assert_eq!(c.compute, ComputeMode::Auto);
+        assert_eq!(c.compute, ComputeMode::Dense);
         assert!(c.sparse_crossover.is_none());
     }
 

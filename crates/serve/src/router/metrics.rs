@@ -28,7 +28,8 @@ pub struct RouterMetrics {
     pub hedges: AtomicU64,
     /// Jobs whose hedge finished before the primary attempt.
     pub hedge_wins: AtomicU64,
-    /// Submits refused because no replica was dispatchable.
+    /// Submits refused because no replica was dispatchable, at admission
+    /// or, after `accepted`, at dispatch.
     pub rejected_cluster_degraded: AtomicU64,
     /// Submits refused at the router's in-flight cap.
     pub rejected_router_busy: AtomicU64,
@@ -39,6 +40,11 @@ pub struct RouterMetrics {
     /// Submits refused for reusing a job id still in flight on the
     /// same connection.
     pub rejected_duplicate_id: AtomicU64,
+    /// Admitted jobs that ended with a `rejected` frame after their
+    /// `accepted` (`cluster_degraded` at dispatch, or `upstream`): with
+    /// `done`, `cancelled`, `failed` and `in_flight` it accounts for every
+    /// submitted job.
+    pub rejected_after_accept: AtomicU64,
     /// Dispatches currently in flight.
     pub in_flight: AtomicU64,
 }
@@ -59,6 +65,7 @@ impl RouterMetrics {
             ("failovers", get(&self.failovers)),
             ("hedges", get(&self.hedges)),
             ("hedge_wins", get(&self.hedge_wins)),
+            ("rejected_after_accept", get(&self.rejected_after_accept)),
             (
                 "rejected",
                 Json::obj([
