@@ -50,7 +50,7 @@ pub mod queue;
 pub mod router;
 pub mod server;
 
-pub use client::{CancelSender, Client, JobOutcome, RawFrame, SubmitArgs};
+pub use client::{Client, JobOutcome, RawFrame, SubmitArgs};
 pub use cluster::LocalCluster;
 pub use config::ServeConfig;
 pub use error::{ClientError, ServeError};

@@ -56,6 +56,51 @@ pub struct SubmitRequest {
     pub config: Option<Json>,
 }
 
+impl SubmitRequest {
+    /// The submit frame for this request under job id `id` (the request's
+    /// own `id` is not rendered): every field the parser reads, in the
+    /// order [`crate::client::SubmitArgs::to_frame`] writes them. Parsing
+    /// the frame gives back this request with `id` replaced, which is how
+    /// the router forwards a submit under an upstream id.
+    #[must_use]
+    pub fn to_frame(&self, id: &str) -> String {
+        let mut frame = vec![
+            ("cmd", "submit".into()),
+            ("id", id.into()),
+            ("solver", self.solver.as_str().into()),
+        ];
+        match &self.graph {
+            Some(GraphSpec::Named(name)) => {
+                frame.push(("graph", Json::obj([("named", name.as_str().into())])));
+            }
+            Some(GraphSpec::Inline(gset)) => {
+                frame.push(("graph", Json::obj([("gset", gset.as_str().into())])));
+            }
+            None => {}
+        }
+        if let Some(problem) = &self.problem {
+            frame.push(("problem", problem.clone()));
+        }
+        frame.push(("seed", self.seed.into()));
+        if let Some(t) = self.target {
+            frame.push(("target", t.into()));
+        }
+        if let Some(d) = self.deadline_ms {
+            frame.push(("deadline_ms", d.into()));
+        }
+        if let Some(m) = self.max_iterations {
+            frame.push(("max_iterations", m.into()));
+        }
+        if self.stream {
+            frame.push(("stream", true.into()));
+        }
+        if let Some(config) = &self.config {
+            frame.push(("config", config.clone()));
+        }
+        Json::obj(frame).to_string()
+    }
+}
+
 /// Any client command.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {

@@ -101,12 +101,22 @@ if grep -rn "IsingInstance::assemble\|IsingInstance {" crates/bench/src/ crates/
     exit 1
 fi
 
-# Router gate: dispatch reaches replicas only through the health-tracked
-# replica pool and the typed Client; a raw socket dial would bypass
-# checkout accounting, reconnect policy, and health bookkeeping.
+# Router gate: the router reaches replicas only through the typed Client
+# (Client::connect checks the greeting and the protocol version), from
+# each replica's connection slots, the prober and list-solvers; a raw
+# socket dial would skip the handshake and the health bookkeeping.
 echo "==> grep gate: no raw TcpStream dials under crates/serve/src/router/"
 if grep -rn "TcpStream::connect" crates/serve/src/router/; then
-    echo "router code must dial replicas via the replica pool / Client, never raw TcpStream::connect" >&2
+    echo "router code must dial replicas via Client::connect, never raw TcpStream::connect" >&2
+    exit 1
+fi
+
+# Router thread gate: every router thread (dispatch, connection reader,
+# prober) is started through std::thread::Builder, so it is named and a
+# failed spawn is an error the router handles, never a panic.
+echo "==> grep gate: no bare thread::spawn( under crates/serve/src/router/"
+if grep -rn "thread::spawn(" crates/serve/src/router/; then
+    echo "router threads are started with std::thread::Builder (named, spawn errors handled), never bare thread::spawn" >&2
     exit 1
 fi
 
