@@ -60,7 +60,7 @@ mod tests;
 
 use std::sync::Arc;
 
-use sophie_graph::cut::cut_value_binary;
+use sophie_graph::cut::CutScorer;
 use sophie_graph::Graph;
 use sophie_linalg::{Matrix, SparseCsr, Tile, TileGrid, TilePair};
 use sophie_pris::TransformCache;
@@ -419,8 +419,11 @@ impl SophieSolver {
             ms.ops.sparse_delta_macs += self.reuse.nnz() as u64;
         });
 
+        // Every synchronized state is scored, in integers where the graph's
+        // weights allow it, with the bits of the ordered edge sum.
+        let scorer = CutScorer::new(graph);
         let bits = state::global_bits(&ms.global, self.n);
-        let cut0 = cut_value_binary(graph, &bits);
+        let cut0 = scorer.score(&bits);
         let mut tracker = track::RunTracker::start(job.target, &bits, cut0, ms.ops, observer);
         let mut prev_bits = bits;
         let mut reuse_stamp = vec![0_u32; self.n];
@@ -528,7 +531,7 @@ impl SophieSolver {
                     &mut ms.ops,
                 );
             });
-            let cut = cut_value_binary(graph, &bits);
+            let cut = scorer.score(&bits);
             tracker.observe(round_index, &bits, cut, ms.ops, observer);
             prev_bits = bits;
         }

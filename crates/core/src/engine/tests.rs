@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use sophie_graph::cut::cut_value_binary;
+use sophie_graph::cut::{binary_to_spins, cut_value};
 use sophie_graph::generate::{complete, gnm, WeightDist};
 use sophie_graph::Graph;
 use sophie_linalg::TilePair;
@@ -104,8 +104,12 @@ fn beats_random_on_sparse_graph() {
         "best cut {} ≤ random baseline",
         out.best_cut
     );
-    // Reported bits must reproduce the reported cut.
-    assert_eq!(cut_value_binary(&g, &out.best_bits), out.best_cut);
+    // Reported bits must reproduce the reported cut, as the ±1 ordered
+    // sum computes it.
+    assert_eq!(
+        cut_value(&g, &binary_to_spins(&out.best_bits)),
+        out.best_cut
+    );
 }
 
 #[test]
@@ -309,7 +313,10 @@ mod observed {
         // Attaching an observer must not perturb the run…
         assert_eq!(plain, observed);
         // …and the report's bits must reproduce its best cut.
-        assert_eq!(cut_value_binary(&g, &plain.best_bits), plain.best_cut);
+        assert_eq!(
+            cut_value(&g, &binary_to_spins(&plain.best_bits)),
+            plain.best_cut
+        );
         assert_eq!(plain.solver, "sophie");
         assert!(matches!(
             log.events().last(),

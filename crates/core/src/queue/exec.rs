@@ -444,8 +444,20 @@ pub(super) fn flush_parallel<U: MvmUnit>(
         w.ws.restore(pool);
         completions.extend(w.done);
     }
-    completions.sort_by_key(|c| c.key);
+    sort_completions(&mut completions);
     completions
+}
+
+/// Orders one flush's completions by `CmdKey`. Keys are unique within a
+/// flush (`wave` counts a unit's submissions in a round), so an unstable
+/// sort gives the stable order without a merge sort's scratch buffer and
+/// its moves of whole completions.
+fn sort_completions(completions: &mut [Completion]) {
+    completions.sort_unstable_by_key(|c| c.key);
+    debug_assert!(
+        completions.windows(2).all(|w| w[0].key < w[1].key),
+        "completion keys repeat within a flush"
+    );
 }
 
 pub(super) fn flush_serial<B: MvmBackend>(
@@ -483,6 +495,6 @@ pub(super) fn flush_serial<B: MvmBackend>(
         );
         ws.restore(pool);
     }
-    completions.sort_by_key(|c| c.key);
+    sort_completions(&mut completions);
     completions
 }

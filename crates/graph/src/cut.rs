@@ -85,6 +85,248 @@ pub fn cut_value_binary(g: &Graph, bits: &[bool]) -> f64 {
         .sum()
 }
 
+/// Scores binary states of one graph with the bits of
+/// [`cut_value_binary`], in integers where the graph allows it. Build it
+/// once and score many states.
+///
+/// A graph qualifies when every weight is finite, nonzero and an integer
+/// multiple of a common `2^-p`, with `Σ|w|·2^p ≤ 2^53`. Every partial sum
+/// of the ordered loop is then a multiple of `2^-p` no larger than
+/// `2^53·2^-p`, so it is exact in `f64`, and the ordered result equals the
+/// integer total of the crossing weights times `2^-p`, in any order. The
+/// total cannot carry the sign of a zero: the ordered sum starts at `-0.0`
+/// and keeps it only while no edge crosses, because a nonzero weight
+/// replaces it and an exact cancellation rounds to `+0.0`.
+///
+/// For a qualifying graph the scorer keeps each node's upper neighbours,
+/// sorted, with their weights as integers `w·2^p`, and sums the crossing
+/// ones in `i64`; a row whose neighbours are one contiguous run (every row
+/// of a complete graph) reads the state as a slice. Any other graph (a
+/// weight of 0.1, a zero weight, LDPC channel weights) is scored by
+/// [`cut_value_binary`] itself.
+///
+/// ```
+/// use sophie_graph::{GraphBuilder, cut::{cut_value_binary, CutScorer}};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut b = GraphBuilder::new(3);
+/// b.add_edge(0, 1, 1.5)?;
+/// b.add_edge(1, 2, -0.25)?;
+/// let g = b.build()?;
+/// let scorer = CutScorer::new(&g);
+/// assert!(scorer.is_exact());
+/// let bits = [true, false, true];
+/// assert_eq!(scorer.score(&bits), cut_value_binary(&g, &bits));
+/// assert!(scorer.score(&[false; 3]).is_sign_negative());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct CutScorer<'g> {
+    graph: &'g Graph,
+    exact: Option<ExactCut>,
+}
+
+/// The integer form of a qualifying graph (see [`CutScorer`]).
+#[derive(Debug, Clone)]
+struct ExactCut {
+    /// `2^-p`.
+    scale: f64,
+    /// Nodes with at least one upper neighbour, in ascending order.
+    rows: Vec<Row>,
+    /// Integer weights `w·2^p`, row after row, by ascending neighbour.
+    weights: Vec<i64>,
+    /// Neighbours of the gathered rows.
+    cols: Vec<u32>,
+}
+
+#[derive(Debug, Clone)]
+struct Row {
+    node: usize,
+    /// The row's slice of `weights`.
+    at: usize,
+    len: usize,
+    run: Run,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Run {
+    /// The neighbours are `first..first + len`.
+    Slice { first: usize },
+    /// The neighbours are `cols[at..at + len]`.
+    Gather { at: usize },
+}
+
+/// Largest integer total the exactness argument allows.
+const EXACT_LIMIT: u64 = 1 << 53;
+
+impl<'g> CutScorer<'g> {
+    /// Checks whether `g` qualifies and, if it does, builds its integer
+    /// rows; `O(m log d)` for maximum degree `d`.
+    #[must_use]
+    pub fn new(g: &'g Graph) -> Self {
+        CutScorer {
+            graph: g,
+            exact: ExactCut::build(g),
+        }
+    }
+
+    /// Whether states are scored in integers (`false`: by
+    /// [`cut_value_binary`]).
+    #[must_use]
+    pub fn is_exact(&self) -> bool {
+        self.exact.is_some()
+    }
+
+    /// The cut of `bits`, bit for bit what [`cut_value_binary`] returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits.len()` differs from the graph's node count.
+    #[must_use]
+    pub fn score(&self, bits: &[bool]) -> f64 {
+        match &self.exact {
+            Some(exact) => {
+                assert_eq!(
+                    bits.len(),
+                    self.graph.num_nodes(),
+                    "bit vector length mismatch"
+                );
+                exact.score(bits)
+            }
+            None => cut_value_binary(self.graph, bits),
+        }
+    }
+}
+
+impl ExactCut {
+    fn build(g: &Graph) -> Option<Self> {
+        // Gathered rows hold their neighbours as `u32`.
+        u32::try_from(g.num_nodes()).ok()?;
+        let p = g
+            .edges()
+            .try_fold(0, |p, e| Some(p.max(fraction_bits(e.w)?)))?;
+        // 2^p and 2^-p are normal numbers, so scaling by them is exact.
+        if p > 1022 {
+            return None;
+        }
+        let up = (2.0_f64).powi(p);
+        let mut sum = 0_u64;
+        for e in g.edges() {
+            let k = (e.w * up).abs();
+            if k > EXACT_LIMIT as f64 {
+                return None;
+            }
+            sum += k as u64;
+            if sum > EXACT_LIMIT {
+                return None;
+            }
+        }
+        let (mut rows, mut weights, mut cols) = (Vec::new(), Vec::new(), Vec::new());
+        weights.reserve_exact(g.num_edges());
+        let mut upper = Vec::new();
+        for node in 0..g.num_nodes() {
+            upper.clear();
+            upper.extend(g.neighbors(node).iter().filter(|&&(v, _)| v > node));
+            if upper.is_empty() {
+                continue;
+            }
+            upper.sort_unstable_by_key(|&(v, _)| v);
+            let (first, last, len) = (upper[0].0, upper[upper.len() - 1].0, upper.len());
+            let run = if last - first + 1 == len {
+                Run::Slice { first }
+            } else {
+                let at = cols.len();
+                cols.extend(upper.iter().map(|&(v, _)| v as u32));
+                Run::Gather { at }
+            };
+            rows.push(Row {
+                node,
+                at: weights.len(),
+                len,
+                run,
+            });
+            // Exact: |w·2^p| ≤ 2^53 was checked above.
+            weights.extend(upper.iter().map(|&(_, w)| (w * up) as i64));
+        }
+        Some(ExactCut {
+            scale: (2.0_f64).powi(-p),
+            rows,
+            weights,
+            cols,
+        })
+    }
+
+    fn score(&self, bits: &[bool]) -> f64 {
+        // Each node's side as a mask, all ones for `true`: an edge's weight
+        // counts when the two masks differ, `w & (a ^ b)`, with no branch.
+        let side: Vec<i64> = bits.iter().map(|&b| -i64::from(b)).collect();
+        let mut total = 0_i64;
+        for row in &self.rows {
+            let (own, w) = (side[row.node], &self.weights[row.at..row.at + row.len]);
+            total += match row.run {
+                Run::Slice { first } => {
+                    crossing(w, own, side[first..first + row.len].iter().copied())
+                }
+                Run::Gather { at } => crossing(
+                    w,
+                    own,
+                    self.cols[at..at + row.len]
+                        .iter()
+                        .map(|&v| side[v as usize]),
+                ),
+            };
+        }
+        if total == 0 && !self.any_crossing(&side) {
+            return -0.0;
+        }
+        // Exact: |total| ≤ 2^53, and 2^-p is a power of two.
+        total as f64 * self.scale
+    }
+
+    /// Whether any edge crosses: only a zero total needs to know.
+    fn any_crossing(&self, side: &[i64]) -> bool {
+        self.rows.iter().any(|row| {
+            let own = side[row.node];
+            match row.run {
+                Run::Slice { first } => side[first..first + row.len].iter().any(|&s| s != own),
+                Run::Gather { at } => self.cols[at..at + row.len]
+                    .iter()
+                    .any(|&v| side[v as usize] != own),
+            }
+        })
+    }
+}
+
+/// The sum of the weights whose other end's side mask is not `own`.
+#[inline(always)]
+fn crossing(weights: &[i64], own: i64, others: impl Iterator<Item = i64>) -> i64 {
+    weights
+        .iter()
+        .zip(others)
+        .map(|(&w, other)| w & (own ^ other))
+        .sum()
+}
+
+/// Binary digits `w` needs after the point (0 for an integer), or `None`
+/// for a zero or non-finite weight.
+fn fraction_bits(w: f64) -> Option<i32> {
+    if w == 0.0 || !w.is_finite() {
+        return None;
+    }
+    let bits = w.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as i32;
+    let mantissa = bits & ((1 << 52) - 1);
+    // A normal number is (2^52 + mantissa)·2^(biased − 1075); a subnormal
+    // one is mantissa·2^−1074.
+    let (m, e) = if biased == 0 {
+        (mantissa, -1074)
+    } else {
+        (mantissa | (1 << 52), biased - 1075)
+    };
+    Some((-(e + m.trailing_zeros() as i32)).max(0))
+}
+
 /// Change in cut value if node `u` flips sides.
 ///
 /// Used by the local-search and annealing baselines; `O(degree(u))`.

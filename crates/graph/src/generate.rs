@@ -70,10 +70,10 @@ pub fn complete(n: usize, dist: WeightDist, seed: u64) -> Result<Graph> {
         return Err(GraphError::Empty);
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::with_edge_capacity(n, n * (n - 1) / 2);
+    let mut b = GraphBuilder::for_distinct_edges(n, n * (n - 1) / 2);
     for u in 0..n {
         for v in (u + 1)..n {
-            b.add_edge(u, v, dist.sample(&mut rng))?;
+            b.push_distinct(u, v, dist.sample(&mut rng));
         }
     }
     b.build()
@@ -100,7 +100,7 @@ pub fn gnm(n: usize, m: usize, dist: WeightDist, seed: u64) -> Result<Graph> {
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut chosen = std::collections::HashSet::with_capacity(m);
-    let mut b = GraphBuilder::with_edge_capacity(n, m);
+    let mut b = GraphBuilder::for_distinct_edges(n, m);
     while chosen.len() < m {
         let u = rng.gen_range(0..n);
         let v = rng.gen_range(0..n);
@@ -109,7 +109,7 @@ pub fn gnm(n: usize, m: usize, dist: WeightDist, seed: u64) -> Result<Graph> {
         }
         let key = if u < v { (u, v) } else { (v, u) };
         if chosen.insert(key) {
-            b.add_edge(key.0, key.1, dist.sample(&mut rng))?;
+            b.push_distinct(key.0, key.1, dist.sample(&mut rng));
         }
     }
     b.build()
@@ -328,6 +328,63 @@ mod tests {
         // rows=2 wraps down-edges onto the same pair; generator must dedupe.
         let g = toroidal(2, 4, WeightDist::Unit, 0).unwrap();
         assert!(g.num_edges() > 0);
+    }
+
+    /// The generators as they were before they skipped the builder's
+    /// duplicate set: every edge through `add_edge`.
+    fn complete_via_add_edge(n: usize, dist: WeightDist, seed: u64) -> Graph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new(n);
+        for u in 0..n {
+            for v in (u + 1)..n {
+                b.add_edge(u, v, dist.sample(&mut rng)).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    fn gnm_via_add_edge(n: usize, m: usize, dist: WeightDist, seed: u64) -> Graph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut chosen = std::collections::HashSet::new();
+        let mut b = GraphBuilder::new(n);
+        while chosen.len() < m {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let key = (u.min(v), u.max(v));
+            if u != v && chosen.insert(key) {
+                b.add_edge(key.0, key.1, dist.sample(&mut rng)).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    fn assert_same_bits(a: &Graph, b: &Graph) {
+        assert_eq!(a.num_nodes(), b.num_nodes());
+        let bits = |g: &Graph| -> Vec<(usize, usize, u64)> {
+            g.edges().map(|e| (e.u, e.v, e.w.to_bits())).collect()
+        };
+        assert_eq!(bits(a), bits(b));
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn distinct_edge_generators_match_add_edge_bit_for_bit() {
+        let dists = [
+            WeightDist::Unit,
+            WeightDist::PlusMinusOne,
+            WeightDist::UniformInt { lo: -7, hi: 5 },
+        ];
+        for dist in dists {
+            for seed in [0, 1, 42] {
+                for n in [1, 2, 9, 64] {
+                    let g = complete(n, dist, seed).unwrap();
+                    assert_same_bits(&g, &complete_via_add_edge(n, dist, seed));
+                    for m in [0, n * (n - 1) / 4, n * (n - 1) / 2] {
+                        let g = gnm(n, m, dist, seed).unwrap();
+                        assert_same_bits(&g, &gnm_via_add_edge(n, m, dist, seed));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

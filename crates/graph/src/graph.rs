@@ -158,6 +158,24 @@ impl GraphBuilder {
         }
     }
 
+    /// A builder for edges that are distinct by construction: it keeps no
+    /// duplicate set. Add edges with [`GraphBuilder::push_distinct`] only.
+    pub(crate) fn for_distinct_edges(nodes: usize, edges: usize) -> Self {
+        GraphBuilder {
+            nodes,
+            edges: Vec::with_capacity(edges),
+            seen: std::collections::HashSet::new(),
+        }
+    }
+
+    /// Adds the edge `{u, v}`, `u < v < nodes`, which the caller knows was
+    /// not added before: the generators that emit each pair once skip the
+    /// duplicate set, whose hashing costs more than the rest of the build.
+    pub(crate) fn push_distinct(&mut self, u: usize, v: usize, w: f64) {
+        debug_assert!(u < v && v < self.nodes, "edge ({u}, {v}) of {}", self.nodes);
+        self.edges.push(Edge { u, v, w });
+    }
+
     /// Adds the undirected edge `{u, v}` with weight `w`.
     ///
     /// Edges of weight zero are accepted and stored (GSET files contain

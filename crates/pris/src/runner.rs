@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sophie_graph::cut::cut_value_binary;
+use sophie_graph::cut::CutScorer;
 use sophie_graph::Graph;
 use sophie_solve::{
     NullObserver, OpCounts, RunControl, SolutionTracker, SolveEvent, SolveObserver,
@@ -109,7 +109,8 @@ pub(crate) fn run_controlled(
         target: config.target_cut,
     });
 
-    let cut0 = cut_value_binary(graph, &bits);
+    let scorer = CutScorer::new(graph);
+    let cut0 = scorer.score(&bits);
     let mut tracker = SolutionTracker::start(config.target_cut, &bits, cut0);
     observer.on_event(&SolveEvent::GlobalSync {
         round: 0,
@@ -131,7 +132,7 @@ pub(crate) fn run_controlled(
         }
         executed = it;
         model.step(&mut bits, &noise, &mut rng);
-        let cut = cut_value_binary(graph, &bits);
+        let cut = scorer.score(&bits);
         let obs = tracker.observe(it, &bits, cut);
         observer.on_event(&SolveEvent::GlobalSync {
             round: it,
@@ -165,6 +166,7 @@ pub(crate) fn run_controlled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sophie_graph::cut::{binary_to_spins, cut_value};
     use sophie_graph::generate::{complete, gnm, WeightDist};
 
     /// Preprocesses `graph` at dropout factor `alpha` and runs PRIS on it.
@@ -207,8 +209,12 @@ mod tests {
         let out = solve(&g, 0.0, &config).unwrap();
         // Expected random cut = m/2 = 120; PRIS should clearly beat it.
         assert!(out.best_cut > 140.0, "best cut {}", out.best_cut);
-        // The reported bits must reproduce the reported cut.
-        assert_eq!(cut_value_binary(&g, &out.best_bits), out.best_cut);
+        // The reported bits must reproduce the reported cut, as the ±1
+        // ordered sum computes it.
+        assert_eq!(
+            cut_value(&g, &binary_to_spins(&out.best_bits)),
+            out.best_cut
+        );
     }
 
     #[test]

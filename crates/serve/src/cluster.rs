@@ -190,8 +190,23 @@ impl LocalCluster {
     }
 
     /// Shuts the router down first (so nothing dispatches into dying
-    /// replicas), then every running replica.
+    /// replicas), then every running replica. Dropping the cluster does
+    /// the same.
     pub fn shutdown(mut self) {
+        self.stop();
+    }
+
+    /// Blocks until a client-triggered router shutdown completes, then
+    /// stops the replicas — the daemon-mode path of `repro cluster`.
+    pub fn join(mut self) {
+        if let Some(router) = self.router.take() {
+            router.join();
+        }
+        self.stop();
+    }
+
+    /// Stops whatever still runs: the router, then the replicas.
+    fn stop(&mut self) {
         if let Some(router) = self.router.take() {
             router.shutdown();
         }
@@ -201,18 +216,13 @@ impl LocalCluster {
             }
         }
     }
+}
 
-    /// Blocks until a client-triggered router shutdown completes, then
-    /// stops the replicas — the daemon-mode path of `repro cluster`.
-    pub fn join(mut self) {
-        if let Some(router) = self.router.take() {
-            router.join();
-        }
-        for slot in &mut self.replicas {
-            if let Some(handle) = slot.take() {
-                handle.shutdown();
-            }
-        }
+/// A cluster dropped without [`LocalCluster::shutdown`] (a test that
+/// panics, say) still stops its router, replicas and their threads.
+impl Drop for LocalCluster {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 

@@ -152,6 +152,17 @@ if grep -rnE 'GaussianSource|\.sample\(' crates/core/src/queue/; then
     exit 1
 fi
 
+# Exact-scoring gate: the engine and the PRIS runner score every
+# synchronized state through sophie_graph::cut::CutScorer, which sums in
+# integers where the weights allow it and has the bits of the ordered edge
+# sum either way; a direct cut_value_binary call there would bring back
+# the serial walk over every edge on every sync.
+echo "==> grep gate: no cut_value_binary( under crates/core/src/engine/ or in crates/pris/src/runner.rs"
+if grep -rn "cut_value_binary(" crates/core/src/engine/ crates/pris/src/runner.rs; then
+    echo "the engine and PRIS score states through CutScorer (built once per job), never cut_value_binary directly" >&2
+    exit 1
+fi
+
 if [[ "$quick" -eq 0 ]]; then
     run cargo test -q --workspace
     # Fault-aware runtime: injection/recovery behavior and the
