@@ -2,27 +2,20 @@
 //! preprocessing (the host-side step of every SOPHIE job).
 //!
 //! Besides small sparse couplings, the suites cover the two sizes the
-//! benchmark workloads actually preprocess: the dense K512 coupling
-//! (`serve-sophie-k512`) and the G1-shaped n = 800 one (`sim-g1`). The
-//! `g22` group adds the largest named instance, G22 (n = 2000), where the
-//! O(n³) passes no longer fit a core's caches.
+//! benchmark workloads actually preprocess, the dense K512 coupling
+//! (`serve-sophie-k512`) and the G1-shaped n = 800 one (`sim-g1`), in
+//! [`sophie_bench::micro::preprocess`], which `repro bench-summary` runs
+//! too. The `g22` group adds the largest named instance, G22 (n = 2000),
+//! where the O(n³) passes no longer fit a core's caches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use sophie_bench::micro;
 use sophie_graph::coupling::{coupling_matrix, delta_diagonal};
 use sophie_graph::generate::{gnm, presets, WeightDist};
-use sophie_graph::Graph;
 use sophie_linalg::eigen::{jacobi_eigen, symmetric_eigen};
 use sophie_linalg::Matrix;
 use sophie_pris::{DeltaVariant, Preprocessor};
 use std::hint::black_box;
-
-/// The benchmark workloads' instances: `(label, graph)`.
-fn workload_graphs() -> Vec<(&'static str, Graph)> {
-    vec![
-        ("K512", presets::k_graph(512, 1).unwrap()),
-        ("G1_800", presets::g1_like(1).unwrap()),
-    ]
-}
 
 fn bench_eigensolvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("symmetric_eigen");
@@ -39,31 +32,17 @@ fn bench_eigensolvers(c: &mut Criterion) {
             });
         }
     }
-    for (label, g) in workload_graphs() {
-        let k = coupling_matrix(&g);
-        group.bench_with_input(BenchmarkId::new("householder_ql", label), &k, |b, k| {
-            b.iter(|| symmetric_eigen(black_box(k)).unwrap());
-        });
-    }
     group.finish();
 }
 
 fn bench_dropout_transform(c: &mut Criterion) {
     let mut group = c.benchmark_group("dropout_transform");
     group.sample_size(10);
-    let mut cases: Vec<(String, Graph)> = [128usize, 512]
-        .iter()
-        .map(|&n| (n.to_string(), gnm(n, 4 * n, WeightDist::Unit, 3).unwrap()))
-        .collect();
-    cases.extend(
-        workload_graphs()
-            .into_iter()
-            .map(|(label, g)| (label.to_string(), g)),
-    );
-    for (label, g) in cases {
+    for n in [128usize, 512] {
+        let g = gnm(n, 4 * n, WeightDist::Unit, 3).unwrap();
         let k = coupling_matrix(&g);
         let pre = Preprocessor::new(&k, delta_diagonal(&g), DeltaVariant::Gershgorin).unwrap();
-        group.bench_with_input(BenchmarkId::from_parameter(label), &pre, |b, pre| {
+        group.bench_with_input(BenchmarkId::from_parameter(n), &pre, |b, pre| {
             b.iter(|| pre.transform(black_box(0.0)).unwrap());
         });
     }
@@ -111,6 +90,7 @@ fn bench_g22(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_eigensolvers,
+    micro::preprocess,
     bench_dropout_transform,
     bench_gram,
     bench_g22

@@ -18,8 +18,9 @@ use sophie_core::{
     EngineRun, Schedule, SolveJob, Solver, SophieConfig, SophieSolver, SparseBackend,
 };
 use sophie_graph::coupling::coupling_matrix;
-use sophie_graph::generate::{gnm, WeightDist};
+use sophie_graph::generate::{gnm, presets, WeightDist};
 use sophie_hw::{OpcmBackend, OpcmBackendConfig};
+use sophie_linalg::eigen::symmetric_eigen;
 use sophie_linalg::{Matrix, SparseCsr, Tile, TileGrid};
 use sophie_solve::Json;
 
@@ -153,6 +154,52 @@ pub fn analytic_counts(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| sophie_core::analytic::analytic_op_counts(black_box(n), &cfg, 1).unwrap());
         });
+    }
+    group.finish();
+}
+
+/// The eigenvalue-dropout preprocessing every new instance pays before
+/// its first spin flips (paper §II-C), on the two instances the benchmark
+/// workloads preprocess: K512 (`serve-sophie-k512`) and the G1-shaped
+/// n = 800 graph (`sim-g1`). Each stage is timed on its own: the
+/// eigendecomposition, `C = B Bᵀ` over the α = 0 dropout spectrum, and
+/// tiling `C` into a solver.
+pub fn preprocess(c: &mut Criterion) {
+    let mut group = c.benchmark_group("preprocess");
+    group.sample_size(5);
+    let instances = [
+        ("K512", presets::k_graph(512, 1).unwrap()),
+        ("G1", presets::g1_like(1).unwrap()),
+    ];
+    for (label, g) in instances {
+        let k = coupling_matrix(&g);
+        group.bench_with_input(BenchmarkId::new("symmetric_eigen", label), &k, |b, k| {
+            b.iter(|| symmetric_eigen(black_box(k)).unwrap());
+        });
+        let eig = symmetric_eigen(&k).unwrap();
+        // α = 0: 2·Re(√λ), every negative eigenvalue dropped.
+        let f: Vec<f64> = eig
+            .values
+            .iter()
+            .map(|&x| if x > 0.0 { 2.0 * x.sqrt() } else { 0.0 })
+            .collect();
+        group.bench_with_input(
+            BenchmarkId::new("compose_nonnegative", label),
+            &f,
+            |b, f| {
+                b.iter(|| eig.compose_nonnegative(black_box(f)));
+            },
+        );
+        let transform = eig.compose_nonnegative(&f);
+        group.bench_with_input(
+            BenchmarkId::new("from_transform", label),
+            &transform,
+            |b, t| {
+                b.iter(|| {
+                    SophieSolver::from_transform(black_box(t), SophieConfig::default()).unwrap()
+                });
+            },
+        );
     }
     group.finish();
 }
@@ -291,7 +338,8 @@ pub fn incremental_round(c: &mut Criterion) {
     group.finish();
 }
 
-/// Runs every suite of the `mvm` and `engine` bench targets into `c`.
+/// Runs every suite of the `mvm` and `engine` bench targets, and the
+/// `eigen` target's `preprocess` suite, into `c`.
 pub fn all_suites(c: &mut Criterion) {
     tile_mvm(c);
     sparse_matvec(c);
@@ -301,6 +349,7 @@ pub fn all_suites(c: &mut Criterion) {
     incremental_round(c);
     schedule_generation(c);
     analytic_counts(c);
+    preprocess(c);
 }
 
 /// Serializes bench results as the `BENCH_sophie.json` document tracked

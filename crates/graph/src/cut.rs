@@ -8,6 +8,8 @@
 //!   max-cut coupling `K = -A`),
 //! * `cut(σ) = (W_total − energy(σ)) / 2`.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::graph::Graph;
 use rand::Rng;
 
@@ -124,12 +126,12 @@ pub fn cut_value_binary(g: &Graph, bits: &[bool]) -> f64 {
 #[derive(Debug, Clone)]
 pub struct CutScorer<'g> {
     graph: &'g Graph,
-    exact: Option<ExactCut>,
+    exact: Option<&'g ExactCut>,
 }
 
 /// The integer form of a qualifying graph (see [`CutScorer`]).
 #[derive(Debug, Clone)]
-struct ExactCut {
+pub(crate) struct ExactCut {
     /// `2^-p`.
     scale: f64,
     /// Nodes with at least one upper neighbour, in ascending order.
@@ -160,14 +162,26 @@ enum Run {
 /// Largest integer total the exactness argument allows.
 const EXACT_LIMIT: u64 = 1 << 53;
 
+/// Integer forms built by this process: see [`exact_builds`].
+static EXACT_BUILDS: AtomicU64 = AtomicU64::new(0);
+
+/// How many times this process has checked a graph and built its
+/// integer form. A graph does it once, on its first [`CutScorer::new`],
+/// so jobs that share one `Graph` share one build.
+#[must_use]
+pub fn exact_builds() -> u64 {
+    EXACT_BUILDS.load(Ordering::Relaxed)
+}
+
 impl<'g> CutScorer<'g> {
-    /// Checks whether `g` qualifies and, if it does, builds its integer
-    /// rows; `O(m log d)` for maximum degree `d`.
+    /// The scorer of `g`. The first scorer of a graph checks whether it
+    /// qualifies and, if it does, builds its integer rows, `O(m log d)` for
+    /// maximum degree `d`; the graph keeps them for every later scorer.
     #[must_use]
     pub fn new(g: &'g Graph) -> Self {
         CutScorer {
             graph: g,
-            exact: ExactCut::build(g),
+            exact: g.exact_cut(),
         }
     }
 
@@ -185,7 +199,7 @@ impl<'g> CutScorer<'g> {
     /// Panics if `bits.len()` differs from the graph's node count.
     #[must_use]
     pub fn score(&self, bits: &[bool]) -> f64 {
-        match &self.exact {
+        match self.exact {
             Some(exact) => {
                 assert_eq!(
                     bits.len(),
@@ -200,7 +214,25 @@ impl<'g> CutScorer<'g> {
 }
 
 impl ExactCut {
-    fn build(g: &Graph) -> Option<Self> {
+    /// The most heap bytes the integer form of a graph with `nodes` nodes
+    /// and `edges` edges holds: a row per node, a weight and a gathered
+    /// neighbour per edge.
+    pub(crate) fn max_heap_bytes(nodes: usize, edges: usize) -> usize {
+        use std::mem::size_of;
+        nodes * size_of::<Row>() + edges * (size_of::<i64>() + size_of::<u32>())
+    }
+
+    /// The heap bytes this form holds.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.rows.capacity() * size_of::<Row>()
+            + self.weights.capacity() * size_of::<i64>()
+            + self.cols.capacity() * size_of::<u32>()
+    }
+
+    pub(crate) fn build(g: &Graph) -> Option<Self> {
+        EXACT_BUILDS.fetch_add(1, Ordering::Relaxed);
         // Gathered rows hold their neighbours as `u32`.
         u32::try_from(g.num_nodes()).ok()?;
         let p = g
@@ -222,7 +254,9 @@ impl ExactCut {
                 return None;
             }
         }
+        // Capacities stay within `max_heap_bytes`.
         let (mut rows, mut weights, mut cols) = (Vec::new(), Vec::new(), Vec::new());
+        rows.reserve_exact(g.num_nodes());
         weights.reserve_exact(g.num_edges());
         let mut upper = Vec::new();
         for node in 0..g.num_nodes() {
@@ -249,6 +283,7 @@ impl ExactCut {
             // Exact: |w·2^p| ≤ 2^53 was checked above.
             weights.extend(upper.iter().map(|&(_, w)| (w * up) as i64));
         }
+        cols.shrink_to_fit();
         Some(ExactCut {
             scale: (2.0_f64).powi(-p),
             rows,

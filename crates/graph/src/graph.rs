@@ -1,5 +1,8 @@
 //! Weighted undirected graphs.
 
+use std::sync::OnceLock;
+
+use crate::cut::ExactCut;
 use crate::error::{GraphError, Result};
 
 /// One weighted undirected edge. Endpoints are stored with `u < v`.
@@ -43,6 +46,32 @@ pub struct Graph {
     /// CSR-style adjacency: `adj[offsets[u]..offsets[u+1]]` lists `(v, w)`.
     offsets: Vec<usize>,
     adj: Vec<(usize, f64)>,
+    #[cfg_attr(feature = "serde", serde(skip))]
+    derived: Derived,
+}
+
+/// Values derived from a graph's edges on first use and kept for the
+/// graph's life, so jobs that share one graph (a daemon's named graphs
+/// are one `Arc` each) compute them once. `==` ignores them: they are
+/// functions of the edges.
+#[derive(Clone, Default)]
+struct Derived {
+    /// The integer form [`crate::cut::CutScorer`] scores with, or `None`
+    /// when the graph does not qualify.
+    exact: OnceLock<Option<ExactCut>>,
+    digest: OnceLock<u64>,
+}
+
+impl PartialEq for Derived {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for Derived {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("..")
+    }
 }
 
 impl Graph {
@@ -119,14 +148,52 @@ impl Graph {
         self.num_edges() == self.nodes * self.nodes.saturating_sub(1) / 2
     }
 
-    /// Bytes held by the edge list and the adjacency arrays.
+    /// Bytes held by the edge list, the adjacency arrays and the cut
+    /// scorer's integer form, counted at its largest whether or not it
+    /// has been built, so the figure never changes over the graph's life.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.edges.len() * size_of::<Edge>()
             + self.offsets.len() * size_of::<usize>()
             + self.adj.len() * size_of::<(usize, f64)>()
+            + ExactCut::max_heap_bytes(self.nodes, self.edges.len())
     }
+
+    /// The integer form of the cut scorer, built on the first call.
+    pub(crate) fn exact_cut(&self) -> Option<&ExactCut> {
+        self.derived
+            .exact
+            .get_or_init(|| ExactCut::build(self))
+            .as_ref()
+    }
+
+    /// A 64-bit digest of the node count and of every edge (endpoints and
+    /// weight bits, in order), computed on the first call. Equal graphs
+    /// have equal digests; a cache keyed on it must still confirm a hit
+    /// with `==`, as different graphs can collide.
+    ///
+    /// A word-wise FNV-1a whose state rotates after each product, so high
+    /// input bits (a weight's sign) reach every digest bit.
+    #[must_use]
+    pub fn content_digest(&self) -> u64 {
+        *self.derived.digest.get_or_init(|| {
+            let mut h = digest_word(0xcbf2_9ce4_8422_2325, self.nodes as u64);
+            for e in &self.edges {
+                h = digest_word(h, e.u as u64);
+                h = digest_word(h, e.v as u64);
+                h = digest_word(h, e.w.to_bits());
+            }
+            h
+        })
+    }
+}
+
+/// One step of [`Graph::content_digest`]'s hash: takes `word` into `h`.
+fn digest_word(h: u64, word: u64) -> u64 {
+    (h ^ word)
+        .wrapping_mul(0x0000_0100_0000_01b3)
+        .rotate_left(29)
 }
 
 /// Incremental builder enforcing the simple-graph invariants.
@@ -248,6 +315,7 @@ impl GraphBuilder {
             edges: self.edges,
             offsets,
             adj,
+            derived: Derived::default(),
         })
     }
 }
@@ -376,5 +444,35 @@ mod tests {
         assert_eq!(g.num_nodes(), 1);
         assert_eq!(g.density(), 0.0);
         assert!(g.is_complete());
+    }
+
+    /// The scorer's integer form and the digest, once computed, change
+    /// neither `==` nor `heap_bytes`, and the integer form fits the bytes
+    /// `heap_bytes` counts for it.
+    #[test]
+    fn derived_values_leave_equality_and_heap_bytes_alone() {
+        let mut b = GraphBuilder::new(40);
+        for v in (2..40).step_by(3) {
+            b.add_edge(0, v, 0.5).unwrap();
+            b.add_edge(v - 1, v, -2.0).unwrap();
+        }
+        let fresh = b.build().unwrap();
+        let g = fresh.clone();
+        let bytes = g.heap_bytes();
+        let exact = g.exact_cut().expect("halves and integers qualify");
+        let held = exact.heap_bytes();
+        assert!(
+            held <= ExactCut::max_heap_bytes(g.num_nodes(), g.num_edges()),
+            "{held} bytes held"
+        );
+        assert_eq!(g.content_digest(), fresh.content_digest());
+        assert_eq!(g.heap_bytes(), bytes);
+        assert_eq!(g, fresh);
+        assert_eq!(g.clone(), fresh);
+        assert!(std::ptr::eq(exact, g.exact_cut().unwrap()), "built once");
+
+        let mut other = GraphBuilder::new(40);
+        other.add_edge(0, 1, 0.5).unwrap();
+        assert_ne!(other.build().unwrap().content_digest(), g.content_digest());
     }
 }

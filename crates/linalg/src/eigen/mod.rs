@@ -14,6 +14,8 @@ mod tridiagonal;
 
 pub use jacobi::{jacobi_eigen, JacobiEigen};
 
+use std::collections::HashMap;
+
 use crate::error::{LinalgError, Result};
 use crate::Matrix;
 
@@ -70,7 +72,13 @@ impl SymmetricEigen {
     }
 
     /// Builds `U diag(f) Uᵀ` from spectrum values `f` (entry `k` pairs
-    /// with `values[k]`) as `B Bᵀ`, `B = U diag(√f)`.
+    /// with `values[k]`) as `B Bᵀ`, `B = U diag(√f)`: entry `(r, c)` is
+    /// the sum from `−0.0` of `B[r][k]·B[c][k]` in ascending `k`.
+    ///
+    /// A column with `f_k = 0` (every eigenvalue that dropout discards)
+    /// adds only `±0` terms, which change no sum but the sign of one that
+    /// is exactly zero, so the product runs over the other columns and
+    /// then gives each zero entry the sign of the full sum.
     ///
     /// # Panics
     ///
@@ -81,9 +89,81 @@ impl SymmetricEigen {
         assert_eq!(f.len(), n, "compose_nonnegative: one value per eigenvalue");
         debug_assert!(f.iter().all(|&x| x >= 0.0), "negative spectrum value");
         let roots: Vec<f64> = f.iter().map(|x| x.sqrt()).collect();
-        Matrix::gram_with(n, n, |r, k| self.vectors[(r, k)] * roots[k])
+        // A zero root's terms are ±0 only while its column is finite.
+        let mut skip: Vec<bool> = roots.iter().map(|&x| x == 0.0).collect();
+        if skip.contains(&true) {
+            for r in 0..n {
+                for (s, x) in skip.iter_mut().zip(self.vectors.row(r)) {
+                    *s &= x.is_finite();
+                }
+            }
+        }
+        let (zero, kept): (Vec<usize>, Vec<usize>) = (0..n).partition(|&k| skip[k]);
+        let mut c = Matrix::gram_with(n, kept.len(), |r, t| {
+            self.vectors[(r, kept[t])] * roots[kept[t]]
+        });
+        if !zero.is_empty() {
+            restore_zero_signs(&mut c, &self.vectors, &zero);
+        }
+        c
     }
 }
+
+/// Gives each zero entry of `c = B Bᵀ`, summed without the columns
+/// `zero` of `B` (whose entries are `±0`), the sign the full sum would
+/// have given it.
+///
+/// In round-to-nearest a sum from `−0.0` ends at `−0.0` only if every
+/// term is `−0.0`: any `+0.0` term or exact cancellation yields `+0.0`.
+/// So only a `−0.0` entry can change, and it stays `−0.0` exactly when
+/// every skipped term `B[r][k]·B[c][k]` is `−0.0`, that is when rows `r`
+/// and `c` of `u` differ in sign in every column of `zero`. Rows are
+/// grouped by that sign pattern, so the check costs `O(1)` per entry
+/// however many entries are zero.
+fn restore_zero_signs(c: &mut Matrix, u: &Matrix, zero: &[usize]) {
+    if !c.as_slice().iter().any(|x| x.to_bits() == NEG_ZERO) {
+        return;
+    }
+    let n = c.rows();
+    let words = zero.len().div_ceil(64);
+    let mut signs = vec![0_u64; n * words];
+    for (r, pattern) in signs.chunks_exact_mut(words).enumerate() {
+        let row = u.row(r);
+        for (t, &k) in zero.iter().enumerate() {
+            if row[k].is_sign_negative() {
+                pattern[t / 64] |= 1 << (t % 64);
+            }
+        }
+    }
+    let mut classes: HashMap<&[u64], usize> = HashMap::new();
+    let class: Vec<usize> = signs
+        .chunks_exact(words)
+        .map(|pattern| {
+            let next = classes.len();
+            *classes.entry(pattern).or_insert(next)
+        })
+        .collect();
+    // The class of each row's opposite pattern, if any row has it.
+    let tail = zero.len() % 64;
+    let mut flipped = vec![0_u64; words];
+    for (r, pattern) in signs.chunks_exact(words).enumerate() {
+        for (f, &x) in flipped.iter_mut().zip(pattern) {
+            *f = !x;
+        }
+        if tail != 0 {
+            flipped[words - 1] &= (1 << tail) - 1;
+        }
+        let opposite = classes.get(flipped.as_slice()).copied();
+        for (x, &cls) in c.row_mut(r).iter_mut().zip(&class) {
+            if x.to_bits() == NEG_ZERO && opposite != Some(cls) {
+                *x = 0.0;
+            }
+        }
+    }
+}
+
+/// The bits of `−0.0`.
+const NEG_ZERO: u64 = 1 << 63;
 
 /// Computes the full eigendecomposition of a symmetric matrix.
 ///
@@ -135,7 +215,7 @@ pub fn symmetric_eigen(a: &Matrix) -> Result<SymmetricEigen> {
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&i, &j| d[i].total_cmp(&d[j]));
     let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-    let vectors = Matrix::from_fn(n, n, |r, c| zt.get(order[c], r));
+    let vectors = Matrix::from_vec(n, n, zt.columns(&order))?;
     Ok(SymmetricEigen { values, vectors })
 }
 
@@ -226,6 +306,98 @@ mod tests {
         // compare against reconstruct (which routes through the same fn) and
         // the original matrix.
         assert!(e.apply_fn(|x| x).max_abs_diff(&a) < 1e-9);
+    }
+
+    /// `B Bᵀ` over every column, zero roots included: the sum that
+    /// [`SymmetricEigen::compose_nonnegative`] must reproduce bit for bit.
+    fn compose_all_columns(e: &SymmetricEigen, f: &[f64]) -> Matrix {
+        let roots: Vec<f64> = f.iter().map(|x| x.sqrt()).collect();
+        Matrix::gram_with(e.dim(), e.dim(), |r, k| e.vectors[(r, k)] * roots[k])
+    }
+
+    fn assert_composes_like_all_columns(e: &SymmetricEigen, f: &[f64], what: &str) {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let got = e.compose_nonnegative(f);
+        let want = compose_all_columns(e, f);
+        assert_eq!(bits(&got), bits(&want), "{what}");
+    }
+
+    /// Exact `±0` vector entries of both signs, in `n × n` vectors whose
+    /// rows share and mirror sign patterns, so zero entries of `C` come
+    /// out `+0.0` and `−0.0` both.
+    fn signed_zero_vectors(n: usize, seed: u64) -> Matrix {
+        let mut state = seed;
+        Matrix::from_fn(n, n, |r, k| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let sign = if (r / 2 + k) % 3 == 0 { -1.0 } else { 1.0 };
+            match (state >> 60, r % 2) {
+                (0..=9, _) => sign * 0.0,
+                (_, 1) => -sign * 0.0,
+                _ => ((state >> 11) as f64 / (1_u64 << 53) as f64 - 0.5) * sign,
+            }
+        })
+    }
+
+    /// Skipping the zero-root columns keeps every bit of the full sum:
+    /// on a decomposition whose `C` has exact zeros (two components), on
+    /// vectors full of signed zeros, with no root zero, every root zero,
+    /// `−0.0` roots, and a non-finite entry in a zero-root column.
+    #[test]
+    fn compose_over_kept_columns_matches_the_full_sum_bitwise() {
+        // Two components: C is zero between them.
+        let n = 24;
+        let raw = pseudorandom_symmetric(n, 21);
+        let a = Matrix::from_fn(n, n, |r, c| {
+            if (r < n / 2) == (c < n / 2) {
+                raw[(r, c)]
+            } else {
+                0.0
+            }
+        });
+        let e = symmetric_eigen(&a).unwrap();
+        let dropout: Vec<f64> = e
+            .values
+            .iter()
+            .map(|&x| if x > 0.0 { x } else { 0.0 })
+            .collect();
+        assert_composes_like_all_columns(&e, &dropout, "two components");
+        assert!(e
+            .compose_nonnegative(&dropout)
+            .as_slice()
+            .iter()
+            .any(|x| x.to_bits() == 0));
+
+        for (n, seed) in [(7, 1), (33, 2), (70, 3)] {
+            let e = SymmetricEigen {
+                values: vec![0.0; n],
+                vectors: signed_zero_vectors(n, seed),
+            };
+            let half: Vec<f64> = (0..n).map(|k| if k % 2 == 0 { 0.0 } else { 1.5 }).collect();
+            assert_composes_like_all_columns(&e, &half, "half the roots zero");
+            let some: Vec<f64> = (0..n)
+                .map(|k| if k % 5 == 1 { 0.0 } else { 0.25 })
+                .collect();
+            assert_composes_like_all_columns(&e, &some, "a fifth of the roots zero");
+            assert_composes_like_all_columns(&e, &vec![2.0; n], "no root zero");
+            assert_composes_like_all_columns(&e, &vec![0.0; n], "every root zero");
+            let negative: Vec<f64> = (0..n)
+                .map(|k| if k % 3 == 0 { -0.0 } else { 0.0 })
+                .collect();
+            assert_composes_like_all_columns(&e, &negative, "−0.0 roots");
+        }
+
+        // A zero root times an infinite entry is NaN, not ±0: that column
+        // must stay in the sum.
+        let mut vectors = signed_zero_vectors(9, 4);
+        vectors[(3, 2)] = f64::INFINITY;
+        let e = SymmetricEigen {
+            values: vec![0.0; 9],
+            vectors,
+        };
+        let f: Vec<f64> = (0..9).map(|k| if k % 2 == 0 { 0.0 } else { 1.0 }).collect();
+        assert_composes_like_all_columns(&e, &f, "non-finite zero-root column");
     }
 
     #[test]

@@ -9,14 +9,24 @@
 //! `is_x86_feature_detected!`). No configuration, build flag or
 //! environment variable selects the path.
 //!
-//! The dispatched loops: the eigensolver's accumulation phase and rank-2
-//! update (`eigen::tridiagonal`) and its QL strip replay (`eigen::ql`),
-//! and the `axpy` and `b32u2` tile kernels (`kernel`). The Householder
-//! `A·w` product measured no faster under AVX2 and is not dispatched.
+//! The dispatched loops:
+//!
+//! * the eigensolver's accumulation phase (`eigen::tridiagonal`), whose
+//!   interleaved 8-row reflector steps become two 4-lane vectors per `k`;
+//! * its rank-2 update, fused with the next reflector's `A·w` product
+//!   (`eigen::tridiagonal`);
+//! * its QL strip replay (`eigen::ql`), single rotations and fused runs
+//!   of four;
+//! * the `axpy` and `b32u2` tile kernels (`kernel`).
+//!
+//! The Householder `A·w` product alone measured no faster under AVX2; it
+//! is dispatched only as part of that fused pass. An AVX-512 tier for the
+//! dispatched eigensolver loops measured no change in a trial build and
+//! was left out.
 //!
 //! Target features do not carry into closures or into functions that are
 //! not inlined, so callers dispatch inside each pool task (a `Qᵀ` row
-//! block, a QL strip, a rank-2 update sweep) or kernel call, pass an
+//! block, a QL strip, a reduction pass) or kernel call, pass an
 //! `#[inline(always)]` closure, and mark the loop bodies
 //! `#[inline(always)]`. A closure without the attribute is called from
 //! both branches of [`run`] and is left out of line, in the baseline

@@ -160,7 +160,8 @@ const TRANSFORM_CACHE_BYTES: usize = 64 << 20;
 /// the software form of programming the couplings once and amortizing
 /// them over a batch of jobs (paper §III-E).
 ///
-/// A slot is selected by an FNV-1a digest of the graph's edges and `α`.
+/// A slot is selected by a digest of the graph's edges, kept by the graph
+/// once computed, and `α`.
 /// A hit also requires the stored graph to equal the job's (`Arc` identity
 /// or `==`) at the same `α` bits, so a digest collision on untrusted input
 /// costs a miss, never a wrong `C`. Entries are evicted first in, first
@@ -281,26 +282,13 @@ impl TransformCache {
     }
 }
 
-/// FNV-1a over 64-bit words of the node count, each edge's endpoints and
-/// weight bits, then `α`'s bits. The state rotates after each product, so
-/// high input bits (a weight's sign) reach every digest bit; byte-wise
-/// FNV-1a costs six times as long on K512. The digest only picks a slot: a
-/// hit is confirmed by comparing the graphs.
+/// The graph's content digest (computed once per graph) with `α`'s bits
+/// folded in the same way. The digest only picks a slot: a hit is
+/// confirmed by comparing the graphs.
 fn digest(graph: &Graph, alpha: f64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |word: u64| {
-        h = (h ^ word)
-            .wrapping_mul(0x0000_0100_0000_01b3)
-            .rotate_left(29);
-    };
-    eat(graph.num_nodes() as u64);
-    for e in graph.edges() {
-        eat(e.u as u64);
-        eat(e.v as u64);
-        eat(e.w.to_bits());
-    }
-    eat(alpha.to_bits());
-    h
+    (graph.content_digest() ^ alpha.to_bits())
+        .wrapping_mul(0x0000_0100_0000_01b3)
+        .rotate_left(29)
 }
 
 #[cfg(test)]

@@ -410,10 +410,7 @@ impl RouterHandle {
     /// Triggers graceful shutdown and blocks until teardown completes.
     /// Replicas are left running — they belong to whoever started them.
     pub fn shutdown(mut self) {
-        conn::shut_down(&*self.shared);
-        if let Some(t) = self.supervisor.take() {
-            let _ = t.join();
-        }
+        self.stop();
     }
 
     /// Blocks until a client-triggered shutdown completes teardown.
@@ -421,6 +418,22 @@ impl RouterHandle {
         if let Some(t) = self.supervisor.take() {
             let _ = t.join();
         }
+    }
+
+    /// Triggers shutdown, unless teardown already ran, and waits for it.
+    fn stop(&mut self) {
+        if let Some(t) = self.supervisor.take() {
+            conn::shut_down(&*self.shared);
+            let _ = t.join();
+        }
+    }
+}
+
+/// A handle dropped without `shutdown` or `join` (a test that panics,
+/// say) still stops every thread it started.
+impl Drop for RouterHandle {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 

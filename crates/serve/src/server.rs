@@ -337,10 +337,7 @@ impl ServerHandle {
 
     /// Triggers graceful shutdown and blocks until teardown completes.
     pub fn shutdown(mut self) {
-        conn::shut_down(&*self.shared);
-        if let Some(t) = self.supervisor.take() {
-            let _ = t.join();
-        }
+        self.stop();
     }
 
     /// Blocks until a client-triggered shutdown completes teardown.
@@ -348,6 +345,22 @@ impl ServerHandle {
         if let Some(t) = self.supervisor.take() {
             let _ = t.join();
         }
+    }
+
+    /// Triggers shutdown, unless teardown already ran, and waits for it.
+    fn stop(&mut self) {
+        if let Some(t) = self.supervisor.take() {
+            conn::shut_down(&*self.shared);
+            let _ = t.join();
+        }
+    }
+}
+
+/// A handle dropped without `shutdown` or `join` (a test that panics,
+/// say) still stops every thread it started.
+impl Drop for ServerHandle {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 

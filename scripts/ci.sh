@@ -193,6 +193,8 @@ if [[ "$quick" -eq 0 ]]; then
     # Bench gate (quick mode): the sparse kernel suites must be present and
     # the warm-polish speedup must not regress below a conservative floor
     # (the committed full record shows >= 5x; quick-mode medians are noisy).
+    # The preprocessing stages must be recorded too (presence only: no
+    # speed floor).
     python3 - "$smoke_dir/BENCH_sophie.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -203,11 +205,15 @@ for needed in (
     "sparse_matvec/incremental_1flip/64",
     "incremental_round/dense/2000",
     "incremental_round/sparse/2000",
+) + tuple(
+    f"preprocess/{stage}/{graph}"
+    for stage in ("symmetric_eigen", "compose_nonnegative", "from_transform")
+    for graph in ("K512", "G1")
 ):
     assert needed in ids, f"bench summary missing {needed}"
 sp = doc["sparse_speedup"]["speedup"]
 assert sp >= 2.0, f"sparse polish speedup regressed to {sp}x (quick-mode floor: 2.0)"
-print(f"bench gate: sparse suites present, warm-polish speedup {sp:.1f}x")
+print(f"bench gate: sparse and preprocess suites present, warm-polish speedup {sp:.1f}x")
 PY
     # Kernel timing smoke: times the three variants (scalar, axpy, b32u2)
     # on distinct 0/1 inputs at the acceptance tile sizes, records the

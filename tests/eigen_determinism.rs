@@ -16,6 +16,7 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 use sophie::graph::coupling::{coupling_matrix, delta_diagonal};
 use sophie::graph::generate::presets;
+use sophie::graph::{Graph, GraphBuilder};
 use sophie::linalg::eigen::symmetric_eigen;
 use sophie::linalg::Matrix;
 use sophie::pris::{DeltaVariant, Preprocessor};
@@ -82,7 +83,8 @@ fn digests(k: &Matrix, delta: &[f64]) -> [u64; 4] {
 }
 
 /// `(label, [values, vectors, C Gershgorin α=0, C sorted α=0.5])`,
-/// recorded from the serial loops.
+/// recorded from the serial loops; `C` multiplied every eigenvalue's
+/// column, dropped ones included, when the last two were recorded.
 const GOLDEN: &[(&str, [u64; 4])] = &[
     (
         "lcg1",
@@ -147,6 +149,24 @@ const GOLDEN: &[(&str, [u64; 4])] = &[
             0x3d84_7ccf_216c_17f8,
         ],
     ),
+    (
+        "2xK100",
+        [
+            0xf248_bbda_e2e5_76ff,
+            0xd7ce_1d9c_47d0_ba8f,
+            0xcc0a_660b_349c_1fed,
+            0x3e3e_fb4f_151a_c664,
+        ],
+    ),
+    (
+        "edgeless200",
+        [
+            0xa947_e505_90de_8025,
+            0x8b15_053c_2ae3_dea5,
+            0x55e6_01eb_0cb6_cb25,
+            0x55e6_01eb_0cb6_cb25,
+        ],
+    ),
 ];
 
 fn instances() -> Vec<(String, Matrix, Vec<f64>)> {
@@ -162,7 +182,33 @@ fn instances() -> Vec<(String, Matrix, Vec<f64>)> {
     out.push(("K512".into(), coupling_matrix(&k512), delta_diagonal(&k512)));
     let g1 = presets::g1_like(1).unwrap();
     out.push(("G1".into(), coupling_matrix(&g1), delta_diagonal(&g1)));
+    // Instances whose C has exact zeros: the transform of a graph keeps
+    // its components apart, and an edgeless graph's is all zero.
+    let two = two_components(100);
+    out.push(("2xK100".into(), coupling_matrix(&two), delta_diagonal(&two)));
+    let edgeless = GraphBuilder::new(200).build().unwrap();
+    out.push((
+        "edgeless200".into(),
+        coupling_matrix(&edgeless),
+        delta_diagonal(&edgeless),
+    ));
     out
+}
+
+/// Two disconnected complete ±1 graphs of `half` nodes each, on the
+/// first and the last `half` nodes: the reduction keeps them apart, so
+/// the eigenvectors have exact zeros of both signs and `C` is exactly
+/// zero between the components.
+fn two_components(half: usize) -> Graph {
+    let mut b = GraphBuilder::new(2 * half);
+    for (part, seed) in [(0, 2), (1, 3)] {
+        let k = presets::k_graph(half, seed).unwrap();
+        for e in k.edges() {
+            b.add_edge(e.u + part * half, e.v + part * half, e.w)
+                .unwrap();
+        }
+    }
+    b.build().unwrap()
 }
 
 #[test]
