@@ -79,6 +79,18 @@ pub trait SampleRange<T> {
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
 }
 
+/// `next_u64() mod span`, for a nonzero `span` of at most `2^64`. A span
+/// that fits in `u64` (all but the full-width inclusive `u64` and `i64`
+/// ranges) takes the remainder in `u64`, with the value the `u128`
+/// remainder has, and no 128-bit division call.
+#[inline]
+fn below<R: RngCore + ?Sized>(rng: &mut R, span: u128) -> u128 {
+    match u64::try_from(span) {
+        Ok(span) => u128::from(rng.next_u64() % span),
+        Err(_) => u128::from(rng.next_u64()) % span,
+    }
+}
+
 macro_rules! impl_sample_range_int {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for core::ops::Range<$t> {
@@ -86,8 +98,7 @@ macro_rules! impl_sample_range_int {
             fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "cannot sample empty range");
                 let span = (self.end as i128 - self.start as i128) as u128;
-                let v = u128::from(rng.next_u64()) % span;
-                (self.start as i128 + v as i128) as $t
+                (self.start as i128 + below(rng, span) as i128) as $t
             }
         }
         impl SampleRange<$t> for core::ops::RangeInclusive<$t> {
@@ -96,8 +107,7 @@ macro_rules! impl_sample_range_int {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "cannot sample empty range");
                 let span = (hi as i128 - lo as i128) as u128 + 1;
-                let v = u128::from(rng.next_u64()) % span;
-                (lo as i128 + v as i128) as $t
+                (lo as i128 + below(rng, span) as i128) as $t
             }
         }
     )*};
@@ -257,7 +267,7 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::rngs::{SmallRng, StdRng};
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn deterministic_per_seed_and_distinct_across_seeds() {
@@ -298,6 +308,41 @@ mod tests {
             let c = r.gen_range(0.25f64..=1.0);
             assert!((0.25..=1.0).contains(&c));
         }
+    }
+
+    #[test]
+    fn u64_remainder_draws_what_the_u128_remainder_drew() {
+        let spans: [u128; 8] = [
+            1,
+            2,
+            3,
+            60,
+            (1 << 32) - 1,
+            (1 << 32) + 1,
+            1 << 63,
+            u128::from(u64::MAX),
+        ];
+        for span in spans {
+            let (mut a, mut b) = (StdRng::seed_from_u64(17), StdRng::seed_from_u64(17));
+            for _ in 0..10_000 {
+                let want = u128::from(a.next_u64()) % span;
+                assert_eq!(super::below(&mut b, span), want, "span {span}");
+            }
+        }
+    }
+
+    #[test]
+    fn full_width_inclusive_ranges_reach_the_top_half() {
+        let mut r = StdRng::seed_from_u64(19);
+        let high = (0..64)
+            .filter(|_| r.gen_range(0..=u64::MAX) > 1 << 63)
+            .count();
+        assert!(high > 0, "no draw above 2^63");
+        let high = (0..64)
+            .filter(|_| r.gen_range(i64::MIN..=i64::MAX) > 0)
+            .count();
+        assert!(high > 0, "no positive i64 draw");
+        assert_eq!(super::below(&mut r, 1 << 64) >> 64, 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sophie_graph::cut::{cut_value, flip_gain, random_spins};
+use sophie_graph::cut::{cut_value, random_spins, FlipGains};
 use sophie_graph::Graph;
 use sophie_solve::{NullObserver, RunControl, SolveObserver};
 
@@ -46,24 +46,23 @@ pub struct BlsOutcome {
     pub moves: u64,
 }
 
-/// Steepest-ascent one-flip descent to a local optimum, in place.
+/// Steepest-ascent one-flip descent of `state` to a local optimum.
 /// Returns the resulting cut and the number of moves.
-fn descend(graph: &Graph, spins: &mut [i8], mut cut: f64) -> (f64, u64) {
+fn descend(graph: &Graph, state: &mut FlipGains<'_>, mut cut: f64) -> (f64, u64) {
     let n = graph.num_nodes();
-    let mut gains: Vec<f64> = (0..n).map(|u| flip_gain(graph, spins, u)).collect();
+    let mut gains: Vec<f64> = (0..n).map(|u| state.gain(u)).collect();
     let mut moves = 0u64;
     while let Some((u, &g)) = gains.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)) {
         if g <= 1e-12 {
             break;
         }
-        spins[u] = -spins[u];
+        state.flip(u);
         cut += g;
         moves += 1;
-        // Incremental gain maintenance: flipping u negates its own gain and
-        // shifts neighbors by ±2·w·σ_u·σ_v (recompute locally, O(deg)).
+        // Flipping u negates its own gain and shifts only its neighbours'.
         gains[u] = -g;
         for &(v, _) in graph.neighbors(u) {
-            gains[v] = flip_gain(graph, spins, v);
+            gains[v] = state.gain(v);
         }
     }
     (cut, moves)
@@ -106,22 +105,28 @@ pub(crate) fn search_controlled(
     assert!(config.rounds > 0, "rounds must be positive");
     let n = graph.num_nodes();
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut spins = random_spins(n, &mut rng);
-    let mut cut = cut_value(graph, &spins);
+    let mut state = FlipGains::new(graph, random_spins(n, &mut rng));
+    let mut cut = cut_value(graph, state.spins());
     let mut total_moves = 0u64;
 
     let mut events =
         BaselineEvents::start("bls", n, config.rounds, config.seed, target, cut, observer);
-    let mut prev_spins = spins.clone();
+    let mut prev_spins = state.spins().to_vec();
     let mut best_round = 1usize;
 
-    let (c, m) = descend(graph, &mut spins, cut);
+    let (c, m) = descend(graph, &mut state, cut);
     cut = c;
     total_moves += m;
     let mut best_cut = cut;
-    let mut best_spins = spins.clone();
-    events.round(1, cut, spin_flips(&prev_spins, &spins), best_cut, observer);
-    prev_spins.copy_from_slice(&spins);
+    let mut best_spins = state.spins().to_vec();
+    events.round(
+        1,
+        cut,
+        spin_flips(&prev_spins, state.spins()),
+        best_cut,
+        observer,
+    );
+    prev_spins.copy_from_slice(state.spins());
 
     let mut executed = 1usize;
     for round in 1..config.rounds {
@@ -130,28 +135,27 @@ pub(crate) fn search_controlled(
         }
         executed = round + 1;
         // Breakout: random multi-flip perturbation from the best state.
-        spins.copy_from_slice(&best_spins);
+        state.reset(&best_spins);
         for _ in 0..config.perturbation.min(n) {
-            let u = rng.gen_range(0..n);
-            spins[u] = -spins[u];
+            state.flip(rng.gen_range(0..n));
         }
-        cut = cut_value(graph, &spins);
-        let (c, m) = descend(graph, &mut spins, cut);
+        cut = cut_value(graph, state.spins());
+        let (c, m) = descend(graph, &mut state, cut);
         cut = c;
         total_moves += m;
         if cut > best_cut {
             best_cut = cut;
-            best_spins.copy_from_slice(&spins);
+            best_spins.copy_from_slice(state.spins());
             best_round = round + 1;
         }
         events.round(
             round + 1,
             cut,
-            spin_flips(&prev_spins, &spins),
+            spin_flips(&prev_spins, state.spins()),
             best_cut,
             observer,
         );
-        prev_spins.copy_from_slice(&spins);
+        prev_spins.copy_from_slice(state.spins());
     }
     events.finish(best_cut, best_round, executed, observer);
     BlsOutcome {
@@ -183,11 +187,12 @@ mod tests {
                 ..BlsConfig::default()
             },
         );
+        let cut = cut_value(&g, &out.best_spins);
+        let mut spins = out.best_spins.clone();
         for u in 0..60 {
-            assert!(
-                flip_gain(&g, &out.best_spins, u) <= 1e-9,
-                "node {u} improvable"
-            );
+            spins[u] = -spins[u];
+            assert!(cut_value(&g, &spins) - cut <= 1e-9, "node {u} improvable");
+            spins[u] = -spins[u];
         }
     }
 

@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sophie_graph::cut::{cut_value, flip_gain, random_spins};
+use sophie_graph::cut::{cut_value, random_spins, FlipGains};
 use sophie_graph::Graph;
 use sophie_solve::{NullObserver, RunControl, SolveObserver};
 
@@ -95,10 +95,10 @@ pub(crate) fn anneal_controlled(
     );
     let n = graph.num_nodes();
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut spins = random_spins(n, &mut rng);
-    let mut cut = cut_value(graph, &spins);
+    let mut state = FlipGains::new(graph, random_spins(n, &mut rng));
+    let mut cut = cut_value(graph, state.spins());
     let mut best_cut = cut;
-    let mut best_spins = spins.clone();
+    let mut best_spins = state.spins().to_vec();
     let mut best_sweep = 0;
     let mut accepted = 0u64;
     let mut attempts = 0u64;
@@ -106,7 +106,7 @@ pub(crate) fn anneal_controlled(
     let mut events =
         BaselineEvents::start("sa", n, config.sweeps, config.seed, target, cut, observer);
     let mut best_round = 0usize;
-    let mut sweep_start = spins.clone();
+    let mut sweep_start = state.spins().to_vec();
 
     let cooling = (config.t_final / config.t_initial).powf(1.0 / config.sweeps as f64);
     let mut temp = config.t_initial;
@@ -117,19 +117,19 @@ pub(crate) fn anneal_controlled(
             break;
         }
         executed = sweep + 1;
-        sweep_start.copy_from_slice(&spins);
+        sweep_start.copy_from_slice(state.spins());
         for _ in 0..n {
             let u = rng.gen_range(0..n);
-            let gain = flip_gain(graph, &spins, u);
+            let gain = state.gain(u);
             attempts += 1;
             // Metropolis on -cut (we maximize the cut).
             if gain >= 0.0 || rng.gen::<f64>() < (gain / temp).exp() {
-                spins[u] = -spins[u];
+                state.flip(u);
                 cut += gain;
                 accepted += 1;
                 if cut > best_cut {
                     best_cut = cut;
-                    best_spins.copy_from_slice(&spins);
+                    best_spins.copy_from_slice(state.spins());
                     best_sweep = sweep;
                     best_round = sweep + 1;
                 }
@@ -139,7 +139,7 @@ pub(crate) fn anneal_controlled(
         events.round(
             sweep + 1,
             cut,
-            spin_flips(&sweep_start, &spins),
+            spin_flips(&sweep_start, state.spins()),
             best_cut,
             observer,
         );

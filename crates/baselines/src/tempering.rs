@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sophie_graph::cut::{cut_value, flip_gain, random_spins};
+use sophie_graph::cut::{cut_value, random_spins, FlipGains};
 use sophie_graph::Graph;
 use sophie_solve::{NullObserver, RunControl, SolveObserver};
 
@@ -58,8 +58,8 @@ pub struct PtOutcome {
     pub swaps_attempted: u64,
 }
 
-struct Replica {
-    spins: Vec<i8>,
+struct Replica<'g> {
+    state: FlipGains<'g>,
     cut: f64,
     temp: f64,
 }
@@ -118,7 +118,7 @@ pub(crate) fn temper_controlled(
             let spins = random_spins(n, &mut rng);
             let cut = cut_value(graph, &spins);
             Replica {
-                spins,
+                state: FlipGains::new(graph, spins),
                 cut,
                 temp: config.t_min * ratio.powi(i as i32),
             }
@@ -133,8 +133,9 @@ pub(crate) fn temper_controlled(
         .iter()
         .max_by(|a, b| a.cut.total_cmp(&b.cut))
         .expect("at least two replicas")
-        .spins
-        .clone();
+        .state
+        .spins()
+        .to_vec();
     let mut swaps_accepted = 0u64;
     let mut swaps_attempted = 0u64;
 
@@ -159,13 +160,13 @@ pub(crate) fn temper_controlled(
         for rep in &mut replicas {
             for _ in 0..config.sweeps_per_exchange * n {
                 let u = rng.gen_range(0..n);
-                let gain = flip_gain(graph, &rep.spins, u);
+                let gain = rep.state.gain(u);
                 if gain >= 0.0 || rng.gen::<f64>() < (gain / rep.temp).exp() {
-                    rep.spins[u] = -rep.spins[u];
+                    rep.state.flip(u);
                     rep.cut += gain;
                     if rep.cut > best_cut {
                         best_cut = rep.cut;
-                        best_spins.copy_from_slice(&rep.spins);
+                        best_spins.copy_from_slice(rep.state.spins());
                         best_round = exchange + 1;
                     }
                 }
@@ -179,9 +180,10 @@ pub(crate) fn temper_controlled(
             let beta_hi = 1.0 / replicas[i + 1].temp;
             let delta = (beta_lo - beta_hi) * (replicas[i + 1].cut - replicas[i].cut);
             if delta >= 0.0 || rng.gen::<f64>() < delta.exp() {
-                // Swap configurations, keep temperatures in place.
+                // Swap configurations (with their gains), keep
+                // temperatures in place.
                 let (a, b) = replicas.split_at_mut(i + 1);
-                std::mem::swap(&mut a[i].spins, &mut b[0].spins);
+                std::mem::swap(&mut a[i].state, &mut b[0].state);
                 std::mem::swap(&mut a[i].cut, &mut b[0].cut);
                 swaps_accepted += 1;
             }

@@ -1,5 +1,7 @@
 //! Microbenchmarks comparing solver iteration costs: SOPHIE's engine vs
-//! PRIS, simulated annealing, simulated bifurcation, and local search.
+//! PRIS, simulated annealing, simulated bifurcation, and local search;
+//! plus [`sophie_bench::micro::baselines`], the served-size SA, PT and BLS
+//! jobs that `repro bench-summary` runs too.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -8,6 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use sophie_baselines::local_search::{search, BlsConfig};
 use sophie_baselines::sa::{anneal, SaConfig};
 use sophie_baselines::sb::{bifurcate, SbConfig, SbVariant};
+use sophie_bench::micro;
 use sophie_graph::generate::{gnm, WeightDist};
 use sophie_pris::{PrisJobConfig, PrisSolver};
 use sophie_solve::{NullObserver, SolveJob, Solver};
@@ -69,5 +72,5 @@ fn bench_solvers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_solvers);
+criterion_group!(benches, bench_solvers, micro::baselines);
 criterion_main!(benches);

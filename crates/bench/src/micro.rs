@@ -11,6 +11,11 @@ use std::path::Path;
 use std::sync::Arc;
 
 use criterion::{black_box, BenchResult, BenchmarkId, Criterion};
+use sophie::problems::QuboProblem;
+use sophie_baselines::local_search::search;
+use sophie_baselines::sa::anneal;
+use sophie_baselines::tempering::temper;
+use sophie_baselines::{BlsConfig, PtConfig, SaConfig};
 use sophie_core::backend::{IdealBackend, MvmBackend, MvmUnit};
 use sophie_core::observe::NullObserver;
 use sophie_core::queue::NullTimeline;
@@ -204,6 +209,43 @@ pub fn preprocess(c: &mut Criterion) {
     group.finish();
 }
 
+/// The SA, PT and BLS baselines, one job each, on the three graph kinds
+/// the `serve-small` mix solves with SA: the named K60 (±1 weights), a
+/// lowered random QUBO (n = 64, density 0.25: sixteenth weights and an
+/// ancilla) and a GSET-style unit G(64, 256). SA runs the served 60
+/// sweeps, PT and BLS their defaults.
+pub fn baselines(c: &mut Criterion) {
+    let mut group = c.benchmark_group("baselines");
+    group.sample_size(10);
+    let qubo = QuboProblem::random(64, 0.25, 1)
+        .compile()
+        .expect("a random QUBO lowers");
+    let instances = [
+        ("K60", Arc::new(presets::k_graph(60, 1).unwrap())),
+        ("QUBO-64", Arc::clone(qubo.graph())),
+        (
+            "GSET-64",
+            Arc::new(gnm(64, 256, WeightDist::Unit, 1).unwrap()),
+        ),
+    ];
+    let sa = SaConfig {
+        sweeps: 60,
+        ..SaConfig::default()
+    };
+    for (label, g) in &instances {
+        group.bench_with_input(BenchmarkId::new("sa", label), g, |b, g| {
+            b.iter(|| anneal(black_box(g), &sa));
+        });
+        group.bench_with_input(BenchmarkId::new("pt", label), g, |b, g| {
+            b.iter(|| temper(black_box(g), &PtConfig::default()));
+        });
+        group.bench_with_input(BenchmarkId::new("bls", label), g, |b, g| {
+            b.iter(|| search(black_box(g), &BlsConfig::default()));
+        });
+    }
+    group.finish();
+}
+
 /// The three kernels the compute-mode dispatch chooses between, on a
 /// GSET-density (~2 % nonzero) 64×64 tile: the dense column-sweep, the
 /// full CSR matvec, and the delta-driven incremental update after a
@@ -338,8 +380,9 @@ pub fn incremental_round(c: &mut Criterion) {
     group.finish();
 }
 
-/// Runs every suite of the `mvm` and `engine` bench targets, and the
-/// `eigen` target's `preprocess` suite, into `c`.
+/// Runs every suite of the `mvm` and `engine` bench targets, the `eigen`
+/// target's `preprocess` suite and the `solvers` target's `baselines`
+/// suite, into `c`.
 pub fn all_suites(c: &mut Criterion) {
     tile_mvm(c);
     sparse_matvec(c);
@@ -350,6 +393,7 @@ pub fn all_suites(c: &mut Criterion) {
     schedule_generation(c);
     analytic_counts(c);
     preprocess(c);
+    baselines(c);
 }
 
 /// Serializes bench results as the `BENCH_sophie.json` document tracked

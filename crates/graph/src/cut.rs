@@ -362,9 +362,10 @@ fn fraction_bits(w: f64) -> Option<i32> {
     Some((-(e + m.trailing_zeros() as i32)).max(0))
 }
 
-/// Change in cut value if node `u` flips sides.
+/// Change in cut value if node `u` flips sides, `O(degree(u))`.
 ///
-/// Used by the local-search and annealing baselines; `O(degree(u))`.
+/// The reference for [`FlipGains`], which the annealing, tempering and
+/// local-search baselines read their gains from, and its fallback.
 ///
 /// # Panics
 ///
@@ -379,6 +380,165 @@ pub fn flip_gain(g: &Graph, spins: &[i8], u: usize) -> f64 {
         .iter()
         .map(|&(v, w)| w * su * f64::from(spins[v]))
         .sum()
+}
+
+/// A ±1 state of one graph with the [`flip_gain`] of every node at hand,
+/// bit for bit, kept up to date as spins flip.
+///
+/// On a graph with the integer form [`CutScorer`] uses (every weight a
+/// nonzero multiple of a common `2^-p`, `Σ|w|·2^p ≤ 2^53`), it holds each
+/// node's local field `h_u = Σ_v w_uv·2^p·s_v` as an `i64`. Every term of
+/// `flip_gain`'s ordered sum `Σ_v w_uv·s_u·s_v` is then `±w_uv`, and every
+/// partial sum a multiple of `2^-p` no larger than `2^53·2^-p`, so the sum
+/// is exact and equals `s_u·h_u·2^-p` in any order. Its zero carries a
+/// sign the integer cannot: the sum starts at `-0.0` and keeps it only
+/// when there is no term, because a nonzero term replaces it and an exact
+/// cancellation rounds to `+0.0`. A gain is thus `O(1)`, and a flip of
+/// `u` moves each neighbour's field by `2·w_uv·2^p·s_u` in `O(deg u)`,
+/// with each integer weight taken from the adjacency times `2^p`, exact.
+/// On any other graph (a weight of 0.1, LDPC channel weights) a gain is
+/// [`flip_gain`] itself and a flip only negates the spin.
+///
+/// ```
+/// use sophie_graph::{GraphBuilder, cut::{flip_gain, FlipGains}};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut b = GraphBuilder::new(4);
+/// b.add_edge(0, 1, 1.5)?;
+/// b.add_edge(1, 2, -0.25)?;
+/// let g = b.build()?;
+/// let mut state = FlipGains::new(&g, vec![1, -1, 1, 1]);
+/// assert!(state.is_exact());
+/// state.flip(1);
+/// for u in 0..4 {
+///     assert_eq!(state.gain(u).to_bits(), flip_gain(&g, state.spins(), u).to_bits());
+/// }
+/// assert!(state.gain(3).is_sign_negative()); // node 3 has no edge
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct FlipGains<'g> {
+    graph: &'g Graph,
+    spins: Vec<i8>,
+    fields: Option<Fields>,
+}
+
+/// Local fields in units of `2^-p` (see [`FlipGains`]).
+#[derive(Debug, Clone)]
+struct Fields {
+    /// `h_u = Σ_v w_uv·2^p·s_v`.
+    h: Vec<i64>,
+    /// `2^p`.
+    up: f64,
+    /// `2^-p`.
+    scale: f64,
+}
+
+impl<'g> FlipGains<'g> {
+    /// The gains of `spins` on `graph`: `O(m)` on a graph with an integer
+    /// form (the graph builds that form on its first use), `O(1)` on any
+    /// other.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spins.len()` differs from the node count (and, in debug
+    /// builds, if an entry is not ±1).
+    #[must_use]
+    pub fn new(graph: &'g Graph, spins: Vec<i8>) -> Self {
+        validate_spins(graph, &spins);
+        let fields = graph.exact_cut().map(|exact| {
+            let up = exact.scale.recip();
+            let mut fields = Fields {
+                h: vec![0; spins.len()],
+                up,
+                scale: exact.scale,
+            };
+            fields.recount(graph, &spins);
+            fields
+        });
+        FlipGains {
+            graph,
+            spins,
+            fields,
+        }
+    }
+
+    /// Whether gains come from integer fields (`false`: from
+    /// [`flip_gain`]).
+    #[must_use]
+    pub fn is_exact(&self) -> bool {
+        self.fields.is_some()
+    }
+
+    /// The current state.
+    #[must_use]
+    pub fn spins(&self) -> &[i8] {
+        &self.spins
+    }
+
+    /// The change in cut value if `u` flips, bit for bit what
+    /// [`flip_gain`] returns for the current state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of bounds.
+    #[must_use]
+    pub fn gain(&self, u: usize) -> f64 {
+        let Some(fields) = &self.fields else {
+            return flip_gain(self.graph, &self.spins, u);
+        };
+        let h = fields.h[u];
+        if h == 0 {
+            return if self.graph.degree(u) == 0 { -0.0 } else { 0.0 };
+        }
+        // Exact: |h| ≤ 2^53, and 2^-p is a power of two.
+        (i64::from(self.spins[u]) * h) as f64 * fields.scale
+    }
+
+    /// Flips `u` and updates its neighbours' fields, `O(deg u)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of bounds.
+    pub fn flip(&mut self, u: usize) {
+        let s = -self.spins[u];
+        self.spins[u] = s;
+        if let Some(fields) = &mut self.fields {
+            // h_v moves by w_uv·2^p·(s − (−s)); w_uv·2^(p+1) is an integer
+            // of at most 2^54, exact in f64 and in the conversion.
+            let step = f64::from(2 * s) * fields.up;
+            for &(v, w) in self.graph.neighbors(u) {
+                fields.h[v] += (w * step) as i64;
+            }
+        }
+    }
+
+    /// Replaces the state with `spins`, `O(m)` on a graph with an integer
+    /// form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spins.len()` differs from the node count.
+    pub fn reset(&mut self, spins: &[i8]) {
+        self.spins.copy_from_slice(spins);
+        if let Some(fields) = &mut self.fields {
+            fields.recount(self.graph, spins);
+        }
+    }
+}
+
+impl Fields {
+    fn recount(&mut self, graph: &Graph, spins: &[i8]) {
+        for (u, h) in self.h.iter_mut().enumerate() {
+            // Exact: each |w·2^p| ≤ 2^53, and so is every partial sum.
+            *h = graph
+                .neighbors(u)
+                .iter()
+                .map(|&(v, w)| (w * self.up) as i64 * i64::from(spins[v]))
+                .sum();
+        }
+    }
 }
 
 /// Converts a binary configuration to ±1 spins (`true → +1`).

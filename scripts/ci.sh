@@ -163,6 +163,17 @@ if grep -rn "cut_value_binary(" crates/core/src/engine/ crates/pris/src/runner.r
     exit 1
 fi
 
+# Exact-gain gate: simulated annealing, parallel tempering and breakout
+# local search read every flip gain from sophie_graph::cut::FlipGains,
+# which keeps integer local fields where the weights allow it and has the
+# bits of flip_gain either way; a direct flip_gain call there would bring
+# back the serial walk over a node's neighbours on every proposal.
+echo "==> grep gate: no flip_gain( in crates/baselines/src/{sa,tempering,local_search}.rs"
+if grep -n "flip_gain(" crates/baselines/src/{sa,tempering,local_search}.rs; then
+    echo "SA, PT and BLS read their gains from FlipGains, never flip_gain directly" >&2
+    exit 1
+fi
+
 if [[ "$quick" -eq 0 ]]; then
     run cargo test -q --workspace
     # Fault-aware runtime: injection/recovery behavior and the
@@ -193,8 +204,8 @@ if [[ "$quick" -eq 0 ]]; then
     # Bench gate (quick mode): the sparse kernel suites must be present and
     # the warm-polish speedup must not regress below a conservative floor
     # (the committed full record shows >= 5x; quick-mode medians are noisy).
-    # The preprocessing stages must be recorded too (presence only: no
-    # speed floor).
+    # The preprocessing stages and the baseline jobs must be recorded too
+    # (presence only: no speed floor).
     python3 - "$smoke_dir/BENCH_sophie.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -209,11 +220,15 @@ for needed in (
     f"preprocess/{stage}/{graph}"
     for stage in ("symmetric_eigen", "compose_nonnegative", "from_transform")
     for graph in ("K512", "G1")
+) + tuple(
+    f"baselines/{solver}/{graph}"
+    for solver in ("sa", "pt", "bls")
+    for graph in ("K60", "QUBO-64", "GSET-64")
 ):
     assert needed in ids, f"bench summary missing {needed}"
 sp = doc["sparse_speedup"]["speedup"]
 assert sp >= 2.0, f"sparse polish speedup regressed to {sp}x (quick-mode floor: 2.0)"
-print(f"bench gate: sparse and preprocess suites present, warm-polish speedup {sp:.1f}x")
+print(f"bench gate: sparse, preprocess and baselines suites present, warm-polish speedup {sp:.1f}x")
 PY
     # Kernel timing smoke: times the three variants (scalar, axpy, b32u2)
     # on distinct 0/1 inputs at the acceptance tile sizes, records the
