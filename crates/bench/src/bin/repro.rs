@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! repro <table1|table2|table3|fig6|fig7|fig8|fig9|fig10|summary|ablations|power|robustness|sparse|all> [--fast] [--out DIR]
+//! repro <table1|table2|table3|fig6|fig7|fig8|fig9|fig10|summary|ablations|power|robustness|all> [--fast] [--out DIR]
 //! repro trace --out <path.jsonl> [--graph NAME] [--seed N] [--fast]
 //! repro solvers
 //! repro serve [--addr HOST:PORT] [--queue N] [--conns N] [--workers N] [--port-file PATH]
@@ -31,7 +31,7 @@ use std::process::ExitCode;
 use sophie_bench::experiments;
 use sophie_bench::{Fidelity, Instances, Report};
 
-const USAGE: &str = "usage: repro <table1|table2|table3|fig6|fig7|fig8|fig9|fig10|summary|ablations|power|robustness|sparse|all|bench-summary> [--fast] [--out DIR]\n       repro tune [--check] [--out DIR]\n       repro problems [--fast] [--out DIR]\n       repro trace --out <path.jsonl> [--graph NAME] [--seed N] [--fast]\n       repro timeline --out <path.jsonl> [--graph NAME] [--seed N] [--fast]\n       repro solvers\n       repro <serve|cluster|submit|ctl|loadgen> ... (serving layer; wrong flags print the full usage)";
+const USAGE: &str = "usage: repro <table1|table2|table3|fig6|fig7|fig8|fig9|fig10|summary|ablations|power|robustness|all|bench-summary> [--fast] [--out DIR]\n       repro tune [--check] [--out DIR]\n       repro problems [--fast] [--out DIR]\n       repro trace --out <path.jsonl> [--graph NAME] [--seed N] [--fast]\n       repro timeline --out <path.jsonl> [--graph NAME] [--seed N] [--fast]\n       repro solvers\n       repro <serve|cluster|submit|ctl|loadgen> ... (serving layer; wrong flags print the full usage)";
 
 /// `repro solvers`: one line per registered solver (name, capability
 /// flags, config type, summary), then a scheduler smoke-run of every
@@ -347,7 +347,6 @@ fn main() -> ExitCode {
         ("ablations", experiments::ablations::run),
         ("power", experiments::power::run),
         ("robustness", experiments::robustness::run),
-        ("sparse", experiments::sparse::run),
     ];
 
     let selected: Vec<&(&str, Exp)> = if command == "all" {

@@ -8,7 +8,6 @@ pub mod fig8;
 pub mod fig9;
 pub mod power;
 pub mod robustness;
-pub mod sparse;
 pub mod summary;
 pub mod table1;
 pub mod table2;

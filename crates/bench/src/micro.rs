@@ -18,15 +18,12 @@ use sophie_baselines::tempering::temper;
 use sophie_baselines::{BlsConfig, PtConfig, SaConfig};
 use sophie_core::backend::{IdealBackend, MvmBackend, MvmUnit};
 use sophie_core::observe::NullObserver;
-use sophie_core::queue::NullTimeline;
-use sophie_core::{
-    EngineRun, Schedule, SolveJob, Solver, SophieConfig, SophieSolver, SparseBackend,
-};
+use sophie_core::{Schedule, SolveJob, Solver, SophieConfig, SophieSolver};
 use sophie_graph::coupling::coupling_matrix;
 use sophie_graph::generate::{gnm, presets, WeightDist};
 use sophie_hw::{OpcmBackend, OpcmBackendConfig};
 use sophie_linalg::eigen::symmetric_eigen;
-use sophie_linalg::{Matrix, SparseCsr, Tile, TileGrid};
+use sophie_linalg::{Matrix, Tile, TileGrid};
 use sophie_solve::Json;
 
 fn tile_of(size: usize) -> Tile {
@@ -34,24 +31,6 @@ fn tile_of(size: usize) -> Tile {
         size,
         (0..size * size)
             .map(|i| ((i * 37 + 11) % 23) as f32 / 11.0 - 1.0)
-            .collect(),
-    )
-    .unwrap()
-}
-
-/// A tile with roughly `1/stride` of its coefficients nonzero, in the
-/// scattered pattern GSET-class coupling blocks have.
-fn sparse_tile_of(size: usize, stride: usize) -> Tile {
-    Tile::from_vec(
-        size,
-        (0..size * size)
-            .map(|i| {
-                if (i * 2_654_435_761) % stride == 0 {
-                    ((i * 37 + 11) % 23) as f32 / 11.0 - 1.0
-                } else {
-                    0.0
-                }
-            })
             .collect(),
     )
     .unwrap()
@@ -246,150 +225,14 @@ pub fn baselines(c: &mut Criterion) {
     group.finish();
 }
 
-/// The three kernels the compute-mode dispatch chooses between, on a
-/// GSET-density (~2 % nonzero) 64×64 tile: the dense column-sweep, the
-/// full CSR matvec, and the delta-driven incremental update after a
-/// single input flip (the late-anneal steady state).
-pub fn sparse_matvec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sparse_matvec");
-    let size = 64;
-    let tile = sparse_tile_of(size, 50);
-    let csr = SparseCsr::from_tile(&tile).expect("sparse tile has nonzeros");
-    let mut x: Vec<f32> = (0..size).map(|i| (i % 2) as f32).collect();
-    let mut y = vec![0.0_f32; size];
-
-    group.bench_with_input(BenchmarkId::new("dense_kernel", size), &size, |b, _| {
-        b.iter(|| tile.mvm(black_box(&x), &mut y));
-    });
-    group.bench_with_input(BenchmarkId::new("csr_full", size), &size, |b, _| {
-        b.iter(|| csr.matvec(black_box(&x), &mut y));
-    });
-
-    let backend = SparseBackend::always_sparse();
-    let mut unit = backend.unit(size);
-    unit.program(&tile);
-    unit.forward(&x, &mut y); // warm the direction cache
-    group.bench_with_input(
-        BenchmarkId::new("incremental_1flip", size),
-        &size,
-        |b, _| {
-            b.iter(|| {
-                x[7] = 1.0 - x[7];
-                unit.forward(black_box(&x), &mut y);
-            });
-        },
-    );
-    group.finish();
-}
-
-/// Warm-started polish rounds on a G22-class instance (n = 2000, ~20k
-/// edges, φ = 0, stochastic tile selection at 25 %): the dense backend
-/// against the delta-driven sparse backend on the *same* schedule and
-/// warm state, at one thread. Their outcomes are bit-identical by
-/// contract; the median ratio is the `sparse_speedup` block of
-/// `BENCH_sophie.json`.
-///
-/// Two workload choices matter here. Paper-scale 500-wide tiles (the
-/// SOPHIE arrays are 512²) make the dense/sparse contrast structural:
-/// dense MVM work grows with tile², while every sparse-path overhead
-/// (input diffing, cache serves) grows with tile. And partial tile
-/// selection is what makes φ = 0 a *quiescent* polish — at 100 % tiles
-/// the synchronous threshold dynamics settle into a global period-2
-/// oscillation (every spin flips every round), whereas the paper's
-/// stochastic tile computation (§III-A2) breaks the symmetry and the
-/// warm state freezes to a handful of flips per round.
-pub fn incremental_round(c: &mut Criterion) {
-    let mut group = c.benchmark_group("incremental_round");
-    group.sample_size(10);
-    let n = 2000;
-    // Couplings straight from the graph (no eigenvalue dropout: it both
-    // costs minutes at n = 2000 and densifies exactly the structure this
-    // suite measures).
-    let g = gnm(n, 20_000, WeightDist::Unit, 22).unwrap();
-    let cfg = SophieConfig {
-        tile_size: 500,
-        local_iters: 10,
-        global_iters: 96,
-        tile_fraction: 0.25,
-        phi: 0.0,
-        alpha: 0.0,
-        stochastic_spin_update: true,
-        ..SophieConfig::default()
-    };
-    let solver = SophieSolver::from_transform(&coupling_matrix(&g), cfg.clone()).unwrap();
-
-    // Late-anneal activity: polish from the best state of a prior run,
-    // with φ = 0 so the remaining flips are the scattered deterministic
-    // ones the delta path is built for.
-    let warm_cfg = SophieConfig {
-        global_iters: 40,
-        ..cfg.clone()
-    };
-    let warm_solver = SophieSolver::from_transform(&coupling_matrix(&g), warm_cfg).unwrap();
-    let g = Arc::new(g);
-    let warm = warm_solver
-        .solve(&SolveJob::new(Arc::clone(&g), 1), &mut NullObserver)
-        .unwrap()
-        .best_bits;
-    let schedule = Schedule::generate(
-        solver.grid(),
-        cfg.global_iters,
-        cfg.tile_fraction,
-        cfg.stochastic_spin_update,
-        5,
-    );
-    let polish = EngineRun {
-        schedule: Some(&schedule),
-        initial_bits: Some(&warm),
-        ..EngineRun::default()
-    };
-    let job = SolveJob::new(g, 3);
-
-    let prev = std::env::var("SOPHIE_THREADS").ok();
-    std::env::set_var("SOPHIE_THREADS", "1");
-    group.bench_function(BenchmarkId::new("dense", n), |b| {
-        b.iter(|| {
-            solver
-                .solve_job(
-                    &IdealBackend::new(),
-                    black_box(&job),
-                    &polish,
-                    &mut NullObserver,
-                    &mut NullTimeline,
-                )
-                .unwrap()
-        });
-    });
-    group.bench_function(BenchmarkId::new("sparse", n), |b| {
-        b.iter(|| {
-            solver
-                .solve_job(
-                    &SparseBackend::auto(),
-                    black_box(&job),
-                    &polish,
-                    &mut NullObserver,
-                    &mut NullTimeline,
-                )
-                .unwrap()
-        });
-    });
-    match prev {
-        Some(v) => std::env::set_var("SOPHIE_THREADS", v),
-        None => std::env::remove_var("SOPHIE_THREADS"),
-    }
-    group.finish();
-}
-
 /// Runs every suite of the `mvm` and `engine` bench targets, the `eigen`
 /// target's `preprocess` suite and the `solvers` target's `baselines`
 /// suite, into `c`.
 pub fn all_suites(c: &mut Criterion) {
     tile_mvm(c);
-    sparse_matvec(c);
     backend_mvm(c);
     dense_matvec(c);
     engine_job(c);
-    incremental_round(c);
     schedule_generation(c);
     analytic_counts(c);
     preprocess(c);
@@ -397,8 +240,8 @@ pub fn all_suites(c: &mut Criterion) {
 }
 
 /// Serializes bench results as the `BENCH_sophie.json` document tracked
-/// across PRs: the run's provenance, the blocks derived from the
-/// incremental-round and tile-kernel suites, and one record per kernel,
+/// across PRs: the run's provenance, the block derived from the
+/// tile-kernel suite, and one record per kernel,
 /// in the summary's house layout (see `render_json`).
 #[must_use]
 pub fn summary_json(results: &[BenchResult]) -> String {
@@ -418,29 +261,6 @@ pub fn summary_json(results: &[BenchResult]) -> String {
         ),
         ("host_cores", cores.into()),
     ];
-    if let (Some(dense), Some(sparse)) = (
-        median("incremental_round/dense/2000"),
-        median("incremental_round/sparse/2000"),
-    ) {
-        doc.push((
-            "sparse_speedup",
-            Json::obj([
-                (
-                    "job",
-                    "g22_sized_n2000_m20000_tile500_warm_polish_phi0".into(),
-                ),
-                ("dense_ns", ns(dense)),
-                ("sparse_ns", ns(sparse)),
-                ("speedup", Json::rounded(dense / sparse, 3)),
-                (
-                    "note",
-                    "same schedule, warm state, and seed at one thread; outcomes are \
-                     bit-identical by the compute-mode contract"
-                        .into(),
-                ),
-            ]),
-        ));
-    }
     // Forward/transposed tile kernels used to be asymmetric (the forward
     // column sweep strided across rows); the 'before' medians are the
     // last record produced by the strided kernel, kept here so the fix
@@ -666,34 +486,40 @@ mod tests {
     }
 
     #[test]
-    fn summary_json_emits_the_sparse_speedup_block() {
+    fn summary_json_emits_the_tile_kernel_asymmetry_fix_block() {
         let results = vec![
             BenchResult {
-                id: "incremental_round/dense/2000".to_string(),
-                median_ns: 50_000_000.0,
+                id: "tile_mvm/forward/64".to_string(),
+                median_ns: 500.0,
                 samples: 7,
-                iters_per_sample: 1,
+                iters_per_sample: 100,
             },
             BenchResult {
-                id: "incremental_round/sparse/2000".to_string(),
-                median_ns: 5_000_000.0,
+                id: "tile_mvm/transposed/64".to_string(),
+                median_ns: 450.0,
                 samples: 7,
-                iters_per_sample: 1,
+                iters_per_sample: 100,
             },
         ];
         let text = summary_json(&results);
         let doc = Json::parse(&text).expect("summary is valid JSON");
-        let block = doc.get("sparse_speedup").expect("block present");
-        assert_eq!(block.get("speedup").unwrap().as_f64(), Some(10.0));
-        assert_eq!(block.get("dense_ns").unwrap().as_f64(), Some(50_000_000.0));
+        let block = doc.get("tile_kernel_asymmetry_fix").expect("block present");
+        assert_eq!(
+            block.get("after_forward_64_ns").unwrap().as_f64(),
+            Some(500.0)
+        );
+        assert_eq!(
+            block.get("before_forward_64_ns").unwrap().as_f64(),
+            Some(1374.2)
+        );
         // The house layout: depth-1 blocks span lines, records are inline.
         assert!(text.starts_with("{\n  \"schema\": \"sophie-bench-v1\",\n"));
-        assert!(text.contains("  \"sparse_speedup\": {\n    \"job\": "));
+        assert!(text.contains("  \"tile_kernel_asymmetry_fix\": {\n    \"before_forward_64_ns\": "));
         assert!(text.ends_with(
-            "  \"results\": [\n    {\"id\": \"incremental_round/dense/2000\", \
-             \"median_ns\": 50000000, \"samples\": 7, \"iters_per_sample\": 1},\n    \
-             {\"id\": \"incremental_round/sparse/2000\", \"median_ns\": 5000000, \
-             \"samples\": 7, \"iters_per_sample\": 1}\n  ]\n}\n"
+            "  \"results\": [\n    {\"id\": \"tile_mvm/forward/64\", \
+             \"median_ns\": 500, \"samples\": 7, \"iters_per_sample\": 100},\n    \
+             {\"id\": \"tile_mvm/transposed/64\", \"median_ns\": 450, \
+             \"samples\": 7, \"iters_per_sample\": 100}\n  ]\n}\n"
         ));
     }
 }

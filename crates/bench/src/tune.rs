@@ -362,7 +362,7 @@ mod tests {
         let path = dir.join("BENCH_sophie.json");
         std::fs::write(
             &path,
-            "{\n  \"schema\": \"sophie-bench-v1\",\n  \"sparse_speedup\": {\"speedup\": 3.0}\n}\n",
+            "{\n  \"schema\": \"sophie-bench-v1\",\n  \"tile_kernel_asymmetry_fix\": {\"after_forward_64_ns\": 3.0}\n}\n",
         )
         .unwrap();
         write_kernel_tune(&path, &outcome).unwrap();
@@ -370,7 +370,7 @@ mod tests {
         write_kernel_tune(&path, &outcome).unwrap();
         let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let Json::Obj(top) = doc else { panic!() };
-        assert!(top.iter().any(|(k, _)| k == "sparse_speedup"));
+        assert!(top.iter().any(|(k, _)| k == "tile_kernel_asymmetry_fix"));
         assert_eq!(top.iter().filter(|(k, _)| k == "kernel_tune").count(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }

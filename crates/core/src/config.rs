@@ -2,47 +2,19 @@
 
 use crate::error::{Result, SophieError};
 
-/// Compute strategy of the exact floating-point backend.
+/// Compute strategy of the exact floating-point backend: a relic with one
+/// value.
 ///
-/// All three strategies produce **bit-identical** results and event
-/// streams — this knob trades wall-clock only. The sparse strategies run
-/// the engine on [`crate::sparse::SparseBackend`], which stores each tile
-/// in CSR form, caches the last input/output of every MVM unit, and
-/// recomputes only the outputs touched by changed inputs.
+/// The engine has one exact backend, [`crate::backend::IdealBackend`], so
+/// this type and [`SophieConfig::compute`] select nothing. They stay only
+/// while the standalone benchmark package still names
+/// `ComputeMode::Dense`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ComputeMode {
-    /// Always execute dense tile kernels ([`crate::backend::IdealBackend`]).
+    /// Dense tile kernels ([`crate::backend::IdealBackend`]).
     #[default]
     Dense,
-    /// Always take the incremental sparse path, regardless of activity.
-    Sparse,
-    /// Per-MVM choice: incremental sparse while the estimated touched work
-    /// stays below the density-crossover threshold, dense otherwise.
-    Auto,
-}
-
-impl ComputeMode {
-    /// Canonical lowercase name (`"dense"`, `"sparse"`, `"auto"`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ComputeMode::Dense => "dense",
-            ComputeMode::Sparse => "sparse",
-            ComputeMode::Auto => "auto",
-        }
-    }
-
-    /// Parses a canonical name back into a mode.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "dense" => Some(ComputeMode::Dense),
-            "sparse" => Some(ComputeMode::Sparse),
-            "auto" => Some(ComputeMode::Auto),
-            _ => None,
-        }
-    }
 }
 
 /// Parameters of SOPHIE's modified PRIS algorithm (paper Algorithm 1 and
@@ -73,13 +45,12 @@ pub struct SophieConfig {
     /// `true` → stochastic spin update (one column copy broadcast);
     /// `false` → majority vote over all fresh copies in the column.
     pub stochastic_spin_update: bool,
-    /// Compute strategy of the floating-point backend (result-invariant;
-    /// trades wall-clock only).
+    /// No effect: the one [`ComputeMode`]. A relic, kept while the
+    /// standalone benchmark package still sets it.
     pub compute: ComputeMode,
-    /// Density-crossover threshold θ for [`ComputeMode::Auto`]: an MVM takes
-    /// the incremental sparse path while the estimated touched CSR work is
-    /// below `θ × tile_size²` scalar multiply-accumulates, dense otherwise.
-    /// `None` → the fixed default, [`crate::sparse::DEFAULT_CROSSOVER`].
+    /// No effect: the density-crossover threshold of the deleted sparse
+    /// compute path. Still validated (finite and positive when set), and
+    /// still a wire field, because the benchmark's K512 requests send it.
     pub sparse_crossover: Option<f64>,
 }
 
@@ -220,7 +191,7 @@ mod tests {
     }
 
     #[test]
-    fn default_compute_is_dense_with_the_default_crossover() {
+    fn default_compute_is_dense_with_no_crossover() {
         let c = SophieConfig::default();
         assert_eq!(c.compute, ComputeMode::Dense);
         assert!(c.sparse_crossover.is_none());
@@ -249,14 +220,6 @@ mod tests {
             ..SophieConfig::default()
         };
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn compute_mode_names_round_trip() {
-        for mode in [ComputeMode::Dense, ComputeMode::Sparse, ComputeMode::Auto] {
-            assert_eq!(ComputeMode::parse(mode.name()), Some(mode));
-        }
-        assert_eq!(ComputeMode::parse("fancy"), None);
     }
 
     #[test]

@@ -110,7 +110,7 @@ pub struct SophieSolver {
     n: usize,
     /// Nonzero pattern of `C` as spin → adjacent-field adjacency (row `j`
     /// lists the rows `i` with `C_ij ≠ 0` after `f32` cast, matching the
-    /// tiles). Drives the strategy-independent reuse-model op counters;
+    /// tiles). Drives the backend-independent reuse-model op counters;
     /// see [`tally_reuse`].
     reuse: SparseCsr,
 }
@@ -267,9 +267,8 @@ impl SophieSolver {
 
     /// Runs a [`SolveJob`] on `backend`: the backend-generic core behind
     /// every [`Solver`](sophie_solve::Solver) impl of the engine (the impl
-    /// on this type picks the ideal dense or sparse backend from the
-    /// configured [`ComputeMode`](crate::ComputeMode); the OPCM adapter in
-    /// `sophie-hw` supplies its device model).
+    /// on this type runs [`IdealBackend`](crate::backend::IdealBackend);
+    /// the OPCM adapter in `sophie-hw` supplies its device model).
     ///
     /// The job's seed draws the initial state and the schedule,
     /// `budget.max_iterations` caps the planned rounds, its target is
@@ -550,11 +549,11 @@ impl SophieSolver {
 /// (`sparse_delta_macs`). Once every field is stamped, later flipped rows
 /// add only their lengths: on a dense `C` the first flip saturates it.
 ///
-/// Deliberately **strategy- and thread-independent**: derived solely from
+/// Deliberately **backend- and thread-independent**: derived solely from
 /// the synchronized global state and the static pattern of `C`, never from
-/// which kernel the backend actually executed — so event streams stay
-/// byte-identical across [`ComputeMode`](crate::ComputeMode)s and
-/// `SOPHIE_THREADS` settings.
+/// which kernel the backend actually executed — so the counters model the
+/// datapath, not the host, and event streams stay byte-identical across
+/// kernels and `SOPHIE_THREADS` settings.
 fn tally_reuse(
     adjacency: &SparseCsr,
     prev: &[bool],
@@ -575,7 +574,7 @@ fn tally_reuse(
     for (j, (&a, &b)) in prev.iter().zip(now).enumerate() {
         if a != b {
             flips += 1;
-            let (rows, _) = adjacency.row(j);
+            let rows = adjacency.row(j);
             macs += rows.len() as u64;
             if touched == fields {
                 continue;

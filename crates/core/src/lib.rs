@@ -54,7 +54,6 @@ mod health;
 pub mod queue;
 pub mod schedule;
 mod solver;
-pub mod sparse;
 
 pub use config::{ComputeMode, SophieConfig};
 pub use engine::{EngineRun, SophieSolver};
@@ -65,7 +64,6 @@ pub use schedule::{Round, Schedule};
 pub use solver::SophieIsing;
 pub use sophie_linalg::{KernelPlan, KernelVariant};
 pub use sophie_pris::TransformCache;
-pub use sparse::{SparseBackend, SparseUnit};
 
 // The instrumentation and solver-abstraction layers live in `sophie-solve`
 // so solvers that cannot depend on this crate (e.g. `sophie-pris`) share

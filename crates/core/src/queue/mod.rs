@@ -1,15 +1,15 @@
 //! Device-runtime layer: typed command queues over pooled buffers.
 //!
-//! The engine's stage modules drive every backend — ideal, OPCM,
-//! fault-injected, and the delta-driven sparse backend — through this one
-//! seam: they *submit* typed commands ([`CommandKind`]) against unit
-//! indices and [`BufferHandle`]s, and the [`CommandQueue`] executes the
-//! pending batch at explicit flush points. This decouples round
-//! scheduling from device latency (probe traffic rides in the same flush
-//! as solve MVMs instead of serializing after it) and gives every
-//! executed command an exact [`Completion`] cost record, so run totals
-//! are per-command sums rather than lump estimates. `sophie-hw` re-exports
-//! this module and binds the paper's §IV-A cost constants to the records.
+//! The engine's stage modules drive every backend — ideal, OPCM and
+//! fault-injected — through this one seam: they *submit* typed commands
+//! ([`CommandKind`]) against unit indices and [`BufferHandle`]s, and the
+//! [`CommandQueue`] executes the pending batch at explicit flush points.
+//! This decouples round scheduling from device latency (probe traffic
+//! rides in the same flush as solve MVMs instead of serializing after it)
+//! and gives every executed command an exact [`Completion`] cost record,
+//! so run totals are per-command sums rather than lump estimates.
+//! `sophie-hw` re-exports this module and binds the paper's §IV-A cost
+//! constants to the records.
 //!
 //! # Determinism contract
 //!

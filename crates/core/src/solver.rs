@@ -21,10 +21,9 @@ use sophie_pris::TransformCache;
 use sophie_solve::{Capabilities, SolveError, SolveJob, SolveObserver, SolveReport, Solver};
 
 use crate::backend::IdealBackend;
-use crate::config::{ComputeMode, SophieConfig};
+use crate::config::SophieConfig;
 use crate::engine::{EngineRun, SophieSolver};
 use crate::queue::NullTimeline;
-use crate::sparse::SparseBackend;
 
 impl Solver for SophieSolver {
     fn name(&self) -> &'static str {
@@ -44,22 +43,13 @@ impl Solver for SophieSolver {
         job: &SolveJob,
         observer: &mut dyn SolveObserver,
     ) -> Result<SolveReport, SolveError> {
-        // Dispatch on the configured compute mode; dense and sparse
-        // backends are bit-identical in every output (see `crate::sparse`),
-        // so this choice affects wall-clock only.
-        let run = EngineRun::default();
-        match self.config().compute {
-            ComputeMode::Dense => {
-                self.solve_job(&IdealBackend::new(), job, &run, observer, &mut NullTimeline)
-            }
-            ComputeMode::Sparse | ComputeMode::Auto => self.solve_job(
-                &SparseBackend::from_config(self.config()),
-                job,
-                &run,
-                observer,
-                &mut NullTimeline,
-            ),
-        }
+        self.solve_job(
+            &IdealBackend::new(),
+            job,
+            &EngineRun::default(),
+            observer,
+            &mut NullTimeline,
+        )
     }
 }
 

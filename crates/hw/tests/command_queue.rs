@@ -2,11 +2,11 @@
 //!
 //! Every device command completion carries an exact [`OpCounts`] record,
 //! and every host-side stage reports its delta to the [`TimelineSink`].
-//! These tests drive full solves over all four execution paths — the ideal
-//! dense backend, the delta-driven sparse backend, the clean OPCM device
-//! model, and OPCM with injected transient faults plus active recovery —
-//! and assert that the records sum **exactly** (integer equality, every
-//! field) to the aggregate counts of the run's [`SolveReport`], at
+//! These tests drive full solves over all three execution paths — the
+//! ideal dense backend, the clean OPCM device model, and OPCM with
+//! injected transient faults plus active recovery — and assert that the
+//! records sum **exactly** (integer equality, every field) to the
+//! aggregate counts of the run's [`SolveReport`], at
 //! `SOPHIE_THREADS` 1 and 4, and that the annotated energies sum
 //! accordingly. They also pin the determinism contract (the record-key
 //! stream is byte-identical across thread counts) and the
@@ -18,7 +18,6 @@ use sophie_core::backend::IdealBackend;
 use sophie_core::queue::{Completion, TimelineSink};
 use sophie_core::{
     EngineRun, HealthConfig, OpCounts, RecoveryPolicy, SolveJob, SophieConfig, SophieSolver,
-    SparseBackend,
 };
 use sophie_graph::generate::{gnm, WeightDist};
 use sophie_graph::Graph;
@@ -126,10 +125,10 @@ fn assert_exact_sum(label: &str, report_ops: &OpCounts, sink: &Collector) {
     );
 }
 
-/// All four execution paths, at 1 and 4 worker threads: record sums are
+/// All three execution paths, at 1 and 4 worker threads: record sums are
 /// exact, and the record streams are identical across thread counts.
 ///
-/// One test function (not four) because it mutates `SOPHIE_THREADS`,
+/// One test function (not three) because it mutates `SOPHIE_THREADS`,
 /// which must not race sibling tests in this binary.
 #[test]
 fn per_command_costs_sum_exactly_across_backends_and_threads() {
@@ -145,10 +144,6 @@ fn per_command_costs_sum_exactly_across_backends_and_threads() {
 
         let (ops, sink) = run_collected(&solver, &IdealBackend::new(), &graph, None);
         assert_exact_sum(&format!("ideal/t{threads}"), &ops, &sink);
-        keys_this_thread_count.push(sink.keys);
-
-        let (ops, sink) = run_collected(&solver, &SparseBackend::auto(), &graph, None);
-        assert_exact_sum(&format!("sparse/t{threads}"), &ops, &sink);
         keys_this_thread_count.push(sink.keys);
 
         let clean = OpcmBackend::new(OpcmBackendConfig::default());

@@ -5,12 +5,12 @@
 //! one dispatch type:
 //!
 //! * [`scalar`] — the canonical scalar reference kernel plus the deduped
-//!   sequential helpers (`seq_axpy`, `seq_dot`, `seq_dot_indexed`) that
-//!   `vector`, `tile`, and `sparse` all delegate to;
+//!   sequential helpers (`seq_axpy`, `seq_dot`) that `vector` and `tile`
+//!   delegate to;
 //! * [`blocked`] — the cache-blocked, explicitly unrolled
 //!   register-blocking sweep (`L` output lanes × `U`-way k-unroll);
 //! * [`KernelPlan`] — the dispatch layer: everything above `sophie-linalg`
-//!   (the engine's queue executor, the ideal/sparse backends) calls tile
+//!   (the engine's queue executor, the ideal backend) calls tile
 //!   kernels only through a plan. [`KernelPlan::for_size`] is a fixed
 //!   rule of the tile size ([`B32U2_MAX_TILE`]); nothing here times
 //!   itself, and `SOPHIE_KERNEL` pins a variant for determinism tests.
@@ -26,12 +26,11 @@
 //! to [`KernelVariant::Scalar`]. Terms that are exact zeros (zero weight
 //! or zero input) are bitwise invisible to such a sum (the accumulator can
 //! never become `-0.0`), which is why the zero-input-skipping
-//! [`KernelVariant::Axpy`] and the zero-weight-skipping sparse kernels
-//! agree with the no-skip variants bit for bit. Kernel choice is therefore
-//! a pure wall-clock choice: solver outcomes and event streams are
-//! byte-identical under every plan. The same argument covers the AVX2
-//! builds of `axpy` and `b32u2`, which run where the host has AVX2
-//! (`crate::isa`): wider lanes, the same chains.
+//! [`KernelVariant::Axpy`] agrees with the no-skip variants bit for bit.
+//! Kernel choice is therefore a pure wall-clock choice: solver outcomes
+//! and event streams are byte-identical under every plan. The same
+//! argument covers the AVX2 builds of `axpy` and `b32u2`, which run where
+//! the host has AVX2 (`crate::isa`): wider lanes, the same chains.
 
 pub mod blocked;
 pub mod scalar;

@@ -1,9 +1,9 @@
 //! Scalar reference kernels and the deduped sequential helpers.
 //!
 //! This file is the single home of the plain sequential inner loops that
-//! `vector.rs`, `tile.rs`, and `sparse.rs` used to duplicate. Everything
-//! here accumulates in ascending index order from `+0.0` — the canonical
-//! order the whole kernel stack is bit-identical to.
+//! `vector.rs` and `tile.rs` used to duplicate. Everything here
+//! accumulates in ascending index order from `+0.0` — the canonical order
+//! the whole kernel stack is bit-identical to.
 
 /// `y[i] += alpha * x[i]` — the sequential axpy every kernel and the
 /// public [`crate::vector::axpy_f32`] delegate to.
@@ -27,27 +27,6 @@ pub fn seq_dot(x: &[f32], y: &[f32]) -> f32 {
         acc += xi * yi;
     }
     acc
-}
-
-/// Sequential indexed dot `Σ_j vals[j]·x[cols[j]]` — the CSR row-dot
-/// inner loop shared by `SparseCsr::row_dot` and `SparseCsr::matvec`.
-#[inline]
-#[must_use]
-pub fn seq_dot_indexed(cols: &[u32], vals: &[f32], x: &[f32]) -> f32 {
-    let mut acc = 0.0_f32;
-    for (&c, &v) in cols.iter().zip(vals) {
-        acc += v * x[c as usize];
-    }
-    acc
-}
-
-/// Sequential indexed scatter `y[cols[j]] += alpha·vals[j]` — the CSR
-/// transposed-matvec inner loop.
-#[inline]
-pub fn seq_scatter_axpy(alpha: f32, cols: &[u32], vals: &[f32], y: &mut [f32]) {
-    for (&c, &v) in cols.iter().zip(vals) {
-        y[c as usize] += alpha * v;
-    }
 }
 
 /// The scalar reference MVM: for each live output, a unit-stride
@@ -98,8 +77,8 @@ mod tests {
     }
 
     proptest! {
-        /// Satellite (a): the deduped helpers agree bitwise with their
-        /// literal sequential definitions, including the indexed forms.
+        /// The deduped helpers agree bitwise with their literal
+        /// sequential definitions.
         #[test]
         fn helpers_match_literal_sequential_loops(
             x in (1usize..40).prop_flat_map(|n| proptest::collection::vec(small_f32(), n)),
@@ -122,23 +101,6 @@ mod tests {
             let mut acc = 0.0_f32;
             for i in 0..n { acc += x[i] * y0[i]; }
             prop_assert_eq!(seq_dot(&x, &y0).to_bits(), acc.to_bits());
-
-            // seq_dot_indexed over a strided index pattern
-            let cols: Vec<u32> = (0..n as u32).filter(|c| c % 3 != 1).collect();
-            let vals: Vec<f32> = cols.iter().map(|&c| x[c as usize] - 1.5).collect();
-            let mut acc = 0.0_f32;
-            for (j, &c) in cols.iter().enumerate() { acc += vals[j] * y0[c as usize]; }
-            prop_assert_eq!(seq_dot_indexed(&cols, &vals, &y0).to_bits(), acc.to_bits());
-
-            // seq_scatter_axpy
-            let mut got = y0.clone();
-            seq_scatter_axpy(alpha, &cols, &vals, &mut got);
-            let mut want = y0.clone();
-            for (j, &c) in cols.iter().enumerate() { want[c as usize] += alpha * vals[j]; }
-            prop_assert_eq!(
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
         }
 
         /// The axpy sweep's zero-skip is bitwise invisible next to the

@@ -13,9 +13,8 @@
 //! * [`tile`] — the tiling model ([`tile::TileGrid`], zero-padded
 //!   [`tile::Tile`]s in `f32`, and symmetric tile-pair enumeration that
 //!   underpins the paper's ≈2× OPCM area saving);
-//! * [`sparse`] — CSR weight storage ([`sparse::SparseCsr`]) whose kernels
-//!   are bit-identical to the dense tile kernels, the substrate of the
-//!   engine's delta-driven sparse compute strategy;
+//! * [`sparse`] — the nonzero pattern of a matrix in CSR layout
+//!   ([`sparse::SparseCsr`]), which the engine's reuse model walks;
 //! * [`kernel`] — the tile-MVM kernel component stack: a scalar reference
 //!   kernel, an `axpy` sweep and a cache-blocked register-blocking
 //!   variant, and the [`KernelPlan`] dispatch layer everything above this

@@ -327,9 +327,8 @@ impl Tile {
     /// sequential sum of `T[i,c]·x[c]` in ascending `c` starting from
     /// `+0.0`, and terms that are exact zeros (zero weight or zero input)
     /// never change the accumulated bits — `+0.0 + ±0.0 == +0.0` and the
-    /// accumulator can never become `-0.0`. Sparse kernels
-    /// ([`crate::sparse::SparseCsr`]) rely on this to skip zero weights
-    /// while staying bit-identical.
+    /// accumulator can never become `-0.0`. Every kernel variant relies
+    /// on this to skip zero terms while staying bit-identical.
     ///
     /// # Panics
     ///
@@ -608,8 +607,8 @@ mod tests {
     #[test]
     fn forward_matches_sequential_column_sweep_bitwise() {
         // The documented accumulation contract: y[i] is the sequential sum
-        // of T[i,c]·x[c] for ascending c with zero inputs skipped. Sparse
-        // kernels and the incremental engine cache depend on this exactly.
+        // of T[i,c]·x[c] for ascending c with zero inputs skipped. Every
+        // kernel variant is held to this exactly.
         let size = 13;
         let t = Tile::from_vec(
             size,

@@ -25,7 +25,8 @@ pub struct ServeConfig {
     /// Worker threads executing jobs from the admission queue.
     pub workers: usize,
     /// Node cap on inline graph uploads (applied to the GSET header
-    /// before any allocation).
+    /// before any allocation), and on a `sophie` or `sophie-opcm` job's
+    /// `tile_size`.
     pub max_instance_nodes: usize,
     /// Edge cap on inline graph uploads.
     pub max_instance_edges: usize,

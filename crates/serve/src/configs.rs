@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use sophie_baselines::{BlsConfig, PtConfig, SaConfig, SbConfig, SbVariant};
-use sophie_core::{ComputeMode, SophieConfig};
+use sophie_core::SophieConfig;
 use sophie_hw::OpcmBackendConfig;
 use sophie_pris::PrisJobConfig;
 use sophie_solve::{Solver, SolverRegistry};
@@ -198,18 +198,8 @@ fn pris_config(f: &Fields<'_>) -> Result<PrisJobConfig> {
 
 fn sophie_config(f: &Fields<'_>) -> Result<SophieConfig> {
     let d = SophieConfig::default();
-    let compute = match f.get("compute") {
-        None => d.compute,
-        Some(v) => match v.as_str().and_then(ComputeMode::parse) {
-            Some(mode) => mode,
-            None => {
-                return Err(ServeError::Protocol {
-                    message: "config field `compute` must be \"dense\", \"sparse\", or \"auto\""
-                        .into(),
-                })
-            }
-        },
-    };
+    // `sparse_crossover` has no effect; it stays a wire field while the
+    // benchmark's K512 requests send it.
     let sparse_crossover = match f.get("sparse_crossover") {
         None => d.sparse_crossover,
         Some(v) => Some(
@@ -225,9 +215,36 @@ fn sophie_config(f: &Fields<'_>) -> Result<SophieConfig> {
         phi: f.f64("phi", d.phi)?,
         alpha: f.f64("alpha", d.alpha)?,
         stochastic_spin_update: f.bool("stochastic_spin_update", d.stochastic_spin_update)?,
-        compute,
+        compute: d.compute,
         sparse_crossover,
     })
+}
+
+/// Rejects a `sophie` or `sophie-opcm` config whose `tile_size` is above
+/// `max_nodes`, the daemon's instance node cap.
+///
+/// No admitted instance has more nodes, so a wider tile only adds
+/// padding, and a tile of width `t` holds `t²` weights: a `tile_size` of
+/// 100,000 asks for 40 GB before the job's first round. A missing or
+/// mistyped field is left to [`build_solver`].
+///
+/// # Errors
+///
+/// [`ServeError::Protocol`] naming the field, its value and the cap.
+pub(crate) fn check_tile_size(solver: &str, config: Option<&Json>, max_nodes: usize) -> Result<()> {
+    if !matches!(solver, "sophie" | "sophie-opcm") {
+        return Ok(());
+    }
+    let tile = config.and_then(|c| c.get("tile_size"));
+    match tile.and_then(Json::as_u64) {
+        Some(tile) if tile > max_nodes as u64 => Err(ServeError::Protocol {
+            message: format!(
+                "config field `tile_size` for solver `{solver}` is {tile}, above the \
+                 instance node cap {max_nodes}"
+            ),
+        }),
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -291,22 +308,12 @@ mod tests {
     }
 
     #[test]
-    fn sophie_compute_knobs_parse_and_validate() {
+    fn sparse_crossover_is_still_accepted_and_validated() {
+        // The benchmark's K512 submits still send it; it has no effect.
         let reg = default_registry();
-        for mode in ["dense", "sparse", "auto"] {
-            let cfg = Json::parse(&format!(
-                r#"{{"compute": "{mode}", "global_iters": 2, "tile_size": 8}}"#
-            ))
-            .unwrap();
-            assert!(build_solver(&reg, "sophie", Some(&cfg)).is_ok(), "{mode}");
-        }
-        let cfg = Json::parse(r#"{"sparse_crossover": 0.25, "tile_size": 8}"#).unwrap();
-        assert!(build_solver(&reg, "sophie", Some(&cfg)).is_ok());
-        // Bad mode string is a protocol error; bad θ is a factory rejection.
-        let bad_mode = Json::parse(r#"{"compute": "warp"}"#).unwrap();
-        match build_solver(&reg, "sophie", Some(&bad_mode)).map(|_| ()) {
-            Err(ServeError::Protocol { message }) => assert!(message.contains("compute")),
-            other => panic!("expected Protocol error, got {other:?}"),
+        let cfg = Json::parse(r#"{"global_iters":100,"sparse_crossover":0.16}"#).unwrap();
+        for solver in ["sophie", "sophie-opcm"] {
+            assert!(build_solver(&reg, solver, Some(&cfg)).is_ok(), "{solver}");
         }
         let bad_theta = Json::parse(r#"{"sparse_crossover": -1.0}"#).unwrap();
         assert!(matches!(
@@ -316,12 +323,40 @@ mod tests {
     }
 
     #[test]
+    fn tile_size_above_the_node_cap_is_rejected() {
+        let wide = Json::parse(r#"{"tile_size": 65}"#).unwrap();
+        let at_cap = Json::parse(r#"{"tile_size": 64}"#).unwrap();
+        for solver in ["sophie", "sophie-opcm"] {
+            match check_tile_size(solver, Some(&wide), 64) {
+                Err(ServeError::Protocol { message }) => assert_eq!(
+                    message,
+                    format!(
+                        "config field `tile_size` for solver `{solver}` is 65, above the \
+                         instance node cap 64"
+                    )
+                ),
+                other => panic!("{solver}: expected Protocol error, got {other:?}"),
+            }
+            assert!(check_tile_size(solver, Some(&at_cap), 64).is_ok());
+            assert!(check_tile_size(solver, None, 64).is_ok());
+        }
+        // Other solvers have no tiles; a mistyped value is build_solver's.
+        assert!(check_tile_size("sa", Some(&wide), 64).is_ok());
+        let mistyped = Json::parse(r#"{"tile_size": "wide"}"#).unwrap();
+        assert!(check_tile_size("sophie", Some(&mistyped), 64).is_ok());
+    }
+
+    #[test]
     fn removed_sophie_knobs_are_unknown_fields() {
-        // `kernel` and `queue_depth` were wire fields once; both never
-        // changed a result, and a config that still sends them must get
+        // `kernel`, `queue_depth` and `compute` were wire fields once; none
+        // ever changed a result, and a config that still sends one must get
         // the typed unknown-field error rather than run silently.
         let reg = default_registry();
-        for (field, value) in [("kernel", r#""scalar""#), ("queue_depth", "4")] {
+        for (field, value) in [
+            ("kernel", r#""scalar""#),
+            ("queue_depth", "4"),
+            ("compute", r#""dense""#),
+        ] {
             let cfg = Json::parse(&format!(r#"{{"{field}": {value}, "tile_size": 8}}"#)).unwrap();
             for solver in ["sophie", "sophie-opcm"] {
                 match build_solver(&reg, solver, Some(&cfg)).map(|_| ()) {

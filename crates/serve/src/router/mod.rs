@@ -312,8 +312,10 @@ impl Service for RouterShared {
 /// Entry point: binds and runs a router in background threads.
 pub struct Router;
 
-/// A running router. Dropping the handle does not stop it; call
-/// [`RouterHandle::shutdown`].
+/// A running router. Dropping the handle shuts the router down like
+/// [`RouterHandle::shutdown`] (its replicas keep running), and the drop
+/// blocks until its threads have joined; to wait for a client's protocol
+/// `shutdown` instead, call [`RouterHandle::join`].
 pub struct RouterHandle {
     addr: SocketAddr,
     shared: Arc<RouterShared>,

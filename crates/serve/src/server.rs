@@ -54,7 +54,7 @@ use sophie_solve::{
 use sophie::problems::{IsingInstance, ProblemSpec};
 
 use crate::config::ServeConfig;
-use crate::configs::build_solver;
+use crate::configs::{build_solver, check_tile_size};
 use crate::conn::{self, Conn, FrontEnd, Service};
 use crate::error::{Result, ServeError};
 use crate::metrics::Metrics;
@@ -174,7 +174,9 @@ impl Service for Shared {
             }),
         };
         let prepared = resolved.and_then(|(graph, problem)| {
-            let solver = build_solver(&shared.registry, &request.solver, request.config.as_ref())?;
+            let config = request.config.as_ref();
+            check_tile_size(&request.solver, config, shared.config.max_instance_nodes)?;
+            let solver = build_solver(&shared.registry, &request.solver, config)?;
             Ok((graph, problem, solver))
         });
         let (graph, problem, solver) = match prepared {
@@ -263,9 +265,10 @@ impl Service for Shared {
 /// Entry point: binds and runs a daemon in background threads.
 pub struct Server;
 
-/// A running daemon. Dropping the handle does *not* stop the server; call
-/// [`ServerHandle::shutdown`] (or send the protocol command and
-/// [`ServerHandle::join`]).
+/// A running daemon. Dropping the handle shuts the daemon down like
+/// [`ServerHandle::shutdown`], and the drop blocks until its threads have
+/// joined; to wait for a client's protocol `shutdown` instead, call
+/// [`ServerHandle::join`].
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,

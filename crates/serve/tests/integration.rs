@@ -371,6 +371,51 @@ fn named_complete_graphs_obey_the_edge_cap() {
 }
 
 #[test]
+fn sophie_tile_size_obeys_the_node_cap() {
+    let config = ServeConfig {
+        queue_capacity: 8,
+        workers: 1,
+        max_connections: 8,
+        max_instance_nodes: 64,
+        ..ServeConfig::default()
+    };
+    let server =
+        Server::start(config, sophie::default_registry(), "127.0.0.1:0").expect("server starts");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    // No admitted instance has more than 64 nodes, so a wider tile is only
+    // padding, t² weights of it: refused at admission, before any tiling.
+    for solver in ["sophie", "sophie-opcm"] {
+        let mut wide = SubmitArgs::new(solver, GraphSpec::Named("K20".into()));
+        wide.config_json = Some(r#"{"tile_size": 65, "global_iters": 1}"#.into());
+        let id = format!("wide-{solver}");
+        let err = client.submit(&id, &wide).expect("submit wide tile");
+        assert_eq!(err.frame_type(), Some("error"), "{solver}");
+        let message = err.get("message").and_then(Json::as_str).unwrap();
+        assert!(
+            message.contains("tile_size") && message.contains("64"),
+            "{message}"
+        );
+    }
+
+    let mut at_cap = SubmitArgs::new("sophie", GraphSpec::Named("K20".into()));
+    at_cap.config_json = Some(r#"{"tile_size": 64, "global_iters": 1}"#.into());
+    let admission = client.submit("at-cap", &at_cap).expect("submit tile 64");
+    assert_eq!(admission.frame_type(), Some("accepted"));
+    assert_eq!(client.wait_result("at-cap").expect("result").status, "done");
+
+    // The daemon still serves a later job.
+    let mut later = SubmitArgs::new("sa", GraphSpec::Named("K20".into()));
+    later.config_json = Some(r#"{"sweeps": 5}"#.into());
+    let admission = client.submit("later", &later).expect("submit later");
+    assert_eq!(admission.frame_type(), Some("accepted"));
+    assert_eq!(client.wait_result("later").expect("result").status, "done");
+    assert_eq!(counter(&client.stats().expect("stats"), "completed"), 2);
+
+    server.shutdown();
+}
+
+#[test]
 fn duplicate_in_flight_id_is_rejected_and_free_again_after_its_result() {
     let server = start_server(4, 1);
     let mut client = Client::connect(server.local_addr()).expect("connect");

@@ -61,8 +61,8 @@ pub struct OpCounts {
     pub pairs_quarantined: u64,
     /// Spins that flipped across a global synchronization, summed over the
     /// run (the input size of the delta-driven reuse model). Counted at
-    /// sync granularity from the global state, so it is identical for
-    /// every compute strategy and thread count.
+    /// sync granularity from the global state, so it is identical on
+    /// every backend and at every thread count.
     pub sparse_spin_flips: u64,
     /// Local fields a delta-driven engine recomputes: fields adjacent to
     /// at least one flipped spin, per sync (plus one full pass at setup).

@@ -14,14 +14,14 @@
 # with a cold in-process solve), builds the examples, denies rustdoc
 # warnings, and smoke-runs the
 # `repro` binary (the solver-registry listing, bench-summary with a
-# sparse-suite/speedup gate, the kernel timing smoke with its 1.3x
-# forward-speedup gate, the problem-compiler sweep with a feasible-decode
-# gate on every annealer row, the sparse dense-vs-delta equivalence sweep,
-# a JSONL event trace, a JSONL command timeline with an exact-cost-sum and
-# probe/solve-overlap gate, the robustness sweep on a tiny graph, the
-# serving layer: an ephemeral-port daemon driven through submit/ctl/loadgen,
-# and the cluster layer: a router over 3 replicas with a forced replica
-# kill mid-workload, gated on zero lost jobs).
+# preprocessing/baselines suite-presence gate, the kernel timing smoke
+# with its 1.3x forward-speedup gate, the problem-compiler sweep with a
+# feasible-decode gate on every annealer row, a JSONL event trace, a JSONL
+# command timeline with an exact-cost-sum and probe/solve-overlap gate,
+# the robustness sweep on a tiny graph, the serving layer: an
+# ephemeral-port daemon driven through submit/ctl/loadgen, and the cluster
+# layer: a router over 3 replicas with a forced replica kill mid-workload,
+# gated on zero lost jobs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -70,10 +70,10 @@ if grep -rn "\.forward(\|\.transposed(" crates/core/src/engine/; then
     exit 1
 fi
 
-# Kernel-stack gate: engine and sparse code reach the MVM kernels only
-# through a KernelPlan (KernelPlan::resolve: the SOPHIE_KERNEL override,
-# else the fixed per-size rule KernelPlan::for_size); raw
-# Tile::mvm/mvm_transposed calls would bypass both.
+# Kernel-stack gate: core code reaches the MVM kernels only through a
+# KernelPlan (KernelPlan::resolve: the SOPHIE_KERNEL override, else the
+# fixed per-size rule KernelPlan::for_size); raw Tile::mvm/mvm_transposed
+# calls would bypass both.
 echo "==> grep gate: no direct Tile::mvm calls under crates/core/src/"
 if grep -rn "\.mvm(\|\.mvm_transposed(" crates/core/src/; then
     echo "core code must dispatch MVMs through KernelPlan, never Tile::mvm/mvm_transposed directly" >&2
@@ -81,8 +81,7 @@ if grep -rn "\.mvm(\|\.mvm_transposed(" crates/core/src/; then
 fi
 
 # Clock gate: the library crates make no decision by timing themselves
-# (kernel plans and the sparse crossover are fixed rules), so none of
-# them reads the wall clock. Job deadlines in sophie-solve, and the
+# (kernel plans are a fixed rule), so none of them reads the wall clock. Job deadlines in sophie-solve, and the
 # bench, serve and benchmark timing harnesses, are outside these crates.
 echo "==> grep gate: no Instant or SystemTime under the library crates' src/"
 if grep -rnE "\bInstant\b|\bSystemTime\b" \
@@ -201,22 +200,13 @@ if [[ "$quick" -eq 0 ]]; then
     # batch scheduler on a tiny instance.
     run cargo run --release -q -p sophie-bench --bin repro -- solvers
     run cargo run --release -q -p sophie-bench --bin repro -- bench-summary --out "$smoke_dir"
-    # Bench gate (quick mode): the sparse kernel suites must be present and
-    # the warm-polish speedup must not regress below a conservative floor
-    # (the committed full record shows >= 5x; quick-mode medians are noisy).
-    # The preprocessing stages and the baseline jobs must be recorded too
-    # (presence only: no speed floor).
+    # Bench gate (quick mode): the preprocessing stages and the baseline
+    # jobs must be recorded (presence only: no speed floor).
     python3 - "$smoke_dir/BENCH_sophie.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 ids = {r["id"] for r in doc["results"]}
-for needed in (
-    "sparse_matvec/dense_kernel/64",
-    "sparse_matvec/csr_full/64",
-    "sparse_matvec/incremental_1flip/64",
-    "incremental_round/dense/2000",
-    "incremental_round/sparse/2000",
-) + tuple(
+for needed in tuple(
     f"preprocess/{stage}/{graph}"
     for stage in ("symmetric_eigen", "compose_nonnegative", "from_transform")
     for graph in ("K512", "G1")
@@ -226,9 +216,7 @@ for needed in (
     for graph in ("K60", "QUBO-64", "GSET-64")
 ):
     assert needed in ids, f"bench summary missing {needed}"
-sp = doc["sparse_speedup"]["speedup"]
-assert sp >= 2.0, f"sparse polish speedup regressed to {sp}x (quick-mode floor: 2.0)"
-print(f"bench gate: sparse, preprocess and baselines suites present, warm-polish speedup {sp:.1f}x")
+print("bench gate: preprocess and baselines suites present")
 PY
     # Kernel timing smoke: times the three variants (scalar, axpy, b32u2)
     # on distinct 0/1 inputs at the acceptance tile sizes, records the
@@ -249,7 +237,7 @@ assert "pair_64" not in kt, "the fused pair kernel is gone"
 sp = kt["forward_64_speedup"]
 assert sp >= 1.3, f"tuned forward 64^2 speedup regressed to {sp}x (floor: 1.3)"
 # bench-summary regeneration must have preserved the block alongside its own
-assert "results" in doc and "sparse_speedup" in doc, "kernel_tune upsert dropped sibling blocks"
+assert "results" in doc and "tile_kernel_asymmetry_fix" in doc, "kernel_tune upsert dropped sibling blocks"
 print(f"kernel_tune gate: plans for {tiles}, forward 64^2 speedup {sp:.2f}x")
 PY
     # Problem-compiler smoke: every front end (QUBO, MAX-CUT, coloring,
@@ -273,10 +261,6 @@ assert "kernel_tune" in doc and "results" in doc, "problems upsert dropped sibli
 sa = [e for e in entries if e["solver"] == "sa"]
 print(f"problems gate: {len(kinds)} kinds, {len(sa)} annealer rows all feasible")
 PY
-    # Sparse-path smoke: the sweep itself asserts that dense and sparse
-    # compute modes produce identical reports on a G22-sized instance.
-    run cargo run --release -q -p sophie-bench --bin repro -- sparse --fast --out "$smoke_dir"
-    [[ -s "$smoke_dir/sparse.csv" ]] || { echo "sparse smoke test wrote no CSV" >&2; exit 1; }
     run cargo run --release -q -p sophie-bench --bin repro -- trace --fast \
         --graph K100 --seed 0 --out "$smoke_dir/trace.jsonl"
     [[ -s "$smoke_dir/trace.jsonl" ]] || { echo "trace smoke test wrote nothing" >&2; exit 1; }

@@ -1,16 +1,15 @@
 //! Absolute goldens for the engine's event streams.
 //!
 //! The other determinism suites compare runs with each other (threads
-//! against threads, kernel against kernel, compute mode against compute
-//! mode), so a change that shifts every stream the same way passes them
-//! all. This suite pins FNV-1a digests of the solve-event JSONL of four
-//! engine paths — `sophie` dense, `sophie` sparse, `sophie-opcm`, and a
-//! fault-aware OPCM run recovering with `RecoveryPolicy::Reprogram` — plus
-//! the command timeline (key, kind, cost of every record) of the dense run.
-//! Two small instances cover the tile shapes: one at tile 16, and one at
-//! tile 64 whose edge tiles are trimmed. A sixth digest pins a warm-started
-//! run over an explicitly supplied schedule. The digests hold at every
-//! `SOPHIE_THREADS` value.
+//! against threads, kernel against kernel), so a change that shifts every
+//! stream the same way passes them all. This suite pins FNV-1a digests of
+//! the solve-event JSONL of three engine paths — `sophie`, `sophie-opcm`,
+//! and a fault-aware OPCM run recovering with `RecoveryPolicy::Reprogram` —
+//! plus the command timeline (key, kind, cost of every record) of the
+//! `sophie` run. Two small instances cover the tile shapes: one at tile 16,
+//! and one at tile 64 whose edge tiles are trimmed. One more digest pins a
+//! warm-started run over an explicitly supplied schedule. The digests hold
+//! at every `SOPHIE_THREADS` value.
 //!
 //! Set `SOPHIE_PRINT_DIGESTS=1` to print the digests instead of checking
 //! them.
@@ -22,9 +21,7 @@ use std::sync::{Arc, Mutex};
 use sophie::core::backend::IdealBackend;
 use sophie::core::observe::EventLog;
 use sophie::core::queue::{Completion, TimelineSink};
-use sophie::core::{
-    ComputeMode, EngineRun, HealthConfig, RecoveryPolicy, Schedule, SophieConfig, SophieSolver,
-};
+use sophie::core::{EngineRun, HealthConfig, RecoveryPolicy, Schedule, SophieConfig, SophieSolver};
 use sophie::graph::generate::{gnm, WeightDist};
 use sophie::graph::Graph;
 use sophie::hw::{FaultSchedule, OpcmBackendConfig, SophieOpcm};
@@ -103,24 +100,16 @@ fn instances() -> Vec<(&'static str, Arc<Graph>, SophieConfig)> {
     ]
 }
 
-/// `[dense events, sparse events, opcm events, fault-aware events,
-/// dense timeline]` of one instance.
-fn digests(graph: &Arc<Graph>, config: &SophieConfig) -> [u64; 5] {
+/// `[dense events, opcm events, fault-aware events, dense timeline]` of
+/// one instance.
+fn digests(graph: &Arc<Graph>, config: &SophieConfig) -> [u64; 4] {
     let job = SolveJob::new(Arc::clone(graph), 42);
     let solve = |solver: &dyn Solver| {
         let mut log = EventLog::new();
         solver.solve(&job, &mut log).unwrap();
         log
     };
-    let engine_in = |compute| {
-        let config = SophieConfig {
-            compute,
-            ..config.clone()
-        };
-        Arc::new(SophieSolver::from_graph(graph, config).unwrap())
-    };
-    let dense = engine_in(ComputeMode::Dense);
-    let sparse = engine_in(ComputeMode::Sparse);
+    let dense = Arc::new(SophieSolver::from_graph(graph, config.clone()).unwrap());
 
     let opcm = SophieOpcm::from_engine(
         Arc::clone(&dense),
@@ -171,21 +160,19 @@ fn digests(graph: &Arc<Graph>, config: &SophieConfig) -> [u64; 5] {
 
     [
         event_digest(&dense_log),
-        event_digest(&solve(sparse.as_ref())),
         event_digest(&solve(&opcm)),
         event_digest(&fault_log),
         timeline.0 .0,
     ]
 }
 
-/// `(instance, [dense, sparse, opcm, fault-aware, dense timeline])`.
-/// Recorded before the fused pair kernel, the blocked variants other than
-/// `b32u2`, and the `queue_depth` knob were removed.
-const GOLDEN: &[(&str, [u64; 5])] = &[
+/// `(instance, [dense, opcm, fault-aware, dense timeline])`. Recorded
+/// before the fused pair kernel, the blocked variants other than `b32u2`,
+/// and the `queue_depth` knob were removed.
+const GOLDEN: &[(&str, [u64; 4])] = &[
     (
         "t16",
         [
-            0x4f4a_880f_b3b8_483f,
             0x4f4a_880f_b3b8_483f,
             0x5aca_8627_d5d4_c9af,
             0x1f10_268a_2a84_a06b,
@@ -195,7 +182,6 @@ const GOLDEN: &[(&str, [u64; 5])] = &[
     (
         "t64-trimmed",
         [
-            0x6cd2_0c68_83f1_f09d,
             0x6cd2_0c68_83f1_f09d,
             0x3597_2647_2d76_3aac,
             0xb7b6_9332_ff72_cd5e,
@@ -213,8 +199,8 @@ fn engine_streams_match_recorded_digests_at_every_thread_count() {
             let got = with_threads(threads, || digests(&graph, &config));
             if print {
                 println!(
-                    "    (\"{label}\", [{:#018x}, {:#018x}, {:#018x}, {:#018x}, {:#018x}]), // {threads}",
-                    got[0], got[1], got[2], got[3], got[4]
+                    "    (\"{label}\", [{:#018x}, {:#018x}, {:#018x}, {:#018x}]), // {threads}",
+                    got[0], got[1], got[2], got[3]
                 );
                 continue;
             }

@@ -7,16 +7,18 @@
 //! [`SolveReport`] — cut trace, best bits, activity, and the exact op
 //! counts consumed by the PPA models — is bit-identical no matter what
 //! `SOPHIE_THREADS` is set to, on both the exact backend and the OPCM
-//! device model.
+//! device model. A property test also randomizes the instance and the
+//! algorithm configuration and compares whole event streams.
 
 use std::sync::{Arc, Mutex};
 
+use proptest::prelude::*;
 use sophie::core::queue::NullTimeline;
 use sophie::core::{EngineRun, SophieConfig, SophieSolver};
 use sophie::graph::generate::{gnm, WeightDist};
 use sophie::graph::Graph;
 use sophie::hw::{OpcmBackend, OpcmBackendConfig};
-use sophie::solve::{run_seeds, NullObserver, SolveJob, SolveReport, Solver};
+use sophie::solve::{run_seeds, EventLog, NullObserver, SolveJob, SolveReport, Solver};
 
 /// `SOPHIE_THREADS` is process-global; serialize the tests that set it.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -137,4 +139,73 @@ fn scheduler_batches_over_the_trait_object_are_identical_across_thread_counts() 
     assert_eq!(serial.reports, four.reports, "1 vs 4 threads");
     assert_eq!(serial.reports, eight.reports, "1 vs 8 threads");
     assert_eq!(serial.ops, four.ops, "aggregate op counts");
+}
+
+/// One run: outcome fields plus the full event stream rendered to a
+/// string, so stream comparison is a byte comparison.
+fn run_fingerprint(
+    g: &Arc<Graph>,
+    cfg: &SophieConfig,
+    seed: u64,
+) -> (f64, Vec<bool>, Vec<f64>, String) {
+    let solver = SophieSolver::from_graph(g, cfg.clone()).expect("engine build");
+    let mut log = EventLog::new();
+    let out = solver
+        .solve(&SolveJob::new(Arc::clone(g), seed), &mut log)
+        .expect("run");
+    (
+        out.best_cut,
+        out.best_bits,
+        out.cut_trace,
+        format!("{:?}", log.events()),
+    )
+}
+
+/// Tile sizes that split the instance into a few pairs, both spin-update
+/// modes, and activity from frozen (φ = 0) to busy (φ = 0.2).
+fn config_strategy() -> impl Strategy<Value = SophieConfig> {
+    (
+        prop_oneof![Just(8usize), Just(16)],
+        2usize..5,
+        6usize..16,
+        0.4f64..=1.0,
+        prop_oneof![Just(0.0f64), Just(0.0), Just(0.2)],
+        proptest::bool::ANY,
+    )
+        .prop_map(|(tile, local, global, frac, phi, stoch)| SophieConfig {
+            tile_size: tile,
+            local_iters: local,
+            global_iters: global,
+            tile_fraction: frac,
+            phi,
+            alpha: 0.0,
+            stochastic_spin_update: stoch,
+            ..SophieConfig::default()
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Random instances and configurations yield byte-identical event
+    /// streams and outcomes at 1 and 4 threads.
+    #[test]
+    fn random_jobs_are_identical_across_thread_counts(
+        cfg in config_strategy(),
+        n in 32usize..72,
+        edge_factor in 2usize..5,
+        seed in 0u64..1000,
+    ) {
+        let _guard = ENV_LOCK.lock().unwrap();
+        let g = Arc::new(
+            gnm(n, edge_factor * n, WeightDist::UniformInt { lo: -3, hi: 3 }, seed ^ 0xA5)
+                .unwrap(),
+        );
+        let serial = with_threads("1", || run_fingerprint(&g, &cfg, seed));
+        let four = with_threads("4", || run_fingerprint(&g, &cfg, seed));
+        prop_assert_eq!(&serial.0, &four.0, "best_cut diverged");
+        prop_assert_eq!(&serial.1, &four.1, "best_bits diverged");
+        prop_assert_eq!(&serial.2, &four.2, "cut_trace diverged");
+        prop_assert_eq!(&serial.3, &four.3, "event stream diverged");
+    }
 }
