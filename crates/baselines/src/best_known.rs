@@ -14,7 +14,6 @@ use crate::sb::{bifurcate, SbConfig};
 
 /// Effort levels for the reference computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Effort {
     /// A couple of restarts — for tests and fast mode.
     Quick,

@@ -15,7 +15,6 @@ use crate::instrument::{spin_flips, BaselineEvents};
 
 /// Configuration for one breakout-local-search run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlsConfig {
     /// Perturbation rounds (each = descend to local optimum + breakout).
     pub rounds: usize,

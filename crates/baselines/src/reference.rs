@@ -8,7 +8,6 @@
 
 /// Hardware substrate of a published result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Substrate {
     /// Photonic accelerator.
     Photonic,
@@ -24,7 +23,6 @@ pub enum Substrate {
 
 /// How a published result reports solution quality.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum QualityNote {
     /// Time to reach the ground state with 90 % probability.
     T90,
@@ -38,7 +36,6 @@ pub enum QualityNote {
 
 /// One published (architecture, graph) data point.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReferencePoint {
     /// Architecture name as used in the paper's tables.
     pub architecture: &'static str,
@@ -244,17 +241,6 @@ pub const TABLE3_SOPHIE: &[ReferencePoint] = &[
     },
 ];
 
-/// All reference points for a given graph name.
-#[must_use]
-pub fn for_graph(graph: &str) -> Vec<ReferencePoint> {
-    TABLE2
-        .iter()
-        .chain(TABLE3)
-        .filter(|p| p.graph == graph)
-        .copied()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,14 +276,6 @@ mod tests {
             .unwrap();
         let ratio = t32.time_s / t16.time_s;
         assert!((3.0..4.0).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn for_graph_filters_correctly() {
-        let pts = for_graph("G22");
-        assert!(pts.iter().all(|p| p.graph == "G22"));
-        assert!(pts.iter().any(|p| p.architecture == "BRIM"));
-        assert!(pts.iter().any(|p| p.architecture == "CIM"));
     }
 
     #[test]

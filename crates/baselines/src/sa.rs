@@ -14,7 +14,6 @@ use crate::instrument::{spin_flips, BaselineEvents};
 
 /// Configuration for one annealing run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SaConfig {
     /// Full sweeps (each sweep attempts one flip per node).
     pub sweeps: usize,

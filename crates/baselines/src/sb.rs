@@ -18,7 +18,6 @@ use crate::instrument::{spin_flips, BaselineEvents};
 
 /// Coupling variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SbVariant {
     /// Ballistic SB: force uses the continuous positions.
     Ballistic,
@@ -29,7 +28,6 @@ pub enum SbVariant {
 
 /// Configuration for one SB run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SbConfig {
     /// Integration steps.
     pub steps: usize,

@@ -21,7 +21,7 @@ use sophie_solve::{
 use crate::local_search::{search_controlled, BlsConfig};
 use crate::sa::{anneal_controlled, SaConfig};
 use crate::sb::{bifurcate_controlled, SbConfig};
-use crate::tempering::{temper_controlled, PtConfig};
+use crate::tempering::{temper_controlled, PtConfig, MAX_REPLICAS};
 
 fn bad_config(solver: &str, message: &str) -> SolveError {
     SolveError::BadConfig {
@@ -184,11 +184,18 @@ impl PtSolver {
     ///
     /// # Errors
     ///
-    /// [`SolveError::BadConfig`] for fewer than two replicas or
-    /// non-positive / mis-ordered temperatures.
+    /// [`SolveError::BadConfig`] for fewer than two or more than
+    /// [`MAX_REPLICAS`] replicas, or non-positive / mis-ordered
+    /// temperatures.
     pub fn new(config: PtConfig) -> Result<Self, SolveError> {
         if config.replicas < 2 {
             return Err(bad_config("pt", "need at least 2 replicas"));
+        }
+        if config.replicas > MAX_REPLICAS {
+            return Err(bad_config(
+                "pt",
+                &format!("at most {MAX_REPLICAS} replicas, got {}", config.replicas),
+            ));
         }
         if !(config.t_min > 0.0 && config.t_min <= config.t_max) {
             return Err(bad_config(
@@ -361,11 +368,20 @@ mod tests {
             ..SbConfig::default()
         })
         .is_err());
+        for replicas in [1, MAX_REPLICAS + 1, 1_000_000_000] {
+            assert!(matches!(
+                PtSolver::new(PtConfig {
+                    replicas,
+                    ..PtConfig::default()
+                }),
+                Err(SolveError::BadConfig { .. })
+            ));
+        }
         assert!(PtSolver::new(PtConfig {
-            replicas: 1,
+            replicas: MAX_REPLICAS,
             ..PtConfig::default()
         })
-        .is_err());
+        .is_ok());
         assert!(BlsSolver::new(BlsConfig {
             rounds: 0,
             ..BlsConfig::default()

@@ -16,7 +16,6 @@ use crate::instrument::BaselineEvents;
 
 /// Configuration for a parallel-tempering run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PtConfig {
     /// Number of temperature replicas.
     pub replicas: usize,
@@ -31,6 +30,13 @@ pub struct PtConfig {
     /// RNG seed.
     pub seed: u64,
 }
+
+/// The most replicas a run may hold. Each replica keeps `n` `i8` spins and
+/// `n` `i64` local fields, about 36 KB at a 4,096-node instance, so this
+/// bounds one run's replicas near 37 MB at that size; the default is 8.
+/// An unbounded count let one config ask for gigabytes before its first
+/// sweep (10⁹ replicas on K20 is an 88 GB allocation).
+pub const MAX_REPLICAS: usize = 1024;
 
 impl Default for PtConfig {
     fn default() -> Self {
@@ -68,8 +74,8 @@ struct Replica<'g> {
 ///
 /// # Panics
 ///
-/// Panics if `replicas < 2`, temperatures are non-positive, or
-/// `t_min > t_max`.
+/// Panics if `replicas` is outside `2..=`[`MAX_REPLICAS`], temperatures
+/// are non-positive, or `t_min > t_max`.
 #[must_use]
 pub fn temper(graph: &Graph, config: &PtConfig) -> PtOutcome {
     temper_controlled(
@@ -99,7 +105,10 @@ pub(crate) fn temper_controlled(
     control: &RunControl,
     observer: &mut dyn SolveObserver,
 ) -> PtOutcome {
-    assert!(config.replicas >= 2, "need at least 2 replicas");
+    assert!(
+        (2..=MAX_REPLICAS).contains(&config.replicas),
+        "need at least 2 replicas and at most {MAX_REPLICAS}"
+    );
     assert!(
         config.t_min > 0.0 && config.t_min <= config.t_max,
         "temperatures must satisfy 0 < t_min <= t_max"

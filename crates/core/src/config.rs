@@ -10,7 +10,6 @@ use crate::error::{Result, SophieError};
 /// while the standalone benchmark package still names
 /// `ComputeMode::Dense`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ComputeMode {
     /// Dense tile kernels ([`crate::backend::IdealBackend`]).
     #[default]
@@ -24,7 +23,6 @@ pub enum ComputeMode {
 /// 64, 10 local iterations per global iteration, 500 global iterations,
 /// all tiles selected, stochastic spin update enabled.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SophieConfig {
     /// Edge length of a square matrix tile (one OPCM array holds one
     /// symmetric tile pair of this size).
@@ -71,6 +69,20 @@ impl Default for SophieConfig {
 }
 
 impl SophieConfig {
+    /// The most MVM chain steps (symmetric tile pairs × `local_iters`) one
+    /// round may queue.
+    ///
+    /// A round queues every local iteration of every selected pair before
+    /// its one flush, and keeps each command and completion until the
+    /// fold, so one round's memory grows as pairs × `local_iters`: about
+    /// 1.1 KB a step (K512 at tile 8, 2,080 pairs, one round: peak RSS
+    /// rose 3.0 MB at `L` = 1 and 148 MB at `L` = 63). The limit, counted
+    /// over all `⌈n/t⌉(⌈n/t⌉+1)/2` pairs whatever the tile fraction, keeps
+    /// a round near 150 MB. It still admits the paper's largest `L` = 50
+    /// at tile 64 on a 4,096-node graph (2,080 pairs × 50 = 104,000
+    /// steps).
+    pub const MAX_ROUND_STEPS: usize = 1 << 17;
+
     /// Validates all fields.
     ///
     /// # Errors
@@ -118,11 +130,33 @@ impl SophieConfig {
         Ok(())
     }
 
-    /// Total local iterations executed across the whole run
-    /// (`global_iters × local_iters`), the x-axis unit of Fig. 7/8.
-    #[must_use]
-    pub fn total_local_iters(&self) -> usize {
-        self.global_iters * self.local_iters
+    /// Validates all fields, and that one round on an instance of `nodes`
+    /// nodes queues at most [`Self::MAX_ROUND_STEPS`] chain steps. Every
+    /// engine constructor checks this before it builds a tile.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SophieError::BadConfig`] naming the first offending field
+    /// (`local_iters` for the round bound).
+    pub fn validate_for(&self, nodes: usize) -> Result<()> {
+        self.validate()?;
+        let blocks = nodes.div_ceil(self.tile_size) as u128;
+        let pairs = blocks.saturating_mul(blocks + 1) / 2;
+        let steps = pairs.saturating_mul(self.local_iters as u128);
+        if steps > Self::MAX_ROUND_STEPS as u128 {
+            return Err(SophieError::BadConfig {
+                field: "local_iters",
+                message: format!(
+                    "{} local iterations on each of the {pairs} tile pairs of a \
+                     {nodes}-node instance at tile_size {} queue {steps} steps per \
+                     round, above the limit {}",
+                    self.local_iters,
+                    self.tile_size,
+                    Self::MAX_ROUND_STEPS
+                ),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -223,12 +257,32 @@ mod tests {
     }
 
     #[test]
-    fn total_local_iters_multiplies() {
-        let c = SophieConfig {
-            global_iters: 500,
-            local_iters: 10,
+    fn round_steps_are_bounded_by_pairs_times_local_iters() {
+        // The paper's largest L at tile 64 on the daemon's node cap fits.
+        let paper = SophieConfig {
+            local_iters: 50,
             ..SophieConfig::default()
         };
-        assert_eq!(c.total_local_iters(), 5000);
+        assert!(paper.validate_for(4096).is_ok());
+        // 64 blocks: 2,080 pairs × 63 = 131,040 steps fit; × 64 do not.
+        let at = |local_iters| SophieConfig {
+            tile_size: 8,
+            local_iters,
+            ..SophieConfig::default()
+        };
+        assert!(at(63).validate_for(512).is_ok());
+        assert!(matches!(
+            at(64).validate_for(512),
+            Err(SophieError::BadConfig {
+                field: "local_iters",
+                ..
+            })
+        ));
+        let huge = SophieConfig {
+            tile_size: 1,
+            local_iters: usize::MAX,
+            ..SophieConfig::default()
+        };
+        assert!(huge.validate_for(usize::MAX).is_err());
     }
 }

@@ -58,6 +58,7 @@ mod track;
 #[cfg(test)]
 mod tests;
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use sophie_graph::cut::CutScorer;
@@ -74,7 +75,11 @@ use crate::config::SophieConfig;
 use crate::error::{Result, SophieError};
 use crate::health::HealthConfig;
 use crate::queue::TimelineSink;
-use crate::schedule::Schedule;
+use crate::schedule::{Round, RoundGenerator, Schedule};
+
+/// Mixed into a job's seed to seed the rounds the engine streams when the
+/// job supplies no schedule.
+const SCHEDULE_SEED_MIX: u64 = 0x5c3a_11ed_0b57_aced;
 
 /// The SOPHIE solver: a tiled transformation matrix plus everything needed
 /// to run jobs against it.
@@ -131,7 +136,7 @@ pub struct EngineRun<'a> {
     pub health: Option<&'a HealthConfig>,
     /// A pre-generated schedule (the hardware flow: the host plans every
     /// scheduling decision offline, §III-D), used as given. `None`
-    /// generates one from the job's seed.
+    /// streams the same rounds from the job's seed, one as each is run.
     pub schedule: Option<&'a Schedule>,
     /// Warm start: the initial binary state in graph order instead of a
     /// random one — e.g. to continue annealing from the best state of a
@@ -147,7 +152,7 @@ impl SophieSolver {
     ///
     /// Propagates configuration, eigensolver, and preprocessing errors.
     pub fn from_graph(graph: &Graph, config: SophieConfig) -> Result<Self> {
-        config.validate()?;
+        config.validate_for(graph.num_nodes())?;
         let k = sophie_graph::coupling::coupling_matrix(graph);
         let delta = sophie_graph::coupling::delta_diagonal(graph);
         let c = sophie_pris::dropout::transformation_matrix(
@@ -170,7 +175,7 @@ impl SophieSolver {
         graph: &Arc<Graph>,
         config: SophieConfig,
     ) -> Result<Self> {
-        config.validate()?;
+        config.validate_for(graph.num_nodes())?;
         let c = cache.transform(graph, config.alpha)?;
         Self::from_transform(&c, config)
     }
@@ -181,10 +186,11 @@ impl SophieSolver {
     ///
     /// # Errors
     ///
-    /// Returns configuration errors or [`SophieError::Linalg`] if `c` is
-    /// rectangular.
+    /// Returns configuration errors (including a round that would queue
+    /// more than [`SophieConfig::MAX_ROUND_STEPS`] steps) or
+    /// [`SophieError::Linalg`] if `c` is rectangular.
     pub fn from_transform(c: &Matrix, config: SophieConfig) -> Result<Self> {
-        config.validate()?;
+        config.validate_for(c.rows())?;
         if !c.is_square() {
             return Err(SophieError::Linalg(sophie_linalg::LinalgError::NotSquare {
                 rows: c.rows(),
@@ -340,34 +346,37 @@ impl SophieSolver {
             })?;
         }
         let control = job.control();
-        let generated;
-        let (schedule, planned) = match run.schedule {
-            Some(schedule) => (schedule, job.budget.cap(schedule.rounds().len())),
+        // One stage loop runs either round source. Streamed rounds are the
+        // ones a schedule generated from the same seed would hold, each
+        // built when the loop reaches it, so a run stopped early builds no
+        // more and memory does not grow with `global_iters`.
+        let planned = job.budget.cap(
+            run.schedule
+                .map_or(self.config.global_iters, |s| s.rounds().len()),
+        );
+        let stochastic_spin = run.schedule.map_or(
+            self.config.stochastic_spin_update,
+            Schedule::stochastic_spin,
+        );
+        let rounds: Box<dyn Iterator<Item = Cow<'_, Round>> + '_> = match run.schedule {
+            Some(schedule) => Box::new(schedule.rounds()[..planned].iter().map(Cow::Borrowed)),
             None => {
-                let planned = job.budget.cap(self.config.global_iters);
-                // Cooperative generation: schedule setup is
-                // O(global_iters) work before the first round, so it
-                // honors cancellation and deadlines too. Truncation is
-                // unobservable — a run stopped during setup would never
-                // execute the missing rounds — and `planned` still
-                // reports the requested count.
-                generated = Schedule::generate_while(
+                let mut gen = RoundGenerator::new(
                     &self.grid,
-                    planned,
                     self.config.tile_fraction,
                     self.config.stochastic_spin_update,
-                    job.seed ^ 0x5c3a_11ed_0b57_aced,
-                    || !control.should_stop(),
+                    job.seed ^ SCHEDULE_SEED_MIX,
                 );
-                (&generated, planned)
+                Box::new((0..planned).map(move |_| Cow::Owned(gen.next_round())))
             }
         };
         let mut recorder = TraceRecorder::new();
         let best_bits = self.run_impl(
             backend,
             job,
-            schedule,
+            rounds,
             planned,
+            stochastic_spin,
             run,
             &control,
             &mut Tee::new(&mut recorder, observer),
@@ -380,16 +389,16 @@ impl SophieSolver {
         Ok(report)
     }
 
-    /// The stage loop over the first `planned` rounds of `schedule`,
-    /// returning the best bits; inputs are validated by
-    /// [`Self::solve_job`].
+    /// The stage loop over `rounds` (`planned` of them), returning the
+    /// best bits; inputs are validated by [`Self::solve_job`].
     #[allow(clippy::too_many_arguments)]
-    fn run_impl<B: MvmBackend>(
+    fn run_impl<'r, B: MvmBackend>(
         &self,
         backend: &B,
         job: &SolveJob,
-        schedule: &Schedule,
+        rounds: impl Iterator<Item = Cow<'r, Round>>,
         planned: usize,
+        stochastic_spin: bool,
         run: &EngineRun<'_>,
         control: &RunControl,
         observer: &mut dyn SolveObserver,
@@ -431,7 +440,7 @@ impl SophieSolver {
         let local_iters = self.config.local_iters;
         let mut active: Vec<usize> = Vec::with_capacity(self.pairs.len());
         let mut rounds_done = 0usize;
-        for (g, sched_round) in schedule.rounds().iter().take(planned).enumerate() {
+        for (g, sched_round) in rounds.enumerate() {
             // Cooperative stop (deadline or sibling cancellation): wind
             // down at round granularity, still emitting `RunFinished`.
             if control.should_stop() {
@@ -496,7 +505,7 @@ impl SophieSolver {
             // Stage 3: global synchronization and partial-sum merge
             // (host-side glue, reported to the timeline as one record).
             dispatch::host_record(&mut ms, round_index as u64, "global_sync", timeline, |ms| {
-                sync::synchronize(self, ms, schedule, sched_round, &active);
+                sync::synchronize(self, ms, &sched_round, stochastic_spin, &active);
             });
 
             // Stage 3b: recovery of the pairs whose probe failed

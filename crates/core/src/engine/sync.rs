@@ -11,22 +11,24 @@
 //! reported to the timeline as host records by the caller).
 
 use crate::queue::BufferPool;
-use crate::schedule::{Round, Schedule};
+use crate::schedule::Round;
 
 use super::state::{MachineState, PairState};
 use super::SophieSolver;
 
 /// Synchronizes the machine after one round's local iterations.
 ///
-/// `active_pairs` is the subset of `round.pairs` that actually executed
+/// `stochastic_spin` picks the column update: the round's donor copy, or
+/// a majority vote over the column's fresh copies. `active_pairs` is the
+/// subset of `round.pairs` that actually executed
 /// (quarantined pairs are excluded on fault-aware runs; otherwise the two
 /// are the same list) — it drives the partial-sum traffic and
 /// pair-execution accounting.
 pub(super) fn synchronize<U>(
     solver: &SophieSolver,
     ms: &mut MachineState<U>,
-    schedule: &Schedule,
     round: &Round,
+    stochastic_spin: bool,
     active_pairs: &[usize],
 ) {
     let t = solver.grid.tile();
@@ -44,14 +46,14 @@ pub(super) fn synchronize<U>(
             ..
         } = ms;
         for cblock in 0..b {
-            if schedule.stochastic_spin() {
+            if stochastic_spin {
                 if let Some(donor) = round.donors[cblock] {
                     let copy = column_copy(solver, states, pool, donor, cblock);
                     global[cblock * t..(cblock + 1) * t].copy_from_slice(copy);
                     updated_cols += 1;
                 }
             } else {
-                let rows = schedule.eligible_rows(round, cblock);
+                let rows = round.eligible_rows(&solver.pairs, cblock);
                 if !rows.is_empty() {
                     majority_update(
                         solver,

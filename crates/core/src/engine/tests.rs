@@ -8,7 +8,7 @@ use sophie_solve::{
     NullObserver, SolveError, SolveEvent, SolveJob, SolveObserver, SolveReport, Solver,
 };
 
-use super::{EngineRun, SophieSolver};
+use super::{EngineRun, SophieSolver, SCHEDULE_SEED_MIX};
 use crate::backend::IdealBackend;
 use crate::config::SophieConfig;
 use crate::queue::NullTimeline;
@@ -456,6 +456,79 @@ mod warm_start_tests {
         assert_eq!((capped.planned_iterations, capped.iterations_run), (7, 7));
         // The capped run is a prefix of the full one.
         assert_eq!(capped.cut_trace[..], full.cut_trace[..8]);
+    }
+}
+
+mod streamed_rounds {
+    use super::*;
+    use sophie_solve::{CancelToken, EventWriter, FnObserver};
+
+    /// The JSONL event stream and best bits of one job on the ideal backend.
+    fn stream(solver: &SophieSolver, job: &SolveJob, run: &EngineRun<'_>) -> (Vec<u8>, Vec<bool>) {
+        let mut writer = EventWriter::new(Vec::new());
+        let report = solver
+            .solve_job(
+                &IdealBackend::new(),
+                job,
+                run,
+                &mut writer,
+                &mut NullTimeline,
+            )
+            .unwrap();
+        (writer.finish().unwrap(), report.best_bits)
+    }
+
+    #[test]
+    fn streamed_rounds_emit_the_bytes_of_the_generated_schedule() {
+        let g = Arc::new(gnm(40, 150, WeightDist::Unit, 6).unwrap());
+        for stochastic_spin_update in [true, false] {
+            let cfg = SophieConfig {
+                tile_fraction: 0.6,
+                stochastic_spin_update,
+                ..small_config(8, 25)
+            };
+            let solver = SophieSolver::from_graph(&g, cfg.clone()).unwrap();
+            let job = SolveJob::new(Arc::clone(&g), 13);
+            let schedule = Schedule::generate(
+                solver.grid(),
+                cfg.global_iters,
+                cfg.tile_fraction,
+                cfg.stochastic_spin_update,
+                job.seed ^ SCHEDULE_SEED_MIX,
+            );
+            let supplied = EngineRun {
+                schedule: Some(&schedule),
+                ..EngineRun::default()
+            };
+            let (streamed, streamed_bits) = stream(&solver, &job, &EngineRun::default());
+            let (scheduled, scheduled_bits) = stream(&solver, &job, &supplied);
+            assert!(!streamed.is_empty());
+            assert_eq!(streamed, scheduled, "stochastic {stochastic_spin_update}");
+            assert_eq!(streamed_bits, scheduled_bits);
+        }
+    }
+
+    #[test]
+    fn a_huge_global_iters_builds_no_round_ahead_of_its_turn() {
+        // Rounds stream as they run: 2^40 planned rounds cost nothing up
+        // front, and a job cancelled during round 2 stops after it.
+        let g = Arc::new(complete(20, WeightDist::Unit, 0).unwrap());
+        let cfg = SophieConfig {
+            tile_size: 8,
+            global_iters: 1 << 40,
+            ..SophieConfig::default()
+        };
+        let solver = SophieSolver::from_graph(&g, cfg).unwrap();
+        let token = CancelToken::new();
+        let job = SolveJob::new(Arc::clone(&g), 3).with_cancel(token.clone());
+        let mut cancel_at_round_2 = FnObserver::new(|event: &SolveEvent| {
+            if matches!(event, SolveEvent::GlobalSync { round: 2, .. }) {
+                token.cancel();
+            }
+        });
+        let report = solver.solve(&job, &mut cancel_at_round_2).unwrap();
+        assert_eq!(report.planned_iterations, 1 << 40);
+        assert_eq!(report.iterations_run, 2);
     }
 }
 

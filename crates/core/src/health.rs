@@ -17,7 +17,6 @@ use crate::error::{Result, SophieError};
 
 /// What the runtime does after a calibration probe flags a faulty unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RecoveryPolicy {
     /// Report `FaultDetected` events but never intervene — the
     /// measurement baseline for the robustness sweeps.
@@ -50,7 +49,6 @@ pub enum RecoveryPolicy {
 
 /// Configuration of the runtime health monitor.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HealthConfig {
     /// Probe every pair after each `check_interval`-th round (≥ 1; 1
     /// probes after every global synchronization).

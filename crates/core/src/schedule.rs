@@ -13,7 +13,6 @@ use sophie_linalg::{TileGrid, TilePair};
 
 /// One global iteration's worth of scheduling decisions.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Round {
     /// Indices into the grid's symmetric-pair list, sorted ascending.
     pub pairs: Vec<usize>,
@@ -21,6 +20,25 @@ pub struct Round {
     /// the stochastic spin update is enabled and the column has at least
     /// one selected tile. `None` leaves the column's global spins unchanged.
     pub donors: Vec<Option<usize>>,
+}
+
+impl Round {
+    /// Block rows holding a fresh copy of column `c` in this round — the
+    /// candidates for the column's spin update. `pairs` is the grid's
+    /// symmetric-pair list the round's indices refer to.
+    #[must_use]
+    pub fn eligible_rows(&self, pairs: &[TilePair], c: usize) -> Vec<usize> {
+        let mut rows = Vec::new();
+        for &pi in &self.pairs {
+            match pairs[pi] {
+                TilePair::Diagonal(b) if b == c => rows.push(b),
+                TilePair::OffDiagonal { row, col } if col == c => rows.push(row),
+                TilePair::OffDiagonal { row, col } if row == c => rows.push(col),
+                _ => {}
+            }
+        }
+        rows
+    }
 }
 
 /// A complete pre-generated schedule.
@@ -34,9 +52,11 @@ pub struct Schedule {
 
 /// Streaming generator producing one [`Round`] at a time.
 ///
-/// [`Schedule::generate`] collects its output; the analytic op-count path
-/// ([`crate::analytic`]) streams it instead, so very large grids (K32768 →
-/// 131 328 pairs × 500 rounds) never have to hold a full schedule in memory.
+/// [`Schedule::generate`] collects its output. The engine (when a job
+/// supplies no schedule) and the analytic op-count path
+/// ([`crate::analytic`]) take each round from it as they reach it, so a
+/// run holds one round however many it plans, and very large grids
+/// (K32768 → 131 328 pairs × 500 rounds) never hold a full schedule.
 #[derive(Debug)]
 pub struct RoundGenerator {
     pairs: Vec<TilePair>,
@@ -72,12 +92,6 @@ impl RoundGenerator {
             indices,
             pairs,
         }
-    }
-
-    /// Pairs selected per round.
-    #[must_use]
-    pub fn pairs_per_round(&self) -> usize {
-        self.select
     }
 
     /// The symmetric-pair list the indices refer to.
@@ -149,48 +163,8 @@ impl Schedule {
         stochastic_spin: bool,
         seed: u64,
     ) -> Self {
-        Self::generate_while(grid, global_iters, fraction, stochastic_spin, seed, || true)
-    }
-
-    /// How many rounds [`Schedule::generate_while`] produces between polls
-    /// of its `keep_going` predicate.
-    pub const STOP_POLL_INTERVAL: usize = 256;
-
-    /// Like [`Schedule::generate`], but polls `keep_going` every
-    /// [`STOP_POLL_INTERVAL`](Self::STOP_POLL_INTERVAL) rounds and stops
-    /// generating once it returns `false`, yielding a truncated schedule.
-    ///
-    /// Generation is a pure prefix: for the rounds it does produce, the
-    /// output is identical to the full schedule for the same seed. This is
-    /// how the engine keeps schedule setup — O(`global_iters`) work that
-    /// happens before the first iteration — responsive to cooperative
-    /// cancellation and deadlines: a run cancelled during setup would
-    /// execute none of the later rounds anyway, so truncating them is
-    /// unobservable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `(0, 1]` (validated earlier by
-    /// [`crate::SophieConfig::validate`]).
-    #[must_use]
-    pub fn generate_while(
-        grid: &TileGrid,
-        global_iters: usize,
-        fraction: f64,
-        stochastic_spin: bool,
-        seed: u64,
-        mut keep_going: impl FnMut() -> bool,
-    ) -> Self {
         let mut gen = RoundGenerator::new(grid, fraction, stochastic_spin, seed);
-        // Capacity is a hint, not a promise: generation may stop early, and
-        // a hostile iteration count must not size an allocation up front.
-        let mut rounds = Vec::with_capacity(global_iters.min(1 << 16));
-        for g in 0..global_iters {
-            if g % Self::STOP_POLL_INTERVAL == 0 && !keep_going() {
-                break;
-            }
-            rounds.push(gen.next_round());
-        }
+        let rounds = (0..global_iters).map(|_| gen.next_round()).collect();
         Schedule {
             pairs: gen.pairs,
             blocks: grid.blocks(),
@@ -222,22 +196,6 @@ impl Schedule {
     pub fn stochastic_spin(&self) -> bool {
         self.stochastic_spin
     }
-
-    /// Block rows holding a fresh copy of column `c` in `round` — the
-    /// candidates for the column's spin update.
-    #[must_use]
-    pub fn eligible_rows(&self, round: &Round, c: usize) -> Vec<usize> {
-        let mut rows = Vec::new();
-        for &pi in &round.pairs {
-            match self.pairs[pi] {
-                TilePair::Diagonal(b) if b == c => rows.push(b),
-                TilePair::OffDiagonal { row, col } if col == c => rows.push(row),
-                TilePair::OffDiagonal { row, col } if row == c => rows.push(col),
-                _ => {}
-            }
-        }
-        rows
-    }
 }
 
 #[cfg(test)]
@@ -258,29 +216,6 @@ mod tests {
             // Every column has a donor when every pair is selected.
             assert!(r.donors.iter().all(Option::is_some));
         }
-    }
-
-    #[test]
-    fn generate_while_truncates_to_an_identical_prefix() {
-        let g = grid(256, 64);
-        let full = Schedule::generate(&g, 2 * Schedule::STOP_POLL_INTERVAL, 0.6, true, 9);
-        // Allow exactly one poll to pass: generation stops at the second
-        // poll boundary, after STOP_POLL_INTERVAL rounds.
-        let mut polls = 0;
-        let truncated =
-            Schedule::generate_while(&g, 2 * Schedule::STOP_POLL_INTERVAL, 0.6, true, 9, || {
-                polls += 1;
-                polls <= 1
-            });
-        assert_eq!(truncated.rounds().len(), Schedule::STOP_POLL_INTERVAL);
-        assert_eq!(
-            truncated.rounds(),
-            &full.rounds()[..Schedule::STOP_POLL_INTERVAL],
-            "truncated schedule must be a pure prefix of the full one"
-        );
-        // An immediately-stopped generation yields no rounds at all.
-        let none = Schedule::generate_while(&g, 100, 0.6, true, 9, || false);
-        assert!(none.rounds().is_empty());
     }
 
     #[test]
@@ -318,7 +253,7 @@ mod tests {
         let s = Schedule::generate(&g, 30, 0.3, true, 4);
         for r in s.rounds() {
             for (c, donor) in r.donors.iter().enumerate() {
-                let eligible = s.eligible_rows(r, c);
+                let eligible = r.eligible_rows(s.pairs(), c);
                 match donor {
                     Some(d) => assert!(eligible.contains(d), "donor {d} not eligible for col {c}"),
                     None => assert!(eligible.is_empty()),

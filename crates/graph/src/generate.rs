@@ -15,7 +15,6 @@ use rand::{Rng, SeedableRng};
 
 /// Edge-weight distributions offered by the generators.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WeightDist {
     /// Every edge has weight `+1` (GSET G1/G22 style).
     Unit,

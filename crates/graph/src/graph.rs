@@ -7,7 +7,6 @@ use crate::error::{GraphError, Result};
 
 /// One weighted undirected edge. Endpoints are stored with `u < v`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Edge {
     /// Smaller endpoint.
     pub u: usize,
@@ -39,14 +38,12 @@ pub struct Edge {
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Graph {
     nodes: usize,
     edges: Vec<Edge>,
     /// CSR-style adjacency: `adj[offsets[u]..offsets[u+1]]` lists `(v, w)`.
     offsets: Vec<usize>,
     adj: Vec<(usize, f64)>,
-    #[cfg_attr(feature = "serde", serde(skip))]
     derived: Derived,
 }
 

@@ -36,11 +36,9 @@ mod error;
 pub mod generate;
 mod graph;
 pub mod io;
-mod partition;
 mod stats;
 
 pub use error::{GraphError, Result};
 pub use generate::WeightDist;
 pub use graph::{Edge, Graph, GraphBuilder};
-pub use partition::Partition;
 pub use stats::GraphStats;

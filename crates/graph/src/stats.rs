@@ -4,7 +4,6 @@ use crate::graph::Graph;
 
 /// Descriptive statistics of a graph instance.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GraphStats {
     /// Number of nodes.
     pub nodes: usize,

@@ -11,7 +11,6 @@ use crate::error::{HwError, Result};
 
 /// One processing element: a bidirectional OPCM array plus peripherals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PeSpec {
     /// Tile edge length `T`; the array has `T × 2T` GST cells
     /// (positive and negative parts).
@@ -44,7 +43,6 @@ impl PeSpec {
 
 /// One OPCM chiplet (paper: 64 PEs, 486 mm²).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChipletSpec {
     /// Processing elements per chiplet.
     pub pes: usize,
@@ -62,7 +60,6 @@ impl ChipletSpec {
 
 /// One accelerator: interposer + controller + DRAM + lasers + OPCM chiplets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AcceleratorSpec {
     /// OPCM chiplets on the interposer (paper: 4).
     pub opcm_chiplets: usize,
@@ -127,7 +124,6 @@ impl AcceleratorSpec {
 
 /// A full machine: one or more accelerators plus the system clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MachineConfig {
     /// Number of accelerators (multi-accelerator systems sync over CXL).
     pub accelerators: usize,

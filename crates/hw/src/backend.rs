@@ -44,7 +44,6 @@ const ADC_SATURATION_FRACTION: f32 = 0.125;
 
 /// Configuration of the hardware backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OpcmBackendConfig {
     /// GST cell characteristics.
     pub cell: OpcmCellSpec,

@@ -12,7 +12,6 @@ use crate::device::opcm::OpcmCellSpec;
 
 /// Where the silicon of one machine goes (mm²).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AreaBreakdown {
     /// All OPCM chiplets (cells + photonic peripherals).
     pub opcm_mm2: f64,

@@ -13,7 +13,6 @@ use crate::error::Result;
 
 /// Full power/performance/area result for one job on one machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PpaResult {
     /// Timing breakdown (per batch and per job).
     pub timing: TimingBreakdown,
@@ -29,12 +28,6 @@ impl PpaResult {
     #[must_use]
     pub fn edap(&self) -> f64 {
         self.energy.total_j() * self.timing.per_job_s * self.area.total_mm2()
-    }
-
-    /// Average power during the run (W).
-    #[must_use]
-    pub fn avg_power_w(&self) -> f64 {
-        self.energy.total_j() / self.timing.per_job_s
     }
 }
 
@@ -97,7 +90,6 @@ mod tests {
         let r = ppa(4096, 64, 100);
         assert!(r.edap() > 0.0);
         assert!(r.edap().is_finite());
-        assert!(r.avg_power_w() > 0.0);
     }
 
     #[test]

@@ -15,7 +15,6 @@ use crate::device::opcm::OpcmCellSpec;
 
 /// Where the energy of one job goes (joules).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyBreakdown {
     /// Laser power integrated over MVM activity.
     pub laser_j: f64,

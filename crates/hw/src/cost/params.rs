@@ -8,7 +8,6 @@ use crate::device::convert::{EoConverter, OeConverter};
 
 /// All per-operation/per-component constants of the PPA models.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CostParams {
     /// OPCM array programming latency — 400 ns for the reference
     /// 64 × 128-cell array \[19\]; larger arrays scale linearly in cell
@@ -103,13 +102,6 @@ impl Default for CostParams {
 }
 
 impl CostParams {
-    /// Average GST programming energy per cell — sanity accessor used in
-    /// docs and tests.
-    #[must_use]
-    pub fn program_energy_per_cell_nj(&self) -> f64 {
-        self.program_energy_per_cell_j * 1e9
-    }
-
     /// SRAM power for `bytes` of buffers (linear in capacity).
     #[must_use]
     pub fn sram_power_w(&self, bytes: f64) -> f64 {
@@ -151,7 +143,7 @@ mod tests {
     #[test]
     fn programming_energy_matches_cited_average() {
         let p = CostParams::default();
-        assert!((p.program_energy_per_cell_nj() - 433.13).abs() < 0.01);
+        assert!((p.program_energy_per_cell_j * 1e9 - 433.13).abs() < 0.01);
     }
 
     #[test]

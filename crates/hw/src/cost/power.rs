@@ -12,7 +12,6 @@ use crate::device::opcm::OpcmCellSpec;
 
 /// Component-level steady-state power of a machine (watts).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerBudget {
     /// Electrical laser power per accelerator × accelerators, assuming
     /// one array's worth of wavelengths lit per chiplet at a time

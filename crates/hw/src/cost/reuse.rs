@@ -28,7 +28,6 @@ use crate::device::opcm::OpcmCellSpec;
 
 /// Dense-vs-incremental energy comparison for one job's operation counts.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReuseEstimate {
     /// Dynamic energy of the dense optical pipeline for these counts
     /// (laser + E-O + ADC + glue, via [`ops_energy_j`]).

@@ -26,7 +26,6 @@ use crate::error::Result;
 
 /// Where the time of one batch goes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimingBreakdown {
     /// One-time host transfer + initial programming (whole batch).
     pub init_s: f64,

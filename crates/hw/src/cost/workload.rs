@@ -10,7 +10,6 @@ use sophie_core::{OpCounts, SophieConfig};
 
 /// Average per-round workload of one job, plus the batch context.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkloadSummary {
     /// Problem order (number of spins).
     pub n: usize,
@@ -96,12 +95,6 @@ impl WorkloadSummary {
         let ops = sophie_core::analytic::analytic_op_counts(n, config, schedule_seed)?;
         Ok(Self::from_ops(n, config, &ops, batch_jobs))
     }
-
-    /// Per-round MVM count for one job (all local passes).
-    #[must_use]
-    pub fn mvms_per_round(&self) -> f64 {
-        self.avg_logical_tiles_per_round * self.local_iters as f64
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +123,6 @@ mod tests {
         assert_eq!(w.rounds, 12);
         assert!((w.avg_pairs_per_round - 10.0).abs() < 1e-9);
         assert!((w.avg_logical_tiles_per_round - 16.0).abs() < 1e-9);
-        assert!((w.mvms_per_round() - 80.0).abs() < 1e-9);
     }
 
     #[test]

@@ -11,7 +11,6 @@ use crate::error::{HwError, Result};
 
 /// Dual-precision ADC: 1-bit threshold mode and `bits`-wide uniform mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DualPrecisionAdc {
     bits: u32,
     /// Full-scale range `[-range, +range]` of the multi-bit mode.
@@ -89,13 +88,6 @@ impl DualPrecisionAdc {
             *s = self.quantize(*s);
         }
     }
-
-    /// Cycles one multi-bit conversion takes on a SAR ADC clocked at the
-    /// accelerator frequency (one bit decision per cycle).
-    #[must_use]
-    pub fn conversion_cycles(&self) -> u64 {
-        u64::from(self.bits)
-    }
 }
 
 #[cfg(test)]
@@ -142,10 +134,9 @@ mod tests {
     }
 
     #[test]
-    fn eight_bit_mode_has_256_levels_and_8_cycles() {
+    fn eight_bit_mode_has_256_levels() {
         let adc = DualPrecisionAdc::sophie_default(1.0).unwrap();
         assert_eq!(adc.bits(), 8);
-        assert_eq!(adc.conversion_cycles(), 8);
         assert!((adc.step() - 2.0 / 255.0).abs() < 1e-7);
     }
 

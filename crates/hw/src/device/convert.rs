@@ -8,7 +8,6 @@
 /// Electro-optic (modulator) converter: drives one array input from a spin
 /// bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EoConverter {
     /// Energy per transmitted bit in joules (paper: 1 pJ/bit \[12\]).
     pub energy_per_bit_j: f64,
@@ -35,7 +34,6 @@ impl EoConverter {
 
 /// Opto-electronic converter: photodetector + noise generator + ADC.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OeConverter {
     /// ADC power at full sample rate in watts (paper: 29 mW at 5 GS/s \[33\]).
     pub adc_power_w: f64,

@@ -10,7 +10,6 @@ use crate::device::opcm::OpcmCellSpec;
 
 /// A laser source provisioned for one accelerator.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LaserSource {
     /// Wavelengths multiplexed per array (one per tile row).
     pub wavelengths: usize,

@@ -24,7 +24,6 @@ use crate::error::{HwError, Result};
 
 /// Static characteristics of a GST cell and the surrounding photonics.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OpcmCellSpec {
     /// Distinct programmable transmittance levels per cell (64 ⇒ 6 bits).
     pub levels: u32,
@@ -158,12 +157,6 @@ impl OpcmArray {
     #[must_use]
     pub fn spec(&self) -> &OpcmCellSpec {
         &self.spec
-    }
-
-    /// Whether the array holds a programmed tile.
-    #[must_use]
-    pub fn is_programmed(&self) -> bool {
-        self.programmed
     }
 
     /// Scale mapping transmittance-space back to weight-space (the

@@ -17,7 +17,6 @@ use crate::error::{HwError, Result};
 
 /// Variability/fault model applied to a programmed tile.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VariabilityModel {
     /// Drift exponent ν: each stored weight `w` decays in magnitude to
     /// `w · (t/t₀)^(−ν)` after normalized time `t/t₀` ≥ 1. Zero disables

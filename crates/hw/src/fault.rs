@@ -101,7 +101,6 @@ impl FaultEvent {
 /// class fires on one unit (independent draws per class). Severity knobs
 /// control what a firing does.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultSchedule {
     /// Per-round probability of a [`FaultEvent::DriftBurst`].
     pub drift_rate: f64,

@@ -27,7 +27,6 @@ use crate::error::Result;
 
 /// One command record's physical cost: device-occupancy time and energy.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CostAnnotation {
     /// Device-occupancy time in nanoseconds: MVM read cycles (1 cycle per
     /// 1-bit read, `adc_cycles` per 8-bit read), array programming, and

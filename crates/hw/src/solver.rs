@@ -104,18 +104,6 @@ impl SophieOpcm {
         Ok(self)
     }
 
-    /// The wrapped algorithm configuration.
-    #[must_use]
-    pub fn sophie_config(&self) -> &SophieConfig {
-        &self.sophie
-    }
-
-    /// The wrapped backend configuration.
-    #[must_use]
-    pub fn backend_config(&self) -> &OpcmBackendConfig {
-        &self.backend
-    }
-
     fn engine_for(&self, graph: &Arc<Graph>) -> Result<Arc<SophieSolver>, SolveError> {
         match &self.engines {
             Engines::Pinned(engine) => Ok(Arc::clone(engine)),

@@ -25,7 +25,6 @@ use crate::Matrix;
 /// columns of [`SymmetricEigen::vectors`] are the matching orthonormal
 /// eigenvectors.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SymmetricEigen {
     /// Eigenvalues in ascending order.
     pub values: Vec<f64>,

@@ -40,7 +40,6 @@ use crate::tile::Tile;
 
 /// One MVM micro-kernel implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum KernelVariant {
     /// Sequential per-output row dot over the output-major mirror — the
     /// canonical reference every other variant must match bitwise.

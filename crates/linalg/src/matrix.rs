@@ -24,7 +24,6 @@ const GRAM_TILE: usize = 4;
 /// assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -162,12 +161,6 @@ impl Matrix {
     #[must_use]
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Consumes the matrix and returns the flat row-major buffer.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Returns the transpose as a new matrix.
@@ -327,12 +320,6 @@ impl Matrix {
     #[must_use]
     pub fn is_symmetric(&self, tol: f64) -> bool {
         self.is_square() && self.max_asymmetry() <= tol
-    }
-
-    /// Frobenius norm.
-    #[must_use]
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Largest absolute entry.
@@ -514,11 +501,6 @@ mod tests {
     fn row_sums_match_matvec_of_ones() {
         let m = sample();
         assert_eq!(m.row_sums(), m.matvec(&[1.0, 1.0, 1.0]));
-    }
-
-    #[test]
-    fn frobenius_norm_of_identity() {
-        assert!((Matrix::identity(9).frobenius_norm() - 3.0).abs() < 1e-12);
     }
 
     #[test]

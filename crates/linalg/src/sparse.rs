@@ -12,7 +12,6 @@ use crate::error::{LinalgError, Result};
 /// The nonzero pattern of a matrix in CSR layout: per row, the ascending
 /// column indices of its nonzero entries.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SparseCsr {
     /// `rows + 1` offsets into `col_idx`.
     row_ptr: Vec<u32>,

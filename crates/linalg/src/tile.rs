@@ -14,7 +14,6 @@ use crate::Matrix;
 /// The final block row/column is zero-padded, so every tile has the same
 /// physical shape, matching the fixed-size OPCM arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TileGrid {
     n: usize,
     tile: usize,
@@ -22,7 +21,6 @@ pub struct TileGrid {
 
 /// Identifies one logical tile by block row and block column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TileIndex {
     /// Block-row index.
     pub row: usize,
@@ -50,7 +48,6 @@ impl TileIndex {
 /// A symmetric pair of logical tiles sharing one physical OPCM array
 /// (paper §III-D, symmetric tile mapping).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TilePair {
     /// A diagonal tile, which is its own transpose.
     Diagonal(usize),
@@ -144,12 +141,6 @@ impl TileGrid {
         start..((start + self.tile).min(self.n))
     }
 
-    /// Number of valid (unpadded) rows in block `b`.
-    #[must_use]
-    pub fn block_len(&self, b: usize) -> usize {
-        self.range(b).len()
-    }
-
     /// Total count of logical tiles (`blocks²`).
     #[must_use]
     pub fn logical_tiles(&self) -> usize {
@@ -181,7 +172,6 @@ impl TileGrid {
 /// bits, so double precision would misrepresent the hardware and waste
 /// memory bandwidth in the functional simulator.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Tile {
     size: usize,
     data: Vec<f32>,
@@ -195,7 +185,6 @@ pub struct Tile {
     /// bitwise invisible (padded outputs are `+0.0` either way) and only
     /// saves the fringe's wasted kernel work. Normalized: a full extent
     /// is always stored as `None` so trim state never affects equality.
-    #[cfg_attr(feature = "serde", serde(default))]
     used: Option<(usize, usize)>,
 }
 
@@ -375,19 +364,6 @@ impl Tile {
             .map(|r| crate::vector::sum_f32(&self.data[r * self.size..(r + 1) * self.size]))
             .collect()
     }
-
-    /// Sum of each column (row sums of the transposed tile).
-    #[must_use]
-    pub fn col_sums(&self) -> Vec<f32> {
-        let mut out = vec![0.0_f32; self.size];
-        for r in 0..self.size {
-            let row = &self.data[r * self.size..(r + 1) * self.size];
-            for (o, &v) in out.iter_mut().zip(row) {
-                *o += v;
-            }
-        }
-        out
-    }
 }
 
 /// Row-major transpose of a flat `size × size` buffer.
@@ -493,7 +469,6 @@ mod tests {
         assert_eq!(g.padded_len(), 192);
         assert_eq!(g.range(0), 0..64);
         assert_eq!(g.range(2), 128..130);
-        assert_eq!(g.block_len(2), 2);
     }
 
     #[test]
@@ -651,10 +626,9 @@ mod tests {
     }
 
     #[test]
-    fn row_and_col_sums() {
+    fn row_sums() {
         let t = Tile::from_vec(2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(t.row_sums(), vec![3.0, 7.0]);
-        assert_eq!(t.col_sums(), vec![4.0, 6.0]);
     }
 
     #[test]

@@ -33,7 +33,6 @@ use crate::error::{PrisError, Result};
 
 /// How the dropout shift `Δ` is paired with the eigenvalues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DeltaVariant {
     /// Uniform Gershgorin shift `max_i Σ_{j≠i}|K_ij|` (default).
     #[default]

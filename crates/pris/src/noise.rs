@@ -62,16 +62,6 @@ impl NoiseModel {
         self.phi
     }
 
-    /// Standard deviation applied to component `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    #[must_use]
-    pub fn sigma(&self, i: usize) -> f64 {
-        self.phi * self.scales[i]
-    }
-
     /// Adds noise to every component of `x` in place.
     ///
     /// # Panics
@@ -146,7 +136,6 @@ mod tests {
         }
         assert_eq!(devs0, 0.0);
         assert!(devs1 > 0.0);
-        assert_eq!(m.sigma(1), 10.0);
     }
 
     #[test]

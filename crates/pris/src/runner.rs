@@ -13,7 +13,6 @@ use crate::sampler::PrisModel;
 
 /// Configuration for a single PRIS run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunConfig {
     /// Number of recurrent iterations.
     pub iterations: usize,

@@ -15,7 +15,6 @@ use crate::sampler::PrisModel;
 /// strength plus the per-run sampler parameters (seed and target come from
 /// each [`SolveJob`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PrisJobConfig {
     /// Eigenvalue-dropout factor α.
     pub alpha: f64,

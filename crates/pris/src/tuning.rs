@@ -20,7 +20,6 @@ use crate::sampler::PrisModel;
 
 /// The tuned operating point for one workload class.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TuningEntry {
     /// Graph order this entry was calibrated at.
     pub order: usize,
@@ -36,7 +35,6 @@ pub struct TuningEntry {
 
 /// A lookup table from workload class to tuned parameters.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TuningTable {
     entries: Vec<TuningEntry>,
 }
@@ -103,7 +101,6 @@ impl TuningTable {
 
 /// Calibration settings.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CalibrationConfig {
     /// φ candidates to sweep.
     pub phis: &'static [f64],

@@ -15,7 +15,7 @@ use sophie_baselines::{BlsConfig, PtConfig, SaConfig, SbConfig, SbVariant};
 use sophie_core::SophieConfig;
 use sophie_hw::OpcmBackendConfig;
 use sophie_pris::PrisJobConfig;
-use sophie_solve::{Solver, SolverRegistry};
+use sophie_solve::{SolveError, Solver, SolverRegistry};
 
 use crate::error::{Result, ServeError};
 use crate::json::Json;
@@ -220,31 +220,56 @@ fn sophie_config(f: &Fields<'_>) -> Result<SophieConfig> {
     })
 }
 
-/// Rejects a `sophie` or `sophie-opcm` config whose `tile_size` is above
-/// `max_nodes`, the daemon's instance node cap.
+/// Rejects a `sophie` or `sophie-opcm` config on an instance of `nodes`
+/// nodes whose `tile_size` is above `max_nodes`, the daemon's instance
+/// node cap, or whose round would queue more than
+/// [`SophieConfig::MAX_ROUND_STEPS`] chain steps (the engine's own rule,
+/// [`SophieConfig::validate_for`]), before any preprocessing.
 ///
 /// No admitted instance has more nodes, so a wider tile only adds
 /// padding, and a tile of width `t` holds `t²` weights: a `tile_size` of
-/// 100,000 asks for 40 GB before the job's first round. A missing or
-/// mistyped field is left to [`build_solver`].
+/// 100,000 asks for 40 GB before the job's first round. A mistyped field
+/// is left to [`build_solver`].
 ///
 /// # Errors
 ///
-/// [`ServeError::Protocol`] naming the field, its value and the cap.
-pub(crate) fn check_tile_size(solver: &str, config: Option<&Json>, max_nodes: usize) -> Result<()> {
+/// [`ServeError::Protocol`] naming `tile_size`, its value and the cap;
+/// [`ServeError::Solve`] with the engine's [`SolveError::BadConfig`] for
+/// an invalid config or an oversized round.
+pub(crate) fn check_tile_size(
+    solver: &str,
+    config: Option<&Json>,
+    nodes: usize,
+    max_nodes: usize,
+) -> Result<()> {
     if !matches!(solver, "sophie" | "sophie-opcm") {
         return Ok(());
     }
     let tile = config.and_then(|c| c.get("tile_size"));
-    match tile.and_then(Json::as_u64) {
-        Some(tile) if tile > max_nodes as u64 => Err(ServeError::Protocol {
+    if let Some(tile) = tile
+        .and_then(Json::as_u64)
+        .filter(|&t| t > max_nodes as u64)
+    {
+        return Err(ServeError::Protocol {
             message: format!(
                 "config field `tile_size` for solver `{solver}` is {tile}, above the \
                  instance node cap {max_nodes}"
             ),
-        }),
-        _ => Ok(()),
+        });
     }
+    let parsed = match config {
+        None => Ok(SophieConfig::default()),
+        Some(c) => Fields::new(solver, c).and_then(|f| sophie_config(&f)),
+    };
+    let Ok(parsed) = parsed else {
+        return Ok(());
+    };
+    parsed.validate_for(nodes).map_err(|e| {
+        ServeError::Solve(SolveError::BadConfig {
+            solver: solver.to_string(),
+            message: e.to_string(),
+        })
+    })
 }
 
 #[cfg(test)]
@@ -327,7 +352,7 @@ mod tests {
         let wide = Json::parse(r#"{"tile_size": 65}"#).unwrap();
         let at_cap = Json::parse(r#"{"tile_size": 64}"#).unwrap();
         for solver in ["sophie", "sophie-opcm"] {
-            match check_tile_size(solver, Some(&wide), 64) {
+            match check_tile_size(solver, Some(&wide), 20, 64) {
                 Err(ServeError::Protocol { message }) => assert_eq!(
                     message,
                     format!(
@@ -337,13 +362,30 @@ mod tests {
                 ),
                 other => panic!("{solver}: expected Protocol error, got {other:?}"),
             }
-            assert!(check_tile_size(solver, Some(&at_cap), 64).is_ok());
-            assert!(check_tile_size(solver, None, 64).is_ok());
+            assert!(check_tile_size(solver, Some(&at_cap), 20, 64).is_ok());
+            assert!(check_tile_size(solver, None, 20, 64).is_ok());
         }
         // Other solvers have no tiles; a mistyped value is build_solver's.
-        assert!(check_tile_size("sa", Some(&wide), 64).is_ok());
+        assert!(check_tile_size("sa", Some(&wide), 20, 64).is_ok());
         let mistyped = Json::parse(r#"{"tile_size": "wide"}"#).unwrap();
-        assert!(check_tile_size("sophie", Some(&mistyped), 64).is_ok());
+        assert!(check_tile_size("sophie", Some(&mistyped), 20, 64).is_ok());
+    }
+
+    #[test]
+    fn rounds_above_the_step_limit_are_rejected() {
+        let long = Json::parse(r#"{"tile_size": 8, "local_iters": 1000000000}"#).unwrap();
+        let fine = Json::parse(r#"{"tile_size": 1, "local_iters": 1}"#).unwrap();
+        for solver in ["sophie", "sophie-opcm"] {
+            for (config, nodes) in [(Some(&long), 20), (Some(&fine), 1024), (None, 1 << 20)] {
+                match check_tile_size(solver, config, nodes, usize::MAX) {
+                    Err(ServeError::Solve(SolveError::BadConfig { message, .. })) => {
+                        assert!(message.contains("local_iters"), "{message}");
+                    }
+                    other => panic!("{solver} on {nodes} nodes: got {other:?}"),
+                }
+            }
+            assert!(check_tile_size(solver, Some(&fine), 511, usize::MAX).is_ok());
+        }
     }
 
     #[test]

@@ -175,7 +175,8 @@ impl Service for Shared {
         };
         let prepared = resolved.and_then(|(graph, problem)| {
             let config = request.config.as_ref();
-            check_tile_size(&request.solver, config, shared.config.max_instance_nodes)?;
+            let max_nodes = shared.config.max_instance_nodes;
+            check_tile_size(&request.solver, config, graph.num_nodes(), max_nodes)?;
             let solver = build_solver(&shared.registry, &request.solver, config)?;
             Ok((graph, problem, solver))
         });

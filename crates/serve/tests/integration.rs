@@ -5,7 +5,8 @@
 //! the worker, a submit rejected by the full admission queue, a streaming
 //! SOPHIE job whose event frames arrive before its result, and a
 //! graceful shutdown whose final stats counters account for every job.
-//! Also: counters settled before each result, the connection cap, and a
+//! Also: counters settled before each result, the connection cap, configs
+//! that would size a runaway allocation refused at admission, and a
 //! prompt shutdown on an unspecified bind address.
 
 use std::time::{Duration, Instant};
@@ -411,6 +412,51 @@ fn sophie_tile_size_obeys_the_node_cap() {
     assert_eq!(admission.frame_type(), Some("accepted"));
     assert_eq!(client.wait_result("later").expect("result").status, "done");
     assert_eq!(counter(&client.stats().expect("stats"), "completed"), 2);
+
+    server.shutdown();
+}
+
+#[test]
+fn configs_that_would_exhaust_the_daemon_get_error_frames() {
+    let server = start_server(8, 1);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    // Each of these used to be accepted: 10^9 PT replicas asked for 88 GB,
+    // and a sophie round of more than 2^17 chain steps queues them all
+    // before its one flush. None may reach a worker.
+    let refused = [
+        ("pt", "K20", r#"{"replicas": 1000000000}"#, "replicas"),
+        (
+            "sophie",
+            "K20",
+            r#"{"tile_size": 8, "local_iters": 1000000000, "global_iters": 1}"#,
+            "local_iters",
+        ),
+        (
+            "sophie-opcm",
+            "K512",
+            r#"{"tile_size": 1, "local_iters": 1, "global_iters": 1}"#,
+            "local_iters",
+        ),
+    ];
+    for (i, (solver, graph, config, field)) in refused.into_iter().enumerate() {
+        let mut args = SubmitArgs::new(solver, GraphSpec::Named(graph.into()));
+        args.config_json = Some(config.into());
+        let err = client.submit(&format!("big-{i}"), &args).expect("submit");
+        assert_eq!(err.frame_type(), Some("error"), "{solver} {config}");
+        let message = err.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains(field), "{message}");
+    }
+
+    // The daemon still serves a normal job.
+    let mut sa = SubmitArgs::new("sa", GraphSpec::Named("K20".into()));
+    sa.config_json = Some(r#"{"sweeps": 5}"#.into());
+    let admission = client.submit("sa", &sa).expect("submit sa");
+    assert_eq!(admission.frame_type(), Some("accepted"));
+    assert_eq!(client.wait_result("sa").expect("result").status, "done");
+    let stats = client.stats().expect("stats");
+    assert_eq!(counter(&stats, "accepted"), 1);
+    assert_eq!(counter(&stats, "completed"), 1);
 
     server.shutdown();
 }

@@ -14,7 +14,6 @@ use crate::json::Json;
 
 /// Counts of every operation class executed by one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OpCounts {
     /// Tile-sized MVMs whose outputs were read in 1-bit (threshold) mode.
     pub tile_mvms_1bit: u64,

@@ -110,19 +110,6 @@ impl SolveReport {
             f64::NAN
         }
     }
-
-    /// Signed gap `best_cut - reference`: positive when the run beat the
-    /// reference, negative when it fell short, zero on an exact match.
-    ///
-    /// Unlike [`Self::quality_vs`] this is well-defined for any finite
-    /// reference, including zero and negative values — the shape
-    /// feasibility-style problem targets take (a 0-conflict coloring, a
-    /// 0-BER decode), where a ratio against the reference would be NaN or
-    /// meaningless.
-    #[must_use]
-    pub fn gap_vs(&self, reference: f64) -> f64 {
-        self.best_cut - reference
-    }
 }
 
 #[cfg(test)]
@@ -200,15 +187,6 @@ mod tests {
         assert!(r.quality_vs(0.0).is_nan());
         assert!(r.quality_vs(-10.0).is_nan());
         assert!(r.quality_vs(f64::NAN).is_nan());
-    }
-
-    #[test]
-    fn signed_gap_is_defined_for_any_finite_reference() {
-        let r = sample();
-        assert!((r.gap_vs(100.0) + 5.0).abs() < 1e-12);
-        assert!((r.gap_vs(0.0) - 95.0).abs() < 1e-12);
-        assert!((r.gap_vs(-10.0) - 105.0).abs() < 1e-12);
-        assert!((r.gap_vs(95.0)).abs() < 1e-12);
     }
 
     #[test]

@@ -35,6 +35,9 @@ run() {
 
 run cargo fmt --all --check
 run cargo clippy --all-targets --workspace -- -D warnings
+# Every crate feature must build: nothing else turns one on, so a feature
+# that cannot compile would go unnoticed.
+run cargo check --workspace --all-features --all-targets
 run cargo build --release
 run cargo test -q
 
@@ -67,6 +70,16 @@ fi
 echo "==> grep gate: no direct MvmUnit reads under crates/core/src/engine/"
 if grep -rn "\.forward(\|\.transposed(" crates/core/src/engine/; then
     echo "engine stages must submit Mvm commands through the device queue, not call MvmUnit::forward/transposed" >&2
+    exit 1
+fi
+
+# Streamed-rounds gate: a job with no schedule takes each round from
+# RoundGenerator as the stage loop reaches it, so no run builds its whole
+# schedule (O(global_iters) rounds) before the first one. Only the engine's
+# tests collect a Schedule to compare with the streamed rounds.
+echo "==> grep gate: no Schedule::generate under crates/core/src/engine/ outside tests.rs"
+if grep -rn "Schedule::generate" crates/core/src/engine/ | grep -v "^crates/core/src/engine/tests.rs:"; then
+    echo "the engine streams its rounds from RoundGenerator; a run must not collect a Schedule up front" >&2
     exit 1
 fi
 
